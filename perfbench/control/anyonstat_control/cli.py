@@ -1,0 +1,199 @@
+"""Command line driver: runs the verification suites headless and writes
+machine-readable reports.
+
+Exit codes: 0 all records pass, 1 any record fails, 2 configuration error.
+A config file (JSON or key=value lines) may be pointed to by the
+ANYONSTAT_CONFIG environment variable; command line flags override it.
+JSON and CSV reports are byte-identical across runs with the same seed and
+config, so the volatile runtime field is serialized as null there; the text
+format shows measured times.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import os
+import sys
+from dataclasses import asdict
+
+from .suites import SUITE_NAMES, Report, SuiteConfig, run_suite
+
+_LIST_KEYS = {"spins": float, "masses": float, "multiplicities": int}
+_SCALAR_KEYS = {"seed": int, "tol_engine": float, "tol_boundary": float,
+                "tol_pipeline": float, "grid": int, "out": str, "format": str}
+
+
+class ConfigError(ValueError):
+    pass
+
+
+def _parse_config_file(path: str) -> dict:
+    try:
+        text = open(path, "r", encoding="utf-8").read()
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e}") from e
+    stripped = text.lstrip()
+    if stripped.startswith("{"):
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"invalid JSON config: {e}") from e
+        if not isinstance(data, dict):
+            raise ConfigError("JSON config must be an object")
+        return data
+    data = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"config line without '=': {line!r}")
+        key, _, value = line.partition("=")
+        data[key.strip()] = value.strip()
+    return data
+
+
+def _coerce(key: str, value):
+    if key in _LIST_KEYS:
+        cast = _LIST_KEYS[key]
+        if isinstance(value, str):
+            value = value.replace(",", " ").split()
+        if not isinstance(value, (list, tuple)):
+            value = [value]
+        return tuple(cast(v) for v in value)
+    if key in _SCALAR_KEYS:
+        cast = _SCALAR_KEYS[key]
+        return cast(value)
+    raise ConfigError(f"unknown config key {key!r}")
+
+
+def build_config(file_data: dict, args: argparse.Namespace) -> SuiteConfig:
+    values = {}
+    for key, value in file_data.items():
+        values[key] = _coerce(key, value)
+    if args.spin:
+        values["spins"] = tuple(args.spin)
+    if args.mass:
+        values["masses"] = tuple(args.mass)
+    if args.n:
+        values["multiplicities"] = tuple(args.n)
+    for flag, key in (("seed", "seed"), ("tol_engine", "tol_engine"),
+                      ("tol_pipeline", "tol_pipeline"), ("grid", "grid"),
+                      ("out", "out"), ("format", "format")):
+        v = getattr(args, flag)
+        if v is not None:
+            values[key] = v
+    try:
+        return SuiteConfig(**values)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(str(e)) from e
+
+
+def _record_payload(r, volatile: bool) -> dict:
+    d = asdict(r)
+    if not volatile:
+        d["runtime_ms"] = None
+    return d
+
+
+def render_json(report: Report) -> str:
+    # out and format describe the delivery, not the verification run; keeping
+    # them out of the echo makes reports byte-identical wherever they land
+    config = {k: v for k, v in report.config.items() if k not in ("out", "format")}
+    payload = {
+        "version": report.version,
+        "config": config,
+        "records": [_record_payload(r, volatile=False) for r in report.records],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+_CSV_FIELDS = ("suite", "anchor", "passed", "runtime_ms", "inputs", "residuals")
+
+
+def render_csv(report: Report) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_CSV_FIELDS)
+    for r in report.records:
+        writer.writerow([r.suite, r.anchor, "pass" if r.passed else "fail", "",
+                         json.dumps(r.inputs, sort_keys=True),
+                         json.dumps(r.residuals, sort_keys=True)])
+    return buf.getvalue()
+
+
+def render_text(report: Report) -> str:
+    lines = []
+    for r in report.records:
+        worst = max(r.residuals.values()) if r.residuals else 0.0
+        ms = f"{r.runtime_ms:8.1f} ms" if r.runtime_ms is not None else "      --"
+        lines.append(f"[{'PASS' if r.passed else 'FAIL'}] {r.suite}/{r.anchor}"
+                     f"  worst={worst:.3e}  {ms}")
+    lines.append(f"overall: {'PASS' if report.passed else 'FAIL'} "
+                 f"({sum(r.passed for r in report.records)}/{len(report.records)})")
+    return "\n".join(lines) + "\n"
+
+
+_RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
+
+
+def emit_report(report: Report, fmt: str, out: str | None = None) -> str:
+    if fmt not in _RENDERERS:
+        raise ConfigError(f"unknown format {fmt!r}; choose json, csv or text")
+    content = _RENDERERS[fmt](report)
+    if out:
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(content)
+    return content
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="anyonstat",
+        description="Run the covering-group / continuation / spin-statistics "
+                    "verification suites.")
+    parser.add_argument("--suite", default="all",
+                        choices=SUITE_NAMES + ("all",))
+    parser.add_argument("--spin", type=float, action="append",
+                        help="spin value; repeatable")
+    parser.add_argument("--mass", type=float, action="append",
+                        help="mass value; repeatable")
+    parser.add_argument("--n", type=int, action="append",
+                        help="multiplicity; repeatable")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--tol-engine", dest="tol_engine", type=float, default=None)
+    parser.add_argument("--tol-pipeline", dest="tol_pipeline", type=float, default=None)
+    parser.add_argument("--grid", type=int, default=None)
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--format", default=None, choices=("json", "csv", "text"))
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:
+        return 2 if e.code not in (0, None) else 0
+
+    try:
+        file_data = {}
+        cfg_path = os.environ.get("ANYONSTAT_CONFIG")
+        if cfg_path:
+            file_data = _parse_config_file(cfg_path)
+        config = build_config(file_data, args)
+        report = run_suite(args.suite, config)
+        content = emit_report(report, config.format, config.out)
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except ValueError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
+    if config.out is None or config.format == "text":
+        sys.stdout.write(content if config.out is None else "")
+    if config.out is not None:
+        print(f"report written to {config.out}")
+    return 0 if report.passed else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
