@@ -17,13 +17,20 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict
+import typing
+from dataclasses import asdict, fields
 
 from .suites import SUITE_NAMES, Report, SuiteConfig, run_suite
 
-_LIST_KEYS = {"spins": float, "masses": float, "multiplicities": int}
-_SCALAR_KEYS = {"seed": int, "tol_engine": float, "tol_boundary": float,
-                "tol_pipeline": float, "grid": int, "out": str, "format": str}
+
+_HINTS = typing.get_type_hints(SuiteConfig)
+# SuiteConfig field -> (repeatable, element type): a tuple[float, ...] field
+# is repeatable, and str | None casts with str
+_SCHEMA = {f.name: (typing.get_origin(_HINTS[f.name]) is tuple,
+                    (typing.get_args(_HINTS[f.name]) or (_HINTS[f.name],))[0])
+           for f in fields(SuiteConfig)}
+# flag spellings that are not the field name
+_FLAGS = {"spins": "--spin", "masses": "--mass", "multiplicities": "--n"}
 
 
 class ConfigError(ValueError):
@@ -57,35 +64,24 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _coerce(key: str, value):
-    if key in _LIST_KEYS:
-        cast = _LIST_KEYS[key]
-        if isinstance(value, str):
-            value = value.replace(",", " ").split()
-        if not isinstance(value, (list, tuple)):
-            value = [value]
-        return tuple(cast(v) for v in value)
-    if key in _SCALAR_KEYS:
-        cast = _SCALAR_KEYS[key]
+    if key not in _SCHEMA:
+        raise ConfigError(f"unknown config key {key!r}")
+    repeatable, cast = _SCHEMA[key]
+    if not repeatable:
         return cast(value)
-    raise ConfigError(f"unknown config key {key!r}")
+    if isinstance(value, str):
+        value = value.replace(",", " ").split()
+    if not isinstance(value, (list, tuple)):
+        value = [value]
+    return tuple(cast(v) for v in value)
 
 
 def build_config(file_data: dict, args: argparse.Namespace) -> SuiteConfig:
-    values = {}
-    for key, value in file_data.items():
-        values[key] = _coerce(key, value)
-    if args.spin:
-        values["spins"] = tuple(args.spin)
-    if args.mass:
-        values["masses"] = tuple(args.mass)
-    if args.n:
-        values["multiplicities"] = tuple(args.n)
-    for flag, key in (("seed", "seed"), ("tol_engine", "tol_engine"),
-                      ("tol_pipeline", "tol_pipeline"), ("grid", "grid"),
-                      ("out", "out"), ("format", "format")):
-        v = getattr(args, flag)
+    values = {key: _coerce(key, value) for key, value in file_data.items()}
+    for key in _SCHEMA:
+        v = getattr(args, key)
         if v is not None:
-            values[key] = v
+            values[key] = tuple(v) if isinstance(v, list) else v
     try:
         return SuiteConfig(**values)
     except (TypeError, ValueError) as e:
@@ -150,25 +146,24 @@ def emit_report(report: Report, fmt: str, out: str | None = None) -> str:
     return content
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anyonstat",
         description="Run the covering-group / continuation / spin-statistics "
                     "verification suites.")
     parser.add_argument("--suite", default="all",
                         choices=SUITE_NAMES + ("all",))
-    parser.add_argument("--spin", type=float, action="append",
-                        help="spin value; repeatable")
-    parser.add_argument("--mass", type=float, action="append",
-                        help="mass value; repeatable")
-    parser.add_argument("--n", type=int, action="append",
-                        help="multiplicity; repeatable")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--tol-engine", dest="tol_engine", type=float, default=None)
-    parser.add_argument("--tol-pipeline", dest="tol_pipeline", type=float, default=None)
-    parser.add_argument("--grid", type=int, default=None)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--format", default=None, choices=("json", "csv", "text"))
+    for key, (repeatable, cast) in _SCHEMA.items():
+        flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
+        parser.add_argument(flag, dest=key, type=cast,
+                            action="append" if repeatable else "store",
+                            choices=tuple(_RENDERERS) if key == "format" else None,
+                            help="repeatable" if repeatable else None)
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

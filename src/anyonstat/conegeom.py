@@ -188,7 +188,7 @@ def c12_negative_axis(c1: SpatialSector, c2: SpatialSector) -> bool:
 
 _ORACLE_RADII = (0.7, 1.4, 2.8, 5.6)
 _ORACLE_FRACS = (0.03, 0.25, 0.5, 0.75, 0.97)
-_ORACLE_TIMES = (-0.95, -0.5, 0.0, 0.5, 0.95)
+_ORACLE_TIMES = (-1.0, -0.95, -0.5, 0.0, 0.5, 0.95, 1.0)
 
 
 def _cone_samples(sector: SpatialSector) -> np.ndarray:
@@ -249,20 +249,6 @@ class ConePath:
             return self.direction.e.as_array()
         a = self.accumulated_angle
         return np.array([0.0, math.cos(a), math.sin(a)])
-
-
-@dataclass(frozen=True)
-class WedgePath:
-    """The standard wedge x1 > |x0| with its direct approach path class."""
-
-    alpha: float = -math.pi / 2.0
-    beta: float = math.pi / 2.0
-
-    def contains(self, e) -> bool:
-        return direction_in_wedge(e)
-
-
-WEDGE = WedgePath()
 
 
 def path_equivalent(p1: ConePath, p2: ConePath, ambient: SpatialSector) -> bool:

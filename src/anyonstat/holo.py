@@ -6,13 +6,15 @@ continuation as an independent cross check.
 Expressions are immutable trees.  All complex dependence enters through
 entire nodes (boosted momentum components, exponentials, affine maps); the
 only multivalued node is Pow, a fractional power with a real exponent.  A
-Pow node carries no global state.  During a walk along a path each Pow gets
-a private argument ledger which is updated so that the accumulated argument
-of its base changes by less than pi/2 per accepted step; steps violating
-the bound are bisected.  Values therefore depend only on the homotopy class
-of the path and on nothing else: there is no global cut bookkeeping, and the
-value at each accepted sample is exact up to float rounding (step size only
-influences branch selection, never the numerical value).
+Pow node carries no global state.  A walk evaluates every Pow base on all
+samples of the path at once, as one array, and inserts midpoints into every
+interval where some base turns by 0.999 * pi/2 or more, until none does;
+each Pow's argument ledger is then the principal argument at the start plus
+the cumulative sum of the angles of consecutive base ratios.  Values
+therefore depend only on the homotopy class of the path and on nothing
+else: there is no global cut bookkeeping, and the value at each accepted
+sample is exact up to float rounding (step size only influences branch
+selection, never the numerical value).
 
 The module also provides the expression builders for the compensated
 Wigner-phase families used by the spin-statistics pipeline.  Those builders
@@ -175,19 +177,18 @@ def _collect_pows(node: Expr) -> list:
     return out
 
 
-def _eval(node: Expr, z: complex, pow_values: dict) -> complex:
-    """Evaluate; Pow nodes read their precomputed ledgered value."""
+def _eval(node: Expr, z: np.ndarray, pow_values: dict) -> np.ndarray:
+    """Evaluate on an array of samples; Pow nodes read their precomputed values."""
     if isinstance(node, Const):
-        return node.value
+        return np.full(z.shape, node.value, dtype=complex)
     if isinstance(node, Affine):
         return node.a * z + node.b
     if isinstance(node, MomComp):
         v = node.anchor
         zz = node.sign * z
-        c, s = cmath.cosh(zz), cmath.sinh(zz)
-        k = (v[0] * c + v[1] * s, v[0] * s + v[1] * c, complex(v[2]))
+        c, s = np.cosh(zz), np.sinh(zz)
         row = node.pre[node.mu]
-        return row[0] * k[0] + row[1] * k[1] + row[2] * k[2]
+        return row[0] * (v[0] * c + v[1] * s) + row[1] * (v[0] * s + v[1] * c) + row[2] * v[2]
     if isinstance(node, Add):
         return sum(_eval(t, z, pow_values) for t in node.terms)
     if isinstance(node, Mul):
@@ -200,24 +201,35 @@ def _eval(node: Expr, z: complex, pow_values: dict) -> complex:
     if isinstance(node, Neg):
         return -_eval(node.arg, z, pow_values)
     if isinstance(node, Exp):
-        return cmath.exp(_eval(node.arg, z, pow_values))
+        return np.exp(_eval(node.arg, z, pow_values))
     if isinstance(node, Pow):
-        return pow_values[id(node)]
+        return pow_values[node]
     raise TypeError(f"unknown node {node!r}")
 
 
-def eval_principal(expr: Expr, z: complex) -> complex:
+def _bases(pows: list, z: np.ndarray) -> list:
+    return [_eval(n.base, z, {}) for n in pows]
+
+
+def _eval_with_args(expr: Expr, z: np.ndarray, pows: list, bases: list, args: list):
+    """expr at z, each Pow taken on the branch given by its argument array."""
+    vals = {n: np.exp(n.exponent * (np.log(np.abs(b)) + 1j * a))
+            for n, b, a in zip(pows, bases, args)}
+    return _eval(expr, z, vals)
+
+
+def eval_principal(expr: Expr, z):
     """Pointwise evaluation with principal-branch powers (no ledger).
 
-    This deliberately ignores continuity across cuts; it exists as the
-    negative control against which the ledgered walk is compared.
+    Accepts a sample or an array of samples.  This deliberately ignores
+    continuity across cuts; it exists as the negative control against which
+    the ledgered walk is compared.
     """
+    zs = np.asarray(z, dtype=complex)
     pows = _collect_pows(expr)
-    vals = {}
-    for n in pows:
-        b = _eval(n.base, z, {})
-        vals[id(n)] = cmath.exp(n.exponent * cmath.log(b))
-    return _eval(expr, z, vals)
+    bases = _bases(pows, zs)
+    out = _eval_with_args(expr, zs, pows, bases, [np.angle(b) for b in bases])
+    return out if zs.ndim else complex(out)
 
 
 def schwarz_reflect(expr: Expr) -> Expr:
@@ -293,64 +305,18 @@ class StripPath:
 
 
 class Walker:
-    """Carries the per-power argument ledgers along a path."""
+    """Records the samples of a walk; value() walks the ledger along them."""
 
     def __init__(self, expr: Expr, z0: complex, vanish_tol: float = 1e-12):
         self._expr = expr
-        self._pows = _collect_pows(expr)
         self._vanish_tol = vanish_tol
-        self.z = complex(z0)
-        self._args = {}
-        self._scales = {}
-        self._pow_values = {}
-        bases = {}
-        for n in self._pows:
-            b = _eval(n.base, self.z, {})
-            if abs(b) < vanish_tol:
-                raise PowerBaseVanishes(f"base {b} at anchor {self.z}")
-            bases[id(n)] = b
-            self._args[id(n)] = cmath.phase(b)
-            self._scales[id(n)] = abs(b)
-        self._bases = bases
-        self._refresh_pow_values()
+        self.samples = [complex(z0)]
 
-    def _refresh_pow_values(self):
-        for n in self._pows:
-            k = id(n)
-            b = self._bases[k]
-            self._pow_values[k] = cmath.exp(
-                n.exponent * complex(math.log(abs(b)), self._args[k]))
-
-    def step_to(self, z1: complex, _depth: int = 0):
-        z1 = complex(z1)
-        new_bases = {}
-        split = False
-        for n in self._pows:
-            k = id(n)
-            b = _eval(n.base, z1, {})
-            if abs(b) < self._vanish_tol * max(1.0, self._scales[k]):
-                raise PowerBaseVanishes(
-                    f"power base within {self._vanish_tol} of zero near z={z1}")
-            new_bases[k] = b
-            if abs(cmath.phase(b / self._bases[k])) > 0.999 * _HALF_PI:
-                split = True
-        if split:
-            if _depth >= 52 or abs(z1 - self.z) < 1e-12:
-                raise RefinementLimit(f"cannot bound phase step near z={z1}")
-            mid = (self.z + z1) / 2.0
-            self.step_to(mid, _depth + 1)
-            self.step_to(z1, _depth + 1)
-            return
-        for n in self._pows:
-            k = id(n)
-            self._args[k] += cmath.phase(new_bases[k] / self._bases[k])
-            self._bases[k] = new_bases[k]
-            self._scales[k] = max(self._scales[k], abs(new_bases[k]))
-        self.z = z1
-        self._refresh_pow_values()
+    def step_to(self, z1: complex):
+        self.samples.append(complex(z1))
 
     def value(self) -> complex:
-        return _eval(self._expr, self.z, self._pow_values)
+        return complex(evaluate_along(self._expr, self.samples, self._vanish_tol)[-1])
 
 
 def _path_points(path) -> tuple:
@@ -362,22 +328,44 @@ def _path_points(path) -> tuple:
 def continue_along(expr: Expr, path, vanish_tol: float = 1e-12) -> complex:
     """The analytic continuation of expr along the path, anchored at its start
     with principal branches."""
-    pts = _path_points(path)
-    w = Walker(expr, pts[0], vanish_tol)
-    for z in pts[1:]:
-        w.step_to(z)
-    return w.value()
+    return complex(evaluate_along(expr, _path_points(path), vanish_tol)[-1])
 
 
 def evaluate_along(expr: Expr, zs, vanish_tol: float = 1e-12) -> np.ndarray:
-    """Ledgered values at each supplied sample, walking them in order."""
-    zs = [complex(z) for z in zs]
-    w = Walker(expr, zs[0], vanish_tol)
-    out = [w.value()]
-    for z in zs[1:]:
-        w.step_to(z)
-        out.append(w.value())
-    return np.array(out)
+    """Ledgered values at each supplied sample, walking them in order.
+
+    Every interval between neighbouring samples in which some power base turns
+    by 0.999 * pi/2 or more gets its midpoint inserted, all such intervals at
+    once, until no base turns that far; each ledger is then the principal
+    argument at the first sample plus the running sum of the turns.
+    """
+    z = np.array(zs, dtype=complex)
+    pows = _collect_pows(expr)
+    given = np.ones(len(z), dtype=bool)
+    depth = np.zeros(len(z) - 1, dtype=int)
+    while True:
+        bases = _bases(pows, z)
+        turns = []
+        split = np.zeros(len(z) - 1, dtype=bool)
+        for b in bases:
+            size = np.abs(b)
+            low = size < vanish_tol * np.maximum(1.0, np.maximum.accumulate(size))
+            if low.any():
+                raise PowerBaseVanishes(
+                    f"power base within {vanish_tol} of zero near z={z[np.argmax(low)]}")
+            turns.append(np.angle(b[1:] / b[:-1]))
+            split |= np.abs(turns[-1]) > 0.999 * _HALF_PI
+        if not split.any():
+            break
+        at = np.flatnonzero(split) + 1
+        stuck = (depth[split] >= 52) | (np.abs(z[at] - z[at - 1]) < 1e-12)
+        if stuck.any():
+            raise RefinementLimit(f"cannot bound phase step near z={z[at[stuck][0]]}")
+        z = np.insert(z, at, (z[at - 1] + z[at]) / 2.0)
+        given = np.insert(given, at, False)
+        depth = np.repeat(depth + split, np.where(split, 2, 1))
+    args = [np.cumsum(np.concatenate(([np.angle(b[0])], t))) for b, t in zip(bases, turns)]
+    return _eval_with_args(expr, z, pows, bases, args)[given]
 
 
 def continue_robust(expr: Expr, path, offset: float = 1e-3,
@@ -435,29 +423,22 @@ def morera_residual(expr: Expr, contour, order: int = 8, panels: int = 4,
     base crosses the cut then produces a large residual, which is the
     documented negative control.
     """
-    pts = list(_path_points(contour))
+    pts = np.array(_path_points(contour), dtype=complex)
     if abs(pts[0] - pts[-1]) > 1e-14:
-        pts.append(pts[0])
-    for z in pts:
-        if not (1e-9 < z.imag < math.pi - 1e-9):
-            raise ValueError("Morera contour must lie strictly inside the open strip")
+        pts = np.append(pts, pts[0])
+    if not np.all((1e-9 < pts.imag) & (pts.imag < math.pi - 1e-9)):
+        raise ValueError("Morera contour must lie strictly inside the open strip")
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    walker = None if principal else Walker(expr, pts[0])
-    total = 0j
-    for a, b in zip(pts[:-1], pts[1:]):
-        for panel in range(panels):
-            pa = a + (b - a) * (panel / panels)
-            pb = a + (b - a) * ((panel + 1) / panels)
-            mid, half = (pa + pb) / 2.0, (pb - pa) / 2.0
-            for x, wq in zip(nodes, weights):
-                z = mid + half * x
-                if principal:
-                    f = eval_principal(expr, z)
-                else:
-                    walker.step_to(z)
-                    f = walker.value()
-                total += wq * half * f
-    return abs(total)
+    a, b = pts[:-1, None], pts[1:, None]
+    pa = a + (b - a) * (np.arange(panels) / panels)
+    pb = a + (b - a) * (np.arange(1, panels + 1) / panels)
+    mid, half = (pa + pb) / 2.0, (pb - pa) / 2.0
+    zs = (mid[..., None] + half[..., None] * nodes).ravel()
+    if principal:
+        f = eval_principal(expr, zs)
+    else:
+        f = evaluate_along(expr, np.concatenate(([pts[0]], zs)))[1:]
+    return float(abs(np.sum((weights * half[..., None]).ravel() * f)))
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +563,7 @@ def normalize_at(expr: Expr, z0: complex, target: complex,
     The correction must be a pure phase (the builders produce the right
     modulus); a modulus mismatch means the expression structure is wrong.
     """
-    v = Walker(expr, complex(z0)).value()
+    v = evaluate_along(expr, [z0])[0]
     ratio = target / v
     if abs(abs(ratio) - 1.0) > tol:
         raise ArithmeticError(
@@ -780,11 +761,10 @@ def _uniform_nodes(path, steps: int) -> np.ndarray:
 
 
 def _with_midpoints(full: np.ndarray) -> np.ndarray:
-    out = [full[0]]
-    for a, b in zip(full[:-1], full[1:]):
-        out.append((a + b) / 2.0)
-        out.append(b)
-    return np.array(out)
+    out = np.empty(2 * len(full) - 1, dtype=complex)
+    out[0::2] = full
+    out[1::2] = (full[:-1] + full[1:]) / 2.0
+    return out
 
 
 _FD_OFFSETS = (0.0, 1.0, -1.0, 0.5, -0.5)
@@ -796,7 +776,7 @@ def _log_derivative(fam: "OdeFamily", zs, fd_delta: float):
     d1 = (H[1.0] - H[-1.0]) / (2.0 * fd_delta)
     d2 = (H[0.5] - H[-0.5]) / fd_delta
     hhat = (4.0 * d2 - d1) / 3.0
-    A = np.array([np.linalg.solve(H[0.0][j], hhat[j]) for j in range(len(zs))])
+    A = np.linalg.solve(H[0.0], hhat)
     return H[0.0], A
 
 
@@ -816,15 +796,13 @@ def ode_continue(family, path, steps: int = 120, fd_delta: float = 1e-3,
 
     coarse = _uniform_nodes(path, max(16, steps // 3))
     try:
-        _, A_scan = _log_derivative(fam, coarse, fd_delta)
-        scan_ok = True
-        norms = np.array([np.linalg.norm(A_scan[j]) for j in range(len(coarse))])
+        hc, A_scan = _log_derivative(fam, coarse, fd_delta)
+        norms = np.linalg.norm(A_scan, axis=(1, 2))
+        dets = np.abs(np.linalg.det(hc))
+        singular = np.min(dets) < det_tol * max(1.0, float(np.median(dets)))
     except np.linalg.LinAlgError:
-        scan_ok = False
-
-    hc = fam.h_batch(0.0, coarse)
-    dets = np.abs(np.linalg.det(hc))
-    if not scan_ok or np.min(dets) < det_tol * max(1.0, float(np.median(dets))):
+        singular = True
+    if singular:
         if not _allow_shift:
             raise SingularDeterminant("det h vanishes along the shifted path too")
         pts = _path_points(path)

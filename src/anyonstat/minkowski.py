@@ -19,7 +19,7 @@ J = np.diag([-1.0, -1.0, 1.0])
 
 
 def as_array(x) -> np.ndarray:
-    """Coerce Vec3 / CVec3 / MomentumPoint / any 3-sequence to an ndarray."""
+    """Coerce Vec3 / MomentumPoint / any 3-sequence to an ndarray."""
     if hasattr(x, "as_array"):
         return x.as_array()
     a = np.asarray(x)
@@ -46,23 +46,6 @@ class Vec3:
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x0 + other.x0, self.x1 + other.x1, self.x2 + other.x2)
-
-
-@dataclass(frozen=True)
-class CVec3:
-    """A complexified momentum or spacetime point."""
-
-    k0: complex
-    k1: complex
-    k2: complex
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.k0, self.k1, self.k2], dtype=complex)
-
-    @classmethod
-    def from_array(cls, a) -> "CVec3":
-        a = np.asarray(a, dtype=complex)
-        return cls(complex(a[0]), complex(a[1]), complex(a[2]))
 
 
 @dataclass(frozen=True)
@@ -144,10 +127,6 @@ def lorentz_residual(M) -> float:
     """Largest entry of M^T g M - g; zero exactly for complex Lorentz matrices."""
     M = np.asarray(M)
     return float(np.max(np.abs(M.T @ METRIC @ M - METRIC)))
-
-
-def is_complex_lorentz(M, tol: float = 1e-12) -> bool:
-    return lorentz_residual(M) < tol
 
 
 def on_shell_error(k, m: float) -> float:

@@ -476,9 +476,8 @@ def _ode_family(family: WaveMatrixFamily, p: MomentumPoint) -> holo.OdeFamily:
                   * cmath.exp(1j * minkowski_product(mdl.b2, p_arr))
                   * cmath.exp(1j * minkowski_product(mdl.b1, lam0_inv @ p_arr)))
         expr = holo.normalize_at(expr, 0.0, target)
-        vals = holo.evaluate_along(expr, zs)
         const = family.model.a2.conj().T @ family.model.a1
-        return np.array([v * const for v in vals])
+        return holo.evaluate_along(expr, zs)[:, None, None] * const
 
     def f1_real(t):
         return dressed_family(family, 1, float(t), p)

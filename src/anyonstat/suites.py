@@ -28,9 +28,9 @@ SUITE_NAMES = ("group", "wigner", "continuation", "cones", "pauli-lubanski", "sp
 
 @dataclass
 class SuiteConfig:
-    spins: tuple = (0.0, 0.25, 1.0 / 3.0, 0.5, 0.137)
-    masses: tuple = (1.0,)
-    multiplicities: tuple = (2,)
+    spins: tuple[float, ...] = (0.0, 0.25, 1.0 / 3.0, 0.5, 0.137)
+    masses: tuple[float, ...] = (1.0,)
+    multiplicities: tuple[int, ...] = (2,)
     seed: int = 7
     tol_engine: float = 1e-9
     tol_boundary: float = 1e-8
@@ -73,11 +73,11 @@ class Report:
 
 
 def _record(suite, anchor, inputs, residuals, tol):
-    """Pass iff every residual is below its tolerance (scalar or per-key dict)."""
-    if isinstance(tol, dict):
-        ok = all(v < tol[k] for k, v in residuals.items() if k in tol)
-    else:
-        ok = all(v < tol for v in residuals.values())
+    """Pass iff every residual is below its tolerance (scalar or per-key dict).
+
+    A per-key dict must name every residual; a missing key raises KeyError.
+    """
+    ok = all(v < (tol[k] if isinstance(tol, dict) else tol) for k, v in residuals.items())
     return Record(suite, anchor, inputs, residuals, bool(ok))
 
 

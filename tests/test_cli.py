@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
-from anyonstat import cli
+from anyonstat import cli, suites
 from anyonstat.suites import Report, SuiteConfig, run_suite
 
 
@@ -107,3 +108,39 @@ def test_config_validation():
         SuiteConfig(masses=(0.0,))
     with pytest.raises(ValueError):
         SuiteConfig(spins=(float("nan"),))
+
+
+def test_record_requires_a_tolerance_for_every_residual():
+    assert suites._record("s", "a", {}, {"x": 0.1, "y": 0.2}, {"x": 1.0, "y": 0.3}).passed
+    assert not suites._record("s", "a", {}, {"x": 0.1, "y": 0.2}, 0.15).passed
+    with pytest.raises(KeyError):
+        suites._record("s", "a", {}, {"x": 0.1, "y": 5.0}, {"x": 1.0})
+
+
+# a non-default value for every SuiteConfig field: (file text, flag arguments, value)
+_FIELD_SAMPLES = {
+    "spins": ("0.5, 0.25", ["--spin", "0.5", "--spin", "0.25"], (0.5, 0.25)),
+    "masses": ("2.0", ["--mass", "2.0"], (2.0,)),
+    "multiplicities": ("3 1", ["--n", "3", "--n", "1"], (3, 1)),
+    "seed": ("11", ["--seed", "11"], 11),
+    "tol_engine": ("1e-7", ["--tol-engine", "1e-7"], 1e-7),
+    "tol_boundary": ("2e-7", ["--tol-boundary", "2e-7"], 2e-7),
+    "tol_pipeline": ("3e-7", ["--tol-pipeline", "3e-7"], 3e-7),
+    "grid": ("4", ["--grid", "4"], 4),
+    "out": ("r.json", ["--out", "r.json"], "r.json"),
+    "format": ("json", ["--format", "json"], "json"),
+}
+
+
+def test_every_config_field_from_file_and_flag(tmp_path):
+    assert set(_FIELD_SAMPLES) == {f.name for f in fields(SuiteConfig)}
+    parser = cli._parser()
+    no_flags = parser.parse_args([])
+    for key, (text, flags, value) in _FIELD_SAMPLES.items():
+        assert getattr(SuiteConfig(), key) != value
+        cfg = tmp_path / key
+        cfg.write_text(f"{key} = {text}\n")
+        from_file = cli.build_config(cli._parse_config_file(str(cfg)), no_flags)
+        from_flag = cli.build_config({}, parser.parse_args(flags))
+        assert getattr(from_file, key) == value
+        assert getattr(from_flag, key) == value

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from anyonstat import conegeom as cgm
 from anyonstat import covergroup as cg
+from anyonstat import suites
 from anyonstat.minkowski import Vec3
 
 TWO_PI = 2 * math.pi
@@ -122,6 +123,18 @@ def test_contains_direction_against_sampling_oracle():
         oracle = all(cgm.cone_contains_point(sec, x + earr, margin=-1e-6)
                      for x in cgm._cone_samples(sec))
         assert cgm.contains_direction(sec, e) == oracle
+
+
+def test_containment_oracle_samples_the_lightlike_boundary():
+    # at suite seed 3 a direction about 1e-3 outside its cone was called
+    # inside by an oracle that had no sample on the cone's lightlike boundary
+    recs = suites.cones_suite(suites.SuiteConfig(seed=3))
+    rec = next(r for r in recs if r.anchor == "direction-containment-oracle")
+    assert rec.passed and rec.residuals["mismatches"] == 0.0
+    sec = cgm.SpatialSector(0.2, 1.4, Vec3(0.3, -0.1, 0.5))
+    rel = cgm._cone_samples(sec) - sec.apex.as_array()
+    depth = np.array([cgm.sector_depth(sec, x[1:]) for x in rel])
+    assert np.any(np.isclose(rel[:, 0], depth)) and np.any(np.isclose(rel[:, 0], -depth))
 
 
 def test_causal_separation():

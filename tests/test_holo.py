@@ -60,6 +60,33 @@ def test_simple_power_continuation_and_halved_step():
     assert abs(v - v2) < 1e-11
 
 
+def test_two_point_walk_bisects_each_large_turn():
+    # the base m e^z turns by pi over [0, i pi]: one bisection leaves two
+    # quarter turns at the 0.999 pi/2 bound, a second leaves eighth turns
+    rest = mk.shell_point(0.0, 0.0, 1.0)
+    k0 = holo.mom_comp(np.eye(3), rest.as_array(), 0)
+    k1 = holo.mom_comp(np.eye(3), rest.as_array(), 1)
+    expr = holo.Pow(k0 - k1, S)
+    assert abs(holo.continue_along(expr, [0.0, 1j * math.pi])
+               - cmath.exp(1j * math.pi * S)) < 1e-13
+    # a three-quarter turn in one step reads as -pi/2 without bisection
+    z = 1.5j * math.pi
+    assert abs(holo.evaluate_along(expr, [0.0, z])[-1] - cmath.exp(z * S)) < 1e-13
+    assert abs(holo.eval_principal(expr, z) - cmath.exp(-0.5j * math.pi * S)) < 1e-13
+
+
+def test_eval_principal_on_array_matches_pointwise():
+    p = mk.shell_point(0.5, 1.0, 1.0)
+    bare = holo.uncompensated_phase_expr(cg.identity(), p, S)
+    zs = np.array([0.1 + 0.2j, -0.4 + 1.5j, 0.9 + 2.9j, 1.3 + 0.7j]).reshape(2, 2)
+    vals = holo.eval_principal(bare, zs)
+    assert vals.shape == zs.shape
+    for z, v in zip(zs.ravel(), vals.ravel()):
+        pointwise = holo.eval_principal(bare, complex(z))
+        assert isinstance(pointwise, complex)
+        assert abs(v - pointwise) < 1e-15 * max(1.0, abs(v))
+
+
 def test_compensated_boundary_matches_closed_form():
     rng = np.random.default_rng(0)
     for _ in range(10):
