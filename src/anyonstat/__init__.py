@@ -7,9 +7,9 @@ from .minkowski import (J, METRIC, MomentumPoint, Vec3, boost1,
                         to_momentum)
 from .covergroup import (CoverElement, PoincareElement, compose, identity,
                          inverse, j_conjugate, lift_boost, lift_boost1,
-                         lift_one_parameter, lift_rotation, project)
-from .wigner import (cocycle, little_group_phase, standard_boost, u_function,
-                     u_pihalf, u_plain, wigner_angle)
+                         lift_rotation, project)
+from .wigner import (cocycle, little_group_phase, standard_boost, u_pihalf,
+                     u_plain, wigner_angle)
 from .holo import (GammaRegion, Gamma0Decomposition, NotInGamma0,
                    PowerBaseVanishes, RefinementLimit, SingularDeterminant,
                    StripPath, boundary_at_ipi, continue_along, continue_robust,

@@ -98,35 +98,36 @@ class SpatialSector:
         return (np.array([0.0, math.cos(self.alpha), math.sin(self.alpha)]),
                 np.array([0.0, math.cos(self.beta), math.sin(self.beta)]))
 
-    def angle_inside(self, phi: float, tol: float = 1e-12) -> bool:
+    def angle_inside(self, phi, tol: float = 1e-12):
         rel = (phi - self.alpha) % TWO_PI
-        return -tol <= rel <= self.opening + tol
+        return (-tol <= rel) & (rel <= self.opening + tol)
 
 
-def _ray_distance(v: np.ndarray, angle: float) -> float:
-    """Euclidean distance from a planar point to the closed ray at `angle`."""
+def _ray_distance(v, angle: float):
+    """Euclidean distance from planar points (..., 2) to the closed ray at `angle`."""
     u = np.array([math.cos(angle), math.sin(angle)])
-    t = max(0.0, float(v @ u))
-    return float(np.hypot(*(v - t * u)))
+    t = np.maximum(0.0, v @ u)
+    off = v - t[..., None] * u
+    return np.hypot(off[..., 0], off[..., 1])
 
 
-def sector_depth(sector: SpatialSector, v) -> float:
-    """Distance from a spatial point to the complement of the sector cone.
+def sector_depth(sector: SpatialSector, v):
+    """Distance from spatial points (..., 2) to the complement of the sector cone.
 
     Zero when the point is outside; for points inside, the nearest complement
     point lies on one of the two boundary rays.
     """
     v = np.asarray(v, dtype=float)
-    phi = math.atan2(v[1], v[0])
-    if not sector.angle_inside(phi, tol=0.0) and not sector.angle_inside(phi):
-        return 0.0
-    return min(_ray_distance(v, sector.alpha), _ray_distance(v, sector.beta))
+    depth = np.minimum(_ray_distance(v, sector.alpha), _ray_distance(v, sector.beta))
+    inside = sector.angle_inside(np.arctan2(v[..., 1], v[..., 0]))
+    return np.where(inside, depth, 0.0)[()]  # [()]: a single point gives a scalar
 
 
-def cone_contains_point(sector: SpatialSector, x, margin: float = 0.0) -> bool:
-    """Membership of a spacetime point in the causal completion of the sector."""
-    v = as_array(x) - sector.apex.as_array()
-    return sector_depth(sector, v[1:]) > abs(v[0]) + margin
+def cone_contains_point(sector: SpatialSector, x, margin: float = 0.0):
+    """Membership of spacetime points (..., 3) in the causal completion of the sector."""
+    v = np.asarray(x.as_array() if hasattr(x, "as_array") else x, dtype=float)
+    v = v - sector.apex.as_array()
+    return sector_depth(sector, v[..., 1:]) > np.abs(v[..., 0]) + margin
 
 
 def contains_direction(sector: SpatialSector, direction) -> bool:
@@ -140,7 +141,7 @@ def contains_direction(sector: SpatialSector, direction) -> bool:
     phi = math.atan2(e[2], e[1])
     if not sector.angle_inside(phi):
         return False
-    return sector_depth(sector, e[1:]) >= abs(e[0]) - 1e-12
+    return bool(sector_depth(sector, e[1:]) >= abs(e[0]) - 1e-12)
 
 
 def direction_in_wedge(e, strict_margin: float = 1e-12) -> bool:
@@ -192,17 +193,15 @@ _ORACLE_TIMES = (-1.0, -0.95, -0.5, 0.0, 0.5, 0.95, 1.0)
 
 
 def _cone_samples(sector: SpatialSector) -> np.ndarray:
-    """A deterministic spread of points inside the cone, boundary-heavy."""
-    pts = []
-    apex = sector.apex.as_array()
-    for r in _ORACLE_RADII:
-        for f in _ORACLE_FRACS:
-            ang = sector.alpha + f * sector.opening
-            v = r * np.array([math.cos(ang), math.sin(ang)])
-            d = sector_depth(sector, v)
-            for tf in _ORACLE_TIMES:
-                pts.append(apex + np.array([tf * d, v[0], v[1]]))
-    return np.array(pts)
+    """A deterministic spread of points inside the cone, boundary-heavy.
+
+    Radius-major, then fraction, then time: shape (radii * fracs * times, 3).
+    """
+    ang = sector.alpha + np.array(_ORACLE_FRACS) * sector.opening
+    v = np.array(_ORACLE_RADII)[:, None, None] * np.stack([np.cos(ang), np.sin(ang)], -1)
+    t = np.array(_ORACLE_TIMES) * sector_depth(sector, v)[..., None]
+    v = np.broadcast_to(v[:, :, None, :], t.shape + (2,))
+    return (np.concatenate([t[..., None], v], -1) + sector.apex.as_array()).reshape(-1, 3)
 
 
 def causally_separated(c1: SpatialSector, c2: SpatialSector,
@@ -280,34 +279,29 @@ def exchange_hypothesis(p1: ConePath, p2: ConePath) -> bool:
     return 1e-12 < delta < TWO_PI - 1e-12
 
 
-def _lifted_circle_action(g: cg.CoverElement, vec, lift_start: float) -> float:
-    """The lifted angle of the direction vec transported by g.
+def _lifted_circle_action(g: cg.CoverElement, vecs, lift_start) -> np.ndarray:
+    """The lifted angles of the directions vecs (..., 3) transported by g.
 
     The group element is connected to the identity along the canonical path
-    sigma -> (sigma * gamma, sigma * omega) and the retracted angle of the
-    moving image is tracked continuously in sigma.  Any path to g in the
-    cover gives the same lift, which is what makes repeated transports
-    compose exactly; deck elements shift the result by full turns.
+    sigma -> (sigma * gamma, sigma * omega) and the retracted angle of each
+    moving image is tracked continuously over a sigma grid: every step
+    between neighbouring grid images must turn by at most one radian, else
+    the grid is doubled.  Any path to g in the cover gives the same lift,
+    which is what makes repeated transports compose exactly; deck elements
+    shift the result by full turns.
     """
-    e = as_array(vec)
+    e = np.asarray(vecs, dtype=float)
+    start = np.broadcast_to(np.asarray(lift_start, dtype=float), e.shape[:-1])
     n = max(16, int(8 * (1.0 + abs(g.omega) / math.pi)))
     for _ in range(6):
-        theta = lift_start
-        prev = e[1:]
-        ok = True
-        for k in range(1, n + 1):
-            sigma = k / n
-            gs = cg.CoverElement(g.gamma * sigma, g.omega * sigma)
-            cur = (cg.project(gs) @ e)[1:]
-            step = math.atan2(prev[0] * cur[1] - prev[1] * cur[0],
-                              prev[0] * cur[0] + prev[1] * cur[1])
-            if abs(step) > 1.0:
-                ok = False
-                break
-            theta += step
-            prev = cur
-        if ok:
-            return theta
+        lam = cg.project_path(g, np.arange(1, n + 1) / n)
+        images = np.einsum("kij,...j->...ki", lam[:, 1:], e)
+        pts = np.concatenate([e[..., None, 1:], images], axis=-2)
+        prev, cur = pts[..., :-1, :], pts[..., 1:, :]
+        steps = np.arctan2(prev[..., 0] * cur[..., 1] - prev[..., 1] * cur[..., 0],
+                           prev[..., 0] * cur[..., 0] + prev[..., 1] * cur[..., 1])
+        if not np.any(np.abs(steps) > 1.0):
+            return np.cumsum(np.concatenate([start[..., None], steps], axis=-1), axis=-1)[..., -1]
         n *= 2
     raise DegenerateImage("direction transport could not be tracked continuously")
 
@@ -322,14 +316,14 @@ def poincare_act_path(g: cg.PoincareElement, path: ConePath) -> ConePath:
     lor = g.lorentz
     lam = cg.project(lor)
     ea, eb = path.sector.edge_vectors()
-    a2 = _lifted_circle_action(lor, ea, path.sector.alpha)
-    b2 = _lifted_circle_action(lor, eb, path.sector.beta)
+    d = path.endpoint_vector()
+    a2, b2, acc = _lifted_circle_action(
+        lor, np.array([ea, eb, d]),
+        [path.sector.alpha, path.sector.beta, path.accumulated_angle]).tolist()
     if not 0.0 < b2 - a2 < math.pi:
         raise DegenerateImage(
             f"transformed direction interval has opening {b2 - a2}")
     apex = Vec3.from_array(g.act(path.sector.apex.as_array()))
-    d = path.endpoint_vector()
-    acc = _lifted_circle_action(lor, d, path.accumulated_angle)
     sector = SpatialSector(a2, b2, apex, edges=(lam @ ea, lam @ eb))
     return ConePath(sector, acc,
                     direction=SpacelikeDirection(Vec3.from_array(lam @ d), acc))
@@ -346,7 +340,7 @@ def in_wedge_class(g: cg.CoverElement) -> bool:
     if not direction_in_wedge(cg.project(g) @ e0):
         return False
     acc = _lifted_circle_action(g, e0, REFERENCE_ANGLE)
-    return -math.pi / 2.0 < acc < math.pi / 2.0
+    return bool(-math.pi / 2.0 < acc < math.pi / 2.0)
 
 
 # ----------------------------------------------------------------------------

@@ -64,48 +64,56 @@ def inverse(g: CoverElement) -> CoverElement:
     return CoverElement(-g.gamma * cmath.exp(1j * g.omega), -g.omega)
 
 
-def _alpha_beta(g: CoverElement) -> tuple[complex, complex]:
-    alpha = cmath.exp(0.5j * g.omega) / math.sqrt(1.0 - abs(g.gamma) ** 2)
-    return alpha, g.gamma * alpha
+def _sl2_entries(gamma, omega):
+    """Entries (a, b, c, d) of the real unimodular image; broadcasts over arrays.
+
+    |gamma|^2 is taken from the parts, not from a rounded modulus, and each
+    part of alpha is divided exactly: numpy's complex / real multiplies by a
+    reciprocal, which costs an ulp in the projected matrix.
+    """
+    scale = np.sqrt(1.0 - (gamma.real ** 2 + gamma.imag ** 2))
+    unit = np.exp(0.5j * omega)
+    alpha = unit.real / scale + 1j * (unit.imag / scale)
+    beta = gamma * alpha
+    return (alpha.real + beta.real, beta.imag - alpha.imag,
+            alpha.imag + beta.imag, alpha.real - beta.real)
 
 
 def sl2_matrix(g: CoverElement) -> np.ndarray:
     """The real unimodular 2x2 matrix onto which g projects."""
-    alpha, beta = _alpha_beta(g)
-    a = alpha.real + beta.real
-    b = beta.imag - alpha.imag
-    c = alpha.imag + beta.imag
-    d = alpha.real - beta.real
+    a, b, c, d = _sl2_entries(g.gamma, g.omega)
     return np.array([[a, b], [c, d]])
 
 
-def from_sl2(B, omega_hint: float = 0.0) -> CoverElement:
-    """Lift a real unimodular 2x2 matrix, choosing the winding nearest the hint."""
-    B = np.asarray(B, dtype=float)
-    a, b, c, d = B[0, 0], B[0, 1], B[1, 0], B[1, 1]
-    alpha = complex(a + d, c - b) / 2.0
-    beta = complex(a - d, b + c) / 2.0
-    gamma = beta / alpha
-    omega = 2.0 * cmath.phase(alpha)
-    omega += 4.0 * math.pi * round((omega_hint - omega) / (4.0 * math.pi))
-    return CoverElement(gamma, omega)
+def _lorentz(gamma, omega) -> np.ndarray:
+    """Lorentz matrices of disk coordinates, shape (..., 3, 3).
 
-
-_X_BASIS = (
-    np.array([[1.0, 0.0], [0.0, 1.0]]),    # x0
-    np.array([[1.0, 0.0], [0.0, -1.0]]),   # x1
-    np.array([[0.0, 1.0], [1.0, 0.0]]),    # x2
-)
+    Column j holds the components of B X_j B^T for the symmetric basis
+    X_0 = 1, X_1 = diag(1, -1), X_2 = [[0, 1], [1, 0]] (x0 = trace / 2,
+    x1 = half the diagonal difference, x2 = the off-diagonal entry), written
+    out as quadratics in the entries of B = [[a, b], [c, d]].
+    """
+    a, b, c, d = _sl2_entries(gamma, omega)
+    aa, bb, cc, dd = a * a, b * b, c * c, d * d
+    rows = [[((aa + bb) + (cc + dd)) / 2.0, ((aa - bb) + (cc - dd)) / 2.0, a * b + c * d],
+            [((aa + bb) - (cc + dd)) / 2.0, ((aa - bb) - (cc - dd)) / 2.0, a * b - c * d],
+            [a * c + b * d, a * c - b * d, b * c + a * d]]
+    lam = np.array(rows)
+    return lam.transpose(tuple(range(2, lam.ndim)) + (0, 1))
 
 
 def project(g: CoverElement) -> np.ndarray:
     """The proper orthochronous Lorentz matrix onto which g projects."""
-    B = sl2_matrix(g)
-    cols = []
-    for X in _X_BASIS:
-        Y = B @ X @ B.T
-        cols.append([(Y[0, 0] + Y[1, 1]) / 2.0, (Y[0, 0] - Y[1, 1]) / 2.0, Y[0, 1]])
-    return np.array(cols).T
+    return _lorentz(g.gamma, g.omega)
+
+
+def project_path(g: CoverElement, sigma) -> np.ndarray:
+    """Lorentz matrices along the canonical path sigma -> (sigma gamma, sigma omega).
+
+    Returns shape (len(sigma), 3, 3); at sigma = 1 this is project(g).
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    return _lorentz(g.gamma * sigma, g.omega * sigma)
 
 
 def act_on_vector(g: CoverElement, x) -> np.ndarray:
@@ -124,17 +132,6 @@ def lift_boost(direction: float, rapidity: float) -> CoverElement:
     """Boost with rapidity along the spatial direction at angle `direction`."""
     r = lift_rotation(direction)
     return compose(compose(r, lift_boost1(rapidity)), inverse(r))
-
-
-def lift_one_parameter(kind: str, param: float, direction: float = 0.0) -> CoverElement:
-    """Dispatcher over the three one-parameter subgroups used by the toolkit."""
-    if kind == "rotation":
-        return lift_rotation(param)
-    if kind == "boost1":
-        return lift_boost1(param)
-    if kind == "boost_dir":
-        return lift_boost(direction, param)
-    raise ValueError(f"unknown subgroup kind {kind!r}")
 
 
 def j_conjugate(g: CoverElement) -> CoverElement:

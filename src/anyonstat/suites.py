@@ -49,6 +49,11 @@ class SuiteConfig:
         for m in self.masses:
             if not m > 0.0:
                 raise ValueError("masses must be strictly positive")
+        for n in self.multiplicities:
+            if not (isinstance(n, int) and n >= 1):
+                raise ValueError("multiplicities must be integers >= 1")
+        if not (isinstance(self.grid, int) and self.grid >= 2):
+            raise ValueError("grid must be an integer >= 2")
 
 
 @dataclass
@@ -452,8 +457,8 @@ def cones_suite(config: SuiteConfig) -> list:
             continue
         tested += 1
         pred = cgm.contains_direction(sec, e)
-        oracle = all(cgm.cone_contains_point(sec, x + earr, margin=-1e-6)
-                     for x in cgm._cone_samples(sec))
+        oracle = cgm.cone_contains_point(sec, cgm._cone_samples(sec) + earr,
+                                         margin=-1e-6).all()
         if pred != oracle:
             mismatches += 1
     trans_bad = 0

@@ -37,11 +37,10 @@ def standard_boost(p: MomentumPoint) -> cg.CoverElement:
     """The rotation-free cover element carrying the rest momentum to p.
 
     At the 2x2 level this is the positive square root (P + m)/sqrt(2m(p0+m))
-    of the momentum's spinor matrix, lifted with zero winding.
+    of the momentum's spinor matrix, lifted with zero winding; its disk
+    coordinates are gamma = (p1 + i p2)/(p0 + m) and omega = 0.
     """
-    P = spinor_matrix(p)
-    B = (P + p.m * np.eye(2)) / math.sqrt(2.0 * p.m * (p.p0 + p.m))
-    return cg.from_sl2(B, omega_hint=0.0)
+    return cg.CoverElement(complex(p.p1, p.p2) / (p.p0 + p.m), 0.0)
 
 
 def transport(g: cg.CoverElement, p: MomentumPoint) -> MomentumPoint:
@@ -107,19 +106,6 @@ def u_pihalf(p: MomentumPoint, s: float) -> complex:
 def u_l0(p: MomentumPoint, s: float, g0: cg.CoverElement) -> complex:
     """e^{i s Omega(g0, p)} u(Lambda_0^{-1} p): the g0-shifted compensator."""
     return cmath.exp(1j * s * wigner_angle(g0, p)) * u_plain(transport(g0, p), s)
-
-
-def u_function(p: MomentumPoint, s: float, variant: str = "plain",
-               g0: cg.CoverElement | None = None) -> complex:
-    if variant == "plain":
-        return u_plain(p, s)
-    if variant == "pihalf":
-        return u_pihalf(p, s)
-    if variant == "l0":
-        if g0 is None:
-            g0 = cg.lift_rotation(math.pi / 2.0)
-        return u_l0(p, s, g0)
-    raise ValueError(f"unknown compensator variant {variant!r}")
 
 
 def cocycle(g: cg.CoverElement, p: MomentumPoint, s: float,

@@ -4,6 +4,7 @@ tolerance and prints a one-line verdict.  Run with -s to see the lines.
 Total runtime target for the whole battery is well under two minutes.
 """
 
+import functools
 import json
 import subprocess
 import sys
@@ -20,8 +21,14 @@ def _verdict(num, label, ok, detail):
     assert ok, f"criterion {num} failed: {detail}"
 
 
+@functools.cache
+def _run(suite_name):
+    """Each suite runs once per pytest run; criteria share its records."""
+    return tuple(run_suite(suite_name, CONFIG).records)
+
+
 def _records(suite_name):
-    return {r.anchor: r for r in run_suite(suite_name, CONFIG).records}
+    return {r.anchor: r for r in _run(suite_name)}
 
 
 def test_criterion_1_group_and_cover():
@@ -72,7 +79,7 @@ def test_criterion_4_boundary_formula_and_controls():
 
 
 def test_criterion_5_casimir_eigenvalue():
-    recs = run_suite("pauli-lubanski", CONFIG).records
+    recs = _run("pauli-lubanski")
     worst = max(r.residuals["relative"] for r in recs)
     ok = worst < 1e-6 and len(recs) == 3
     _verdict(5, "Casimir eigenvalue -m*s on (1,0), (1,1/2), (1.7,0.137)", ok,

@@ -110,6 +110,13 @@ def test_config_validation():
         SuiteConfig(spins=(float("nan"),))
 
 
+@pytest.mark.parametrize("flags", [["--grid", "1"], ["--grid", "0"], ["--n", "0"]])
+def test_degenerate_grid_or_multiplicity_is_a_config_error(flags):
+    r = run_cli("--suite", "spinstat", "--spin", "0.5", *flags)
+    assert r.returncode == 2
+    assert "config error" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_record_requires_a_tolerance_for_every_residual():
     assert suites._record("s", "a", {}, {"x": 0.1, "y": 0.2}, {"x": 1.0, "y": 0.3}).passed
     assert not suites._record("s", "a", {}, {"x": 0.1, "y": 0.2}, 0.15).passed

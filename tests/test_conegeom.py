@@ -137,6 +137,87 @@ def test_containment_oracle_samples_the_lightlike_boundary():
     assert np.any(np.isclose(rel[:, 0], depth)) and np.any(np.isclose(rel[:, 0], -depth))
 
 
+def test_cone_predicates_on_arrays_match_pointwise_calls():
+    sec = cgm.SpatialSector(-0.7, 1.9, Vec3(0.2, 0.4, -0.3))
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(-3.0, 3.0, (6, 7, 3))
+    inside = cgm.cone_contains_point(sec, xs, margin=0.1)
+    depth = cgm.sector_depth(sec, xs[..., 1:])
+    assert inside.shape == depth.shape == (6, 7)
+    for idx in np.ndindex(6, 7):
+        assert inside[idx] == cgm.cone_contains_point(sec, xs[idx], margin=0.1)
+        assert abs(depth[idx] - cgm.sector_depth(sec, xs[idx][1:])) < 1e-14
+    assert 0 < inside.sum() < inside.size
+
+
+def _tracked_lift(g, vec, lift_start):
+    """Reference transport: one projection and one step per grid point.
+
+    Returns the lifted angle and the grid size that was accepted.
+    """
+    e = np.asarray(vec, dtype=float)
+    n = max(16, int(8 * (1.0 + abs(g.omega) / math.pi)))
+    for _ in range(6):
+        theta, prev, ok = lift_start, e[1:], True
+        for k in range(1, n + 1):
+            sigma = k / n
+            cur = (cg.project(cg.CoverElement(g.gamma * sigma, g.omega * sigma)) @ e)[1:]
+            step = math.atan2(prev[0] * cur[1] - prev[1] * cur[0],
+                              prev[0] * cur[0] + prev[1] * cur[1])
+            if abs(step) > 1.0:
+                ok = False
+                break
+            theta += step
+            prev = cur
+        if ok:
+            return theta, n
+        n *= 2
+    raise cgm.DegenerateImage("reference tracker gave up")
+
+
+def test_lifted_circle_action_matches_the_scalar_tracker():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        g = cg.random_element(rng, disk_radius=rng.uniform(0.0, 0.8), windings=3.0)
+        lift = rng.uniform(-3 * math.pi, 3 * math.pi)
+        d = cgm.SpacelikeDirection.from_angles(lift, rng.uniform(-1.5, 1.5))
+        ref, _ = _tracked_lift(g, d.e.as_array(), lift)
+        assert abs(cgm._lifted_circle_action(g, d.e.as_array(), lift) - ref) < 1e-12
+
+
+def test_poincare_act_path_transports_all_three_vectors_like_the_tracker():
+    rng = np.random.default_rng(12)
+    path = cgm.ConePath(cgm.SpatialSector(0.3, 1.5, Vec3(0.1, 0.2, 0.3)), 0.9 + TWO_PI)
+    for _ in range(50):
+        g = cg.PoincareElement(Vec3(*rng.uniform(-1, 1, 3)),
+                               cg.random_element(rng, disk_radius=0.8, windings=3.0))
+        try:
+            out = cgm.poincare_act_path(g, path)
+        except cgm.DegenerateImage:
+            continue
+        ea, eb = path.sector.edge_vectors()
+        for vec, start, got in ((ea, path.sector.alpha, out.sector.alpha),
+                                (eb, path.sector.beta, out.sector.beta),
+                                (path.endpoint_vector(), path.accumulated_angle,
+                                 out.accumulated_angle)):
+            assert abs(got - _tracked_lift(g.lorentz, vec, start)[0]) < 1e-12
+
+
+def test_lifted_circle_action_retry_matches_the_tracker():
+    # a rapidity-7 boost swings a direction almost orthogonal to it through
+    # more than one radian on the last step of the starting grid
+    g = cg.lift_boost(0.0, 7.0)
+    vecs = np.array([[0.0, math.cos(a), math.sin(a)]
+                     for a in (math.pi / 2 - 1e-2, -math.pi / 2 + 1e-2, 0.4)])
+    starts = np.array([math.pi / 2 - 1e-2, -math.pi / 2 + 1e-2, 0.4 - TWO_PI])
+    got = cgm._lifted_circle_action(g, vecs, starts)
+    assert got.shape == (3,)
+    refs = [_tracked_lift(g, v, s) for v, s in zip(vecs, starts)]
+    assert refs[0][1] > 16  # the starting grid was refused at least once
+    for lift, (ref, _) in zip(got, refs):
+        assert abs(lift - ref) < 1e-12
+
+
 def test_causal_separation():
     p1, p2 = cgm.antipodal_pair()
     assert cgm.causally_separated(p1.sector, p2.sector)

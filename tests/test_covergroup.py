@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -42,6 +43,41 @@ def test_projection_homomorphism(a, b):
                          - cg.project(a) @ cg.project(b))) < 1e-12
 
 
+_X_BASIS = (
+    np.array([[1.0, 0.0], [0.0, 1.0]]),    # x0
+    np.array([[1.0, 0.0], [0.0, -1.0]]),   # x1
+    np.array([[0.0, 1.0], [1.0, 0.0]]),    # x2
+)
+
+
+def _project_reference(g):
+    """The defining action X -> B X B^T on the symmetric basis, one column each."""
+    alpha = cmath.exp(0.5j * g.omega) / math.sqrt(1.0 - abs(g.gamma) ** 2)
+    beta = g.gamma * alpha
+    B = np.array([[alpha.real + beta.real, beta.imag - alpha.imag],
+                  [alpha.imag + beta.imag, alpha.real - beta.real]])
+    cols = []
+    for X in _X_BASIS:
+        Y = B @ X @ B.T
+        cols.append([(Y[0, 0] + Y[1, 1]) / 2.0, (Y[0, 0] - Y[1, 1]) / 2.0, Y[0, 1]])
+    return np.array(cols).T
+
+
+def test_project_matches_the_defining_action():
+    rng = np.random.default_rng(10)
+    for _ in range(200):
+        g = cg.random_element(rng, windings=3.0)
+        assert np.max(np.abs(cg.project(g) - _project_reference(g))) < 1e-12
+    sigma = np.arange(33) / 32
+    for _ in range(10):
+        g = cg.random_element(rng, windings=3.0)
+        stack = cg.project_path(g, sigma)
+        assert stack.shape == (33, 3, 3)
+        ref = [_project_reference(cg.CoverElement(g.gamma * s, g.omega * s)) for s in sigma]
+        assert np.max(np.abs(stack - np.array(ref))) < 1e-12
+        assert np.max(np.abs(stack[-1] - cg.project(g))) < 1e-14
+
+
 def test_projection_is_proper_orthochronous():
     rng = np.random.default_rng(3)
     for _ in range(200):
@@ -78,8 +114,7 @@ def test_one_parameter_laws():
         assert close(cg.compose(cg.lift_rotation(s), cg.lift_rotation(t)),
                      cg.lift_rotation(s + t))
     assert not close(cg.lift_rotation(4 * math.pi), cg.lift_rotation(0.0))
-    assert close(cg.lift_one_parameter("boost_dir", 0.8, direction=0.0),
-                 cg.lift_boost1(0.8), tol_w=1e-12)
+    assert close(cg.lift_boost(0.0, 0.8), cg.lift_boost1(0.8), tol_w=1e-12)
 
 
 def test_half_turn_boost_relation():

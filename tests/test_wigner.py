@@ -38,6 +38,17 @@ def test_standard_boost_defining_property():
         assert np.max(np.abs(out - p.as_array())) < 1e-12
 
 
+def test_standard_boost_is_the_positive_spinor_square_root():
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        m = rng.uniform(0.3, 3.0)
+        p = mk.shell_point(*rng.uniform(-4.0, 4.0, 2), m)
+        B = (wg.spinor_matrix(p) + m * np.eye(2)) / math.sqrt(2.0 * m * (p.p0 + m))
+        sb = wg.standard_boost(p)
+        assert sb.omega == 0.0
+        assert np.max(np.abs(cg.sl2_matrix(sb) - B)) < 1e-12
+
+
 def test_wigner_angle_basics():
     rng = np.random.default_rng(1)
     p = random_shell(rng)
@@ -136,7 +147,7 @@ def test_u_l0_matches_quarter_rotation_form():
         for _ in range(100):
             p = random_shell(rng)
             assert abs(wg.u_l0(p, s, g0) - wg.u_pihalf(p, s)) < 1e-13
-    assert abs(wg.u_function(mk.shell_point(0.1, 0.2, 1.0), 0.25, "l0")
+    assert abs(wg.u_l0(mk.shell_point(0.1, 0.2, 1.0), 0.25, g0)
                - wg.u_pihalf(mk.shell_point(0.1, 0.2, 1.0), 0.25)) < 1e-13
 
 
