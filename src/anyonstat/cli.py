@@ -1,7 +1,9 @@
 """Command line driver: runs the verification suites headless and writes
 machine-readable reports.
 
-Exit codes: 0 all records pass, 1 any record fails, 2 configuration error.
+Exit codes: 0 all records pass, 1 any record fails (a numerical failure
+inside a suite is a FAIL record that names the exception), 2 configuration
+error.
 A config file (JSON or key=value lines) may be pointed to by the
 ANYONSTAT_CONFIG environment variable; command line flags override it.
 JSON and CSV reports are byte-identical across runs with the same seed and
@@ -77,14 +79,14 @@ def _coerce(key: str, value):
 
 
 def build_config(file_data: dict, args: argparse.Namespace) -> SuiteConfig:
-    values = {key: _coerce(key, value) for key, value in file_data.items()}
-    for key in _SCHEMA:
-        v = getattr(args, key)
-        if v is not None:
-            values[key] = tuple(v) if isinstance(v, list) else v
     try:
+        values = {key: _coerce(key, value) for key, value in file_data.items()}
+        for key in _SCHEMA:
+            v = getattr(args, key)
+            if v is not None:
+                values[key] = tuple(v) if isinstance(v, list) else v
         return SuiteConfig(**values)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError) as e:   # a ConfigError from _coerce is one too
         raise ConfigError(str(e)) from e
 
 
@@ -126,8 +128,9 @@ def render_text(report: Report) -> str:
     for r in report.records:
         worst = max(r.residuals.values()) if r.residuals else 0.0
         ms = f"{r.runtime_ms:8.1f} ms" if r.runtime_ms is not None else "      --"
+        error = f"  {r.inputs['error']}" if "error" in r.inputs else ""
         lines.append(f"[{'PASS' if r.passed else 'FAIL'}] {r.suite}/{r.anchor}"
-                     f"  worst={worst:.3e}  {ms}")
+                     f"  worst={worst:.3e}  {ms}{error}")
     lines.append(f"overall: {'PASS' if report.passed else 'FAIL'} "
                  f"({sum(r.passed for r in report.records)}/{len(report.records)})")
     return "\n".join(lines) + "\n"
@@ -178,9 +181,6 @@ def main(argv=None) -> int:
         report = run_suite(args.suite, config)
         content = emit_report(report, config.format, config.out)
     except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     if config.out is None or config.format == "text":

@@ -323,7 +323,7 @@ def poincare_act_path(g: cg.PoincareElement, path: ConePath) -> ConePath:
     if not 0.0 < b2 - a2 < math.pi:
         raise DegenerateImage(
             f"transformed direction interval has opening {b2 - a2}")
-    apex = Vec3.from_array(g.act(path.sector.apex.as_array()))
+    apex = Vec3.from_array(lam @ path.sector.apex.as_array() + g.translation.as_array())
     sector = SpatialSector(a2, b2, apex, edges=(lam @ ea, lam @ eb))
     return ConePath(sector, acc,
                     direction=SpacelikeDirection(Vec3.from_array(lam @ d), acc))

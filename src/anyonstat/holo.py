@@ -85,6 +85,7 @@ class Expr:
 
 @dataclass(frozen=True, eq=False)
 class Const(Expr):
+    """A constant; a batch of constants, one per anchor, is a (batch, 1) array."""
     value: complex
 
 
@@ -97,7 +98,8 @@ class Affine(Expr):
 
 @dataclass(frozen=True, eq=False)
 class MomComp(Expr):
-    """Component mu of pre @ boost1(sign*z) @ anchor; entire in z."""
+    """Component mu of pre @ boost1(sign*z) @ anchor; entire in z.  A batch
+    of anchors is a (3, batch, 1) array that broadcasts against the samples."""
     pre: np.ndarray
     anchor: np.ndarray
     mu: int
@@ -146,16 +148,21 @@ class Pow(Expr):
 
 
 def _as_expr(x) -> Expr:
-    return x if isinstance(x, Expr) else Const(complex(x))
+    return x if isinstance(x, Expr) else const(x)
 
 
 def const(v) -> Const:
+    """A constant, or a batch of constants from a 1-D array (one per anchor)."""
+    if np.ndim(v):
+        return Const(np.asarray(v, dtype=complex)[:, None])
     return Const(complex(v))
 
 
 def mom_comp(pre, anchor, mu: int, sign: float = -1.0) -> MomComp:
-    return MomComp(np.asarray(pre, dtype=float), np.asarray(anchor, dtype=float),
-                   int(mu), float(sign))
+    anchor = np.asarray(anchor, dtype=float)   # a 3-vector or (batch, 3)
+    if anchor.ndim == 2:
+        anchor = anchor.T[:, :, None]
+    return MomComp(np.asarray(pre, dtype=float), anchor, int(mu), float(sign))
 
 
 def _collect_pows(node: Expr) -> list:
@@ -178,9 +185,13 @@ def _collect_pows(node: Expr) -> list:
 
 
 def _eval(node: Expr, z: np.ndarray, pow_values: dict) -> np.ndarray:
-    """Evaluate on an array of samples; Pow nodes read their precomputed values."""
+    """Evaluate on an array of samples; Pow nodes read their precomputed values.
+    A tree with batched constants or anchors evaluates to (batch, samples)."""
     if isinstance(node, Const):
-        return np.full(z.shape, node.value, dtype=complex)
+        v = node.value
+        if isinstance(v, np.ndarray):
+            return np.broadcast_to(v, np.broadcast_shapes(v.shape, z.shape))
+        return np.full(z.shape, v, dtype=complex)
     if isinstance(node, Affine):
         return node.a * z + node.b
     if isinstance(node, MomComp):
@@ -192,9 +203,13 @@ def _eval(node: Expr, z: np.ndarray, pow_values: dict) -> np.ndarray:
     if isinstance(node, Add):
         return sum(_eval(t, z, pow_values) for t in node.terms)
     if isinstance(node, Mul):
-        out = 1.0 + 0j
-        for f in node.factors:
-            out *= _eval(f, z, pow_values)
+        out = (1.0 + 0j) * _eval(node.factors[0], z, pow_values)
+        for f in node.factors[1:]:
+            v = _eval(f, z, pow_values)
+            if v.ndim > out.ndim:
+                out = out * v   # a batched factor widens the product
+            else:
+                out *= v
         return out
     if isinstance(node, Div):
         return _eval(node.num, z, pow_values) / _eval(node.den, z, pow_values)
@@ -237,8 +252,7 @@ def schwarz_reflect(expr: Expr) -> Expr:
     if isinstance(expr, Const):
         return Const(expr.value.conjugate())
     if isinstance(expr, Affine):
-        return Affine(expr.a.conjugate() if isinstance(expr.a, complex) else expr.a,
-                      expr.b.conjugate() if isinstance(expr.b, complex) else expr.b)
+        return Affine(expr.a.conjugate(), expr.b.conjugate())
     if isinstance(expr, MomComp):
         return expr
     if isinstance(expr, Add):
@@ -295,14 +309,6 @@ class StripPath:
         d = complex(re_lo, im_hi)
         return cls((a, b, c, d, a))
 
-    @property
-    def start(self) -> complex:
-        return complex(self.points[0])
-
-    @property
-    def end(self) -> complex:
-        return complex(self.points[-1])
-
 
 class Walker:
     """Records the samples of a walk; value() walks the ledger along them."""
@@ -316,7 +322,7 @@ class Walker:
         self.samples.append(complex(z1))
 
     def value(self) -> complex:
-        return complex(evaluate_along(self._expr, self.samples, self._vanish_tol)[-1])
+        return continue_along(self._expr, self.samples, self._vanish_tol)
 
 
 def _path_points(path) -> tuple:
@@ -325,10 +331,11 @@ def _path_points(path) -> tuple:
     return tuple(complex(z) for z in path)
 
 
-def continue_along(expr: Expr, path, vanish_tol: float = 1e-12) -> complex:
+def continue_along(expr: Expr, path, vanish_tol: float = 1e-12):
     """The analytic continuation of expr along the path, anchored at its start
-    with principal branches."""
-    return complex(evaluate_along(expr, _path_points(path), vanish_tol)[-1])
+    with principal branches; one value per row for a batched tree."""
+    end = evaluate_along(expr, _path_points(path), vanish_tol)[..., -1]
+    return end if end.ndim else complex(end)
 
 
 def evaluate_along(expr: Expr, zs, vanish_tol: float = 1e-12) -> np.ndarray:
@@ -337,7 +344,9 @@ def evaluate_along(expr: Expr, zs, vanish_tol: float = 1e-12) -> np.ndarray:
     Every interval between neighbouring samples in which some power base turns
     by 0.999 * pi/2 or more gets its midpoint inserted, all such intervals at
     once, until no base turns that far; each ledger is then the principal
-    argument at the first sample plus the running sum of the turns.
+    argument at the first sample plus the running sum of the turns.  A batched
+    tree is walked as one (batch, samples) array: an interval is split when
+    any row's base turns that far there, and each row keeps its own ledger.
     """
     z = np.array(zs, dtype=complex)
     pows = _collect_pows(expr)
@@ -349,12 +358,15 @@ def evaluate_along(expr: Expr, zs, vanish_tol: float = 1e-12) -> np.ndarray:
         split = np.zeros(len(z) - 1, dtype=bool)
         for b in bases:
             size = np.abs(b)
-            low = size < vanish_tol * np.maximum(1.0, np.maximum.accumulate(size))
+            low = size < vanish_tol * np.maximum(1.0, np.maximum.accumulate(size, axis=-1))
             if low.any():
+                at = np.argwhere(low)[0]
+                row = f" in row {at[0]}" if b.ndim == 2 else ""
                 raise PowerBaseVanishes(
-                    f"power base within {vanish_tol} of zero near z={z[np.argmax(low)]}")
-            turns.append(np.angle(b[1:] / b[:-1]))
-            split |= np.abs(turns[-1]) > 0.999 * _HALF_PI
+                    f"power base within {vanish_tol} of zero near z={z[at[-1]]}{row}")
+            turns.append(np.angle(b[..., 1:] / b[..., :-1]))
+            big = np.abs(turns[-1]) > 0.999 * _HALF_PI
+            split |= big.any(axis=0) if big.ndim == 2 else big
         if not split.any():
             break
         at = np.flatnonzero(split) + 1
@@ -364,8 +376,9 @@ def evaluate_along(expr: Expr, zs, vanish_tol: float = 1e-12) -> np.ndarray:
         z = np.insert(z, at, (z[at - 1] + z[at]) / 2.0)
         given = np.insert(given, at, False)
         depth = np.repeat(depth + split, np.where(split, 2, 1))
-    args = [np.cumsum(np.concatenate(([np.angle(b[0])], t))) for b, t in zip(bases, turns)]
-    return _eval_with_args(expr, z, pows, bases, args)[given]
+    args = [np.cumsum(np.concatenate((np.angle(b[..., :1]), t), axis=-1), axis=-1)
+            for b, t in zip(bases, turns)]
+    return _eval_with_args(expr, z, pows, bases, args)[..., given]
 
 
 def continue_robust(expr: Expr, path, offset: float = 1e-3,
@@ -374,27 +387,23 @@ def continue_robust(expr: Expr, path, offset: float = 1e-3,
 
     If the straight walk collides with a power-base zero, the interior of the
     path is bowed sideways by +/- offset; the two detours must agree (they are
-    homotopic in the strip) or the collision is reported as unresolvable.
+    homotopic in the strip), in every row of a batched tree, or the collision
+    is reported as unresolvable.
     """
     try:
         return continue_along(expr, path)
     except PowerBaseVanishes:
         pass
     pts = _path_points(path)
-    results = []
-    for sgn in (+1.0, -1.0):
-        shifted = [pts[0]]
-        for i in range(1, len(pts) - 1):
-            d = pts[min(i + 1, len(pts) - 1)] - pts[i - 1]
-            perp = -1j * d / abs(d) if abs(d) > 0 else 1.0
-            shifted.append(pts[i] + sgn * offset * perp)
-        shifted.append(pts[-1])
-        results.append(continue_along(expr, shifted))
-    scale = max(1.0, abs(results[0]))
-    if abs(results[0] - results[1]) > agree_tol * scale:
+    # each interior point moves along the normal of the chord through its neighbours
+    normals = [-1j * (b - a) / abs(b - a) if b != a else 1.0 for a, b in zip(pts, pts[2:])]
+    r0, r1 = (continue_along(expr, [pts[0], *(z + sgn * offset * n for z, n in
+                                               zip(pts[1:-1], normals)), pts[-1]])
+              for sgn in (+1.0, -1.0))
+    if np.any(np.abs(r0 - r1) > agree_tol * np.maximum(1.0, np.abs(r0))):
         raise RefinementLimit(
             "two-sided path perturbation disagrees; collision not resolvable")
-    return 0.5 * (results[0] + results[1])
+    return 0.5 * (r0 + r1)
 
 
 def boundary_at_ipi(expr: Expr, anchor_t: float = 0.0, samples: int = 17,
@@ -452,9 +461,6 @@ class GammaRegion:
     dual_lo: float
     dual_hi: float
     m: float
-
-    def contains(self, k) -> bool:
-        return gamma_contains(k, self)
 
 
 def gamma_region(c1, c2, m: float) -> GammaRegion:
@@ -524,6 +530,12 @@ def gamma0_decompose(k, m: float, tol: float = 1e-10) -> Gamma0Decomposition:
 # expression builders for the compensated families
 # ---------------------------------------------------------------------------
 
+def per_momentum(q, fn):
+    """fn at one momentum, or the array of fn over a batch (a sequence) of
+    momenta; per_momentum(q, MomentumPoint.as_array) is a family's anchor."""
+    return fn(q) if isinstance(q, MomentumPoint) else np.array([fn(p) for p in q])
+
+
 def _mat2(e00, e01, e10, e11) -> tuple:
     return (_as_expr(e00), _as_expr(e01), _as_expr(e10), _as_expr(e11))
 
@@ -533,11 +545,6 @@ def _mat2_mul(A: tuple, B: tuple) -> tuple:
     b00, b01, b10, b11 = B
     return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
             a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
-
-
-def _const_mat2(M) -> tuple:
-    M = np.asarray(M)
-    return _mat2(M[0, 0], M[0, 1], M[1, 0], M[1, 1])
 
 
 def _spinor_plus_m(pre, anchor, m: float, sign: float) -> tuple:
@@ -561,28 +568,23 @@ def normalize_at(expr: Expr, z0: complex, target: complex,
     """Multiply by the constant making expr(z0) equal the closed-form target.
 
     The correction must be a pure phase (the builders produce the right
-    modulus); a modulus mismatch means the expression structure is wrong.
+    modulus) in every row of a batched tree; a modulus mismatch means the
+    expression structure is wrong.
     """
-    v = evaluate_along(expr, [z0])[0]
-    ratio = target / v
-    if abs(abs(ratio) - 1.0) > tol:
+    ratio = target / evaluate_along(expr, [z0])[..., 0]
+    if np.any(np.abs(np.abs(ratio) - 1.0) > tol):
         raise ArithmeticError(
-            f"anchor normalization has modulus {abs(ratio)}, expected 1")
-    return Const(ratio) * expr
-
-
-def mink_phase_coeffs(b) -> tuple:
-    """Coefficients of i * (b . k) as a Minkowski dot, ready for Exp nodes."""
-    b = np.asarray(b, dtype=complex)
-    return (1j * b[0], -1j * b[1], -1j * b[2])
+            f"anchor normalization has modulus {np.abs(ratio)}, expected 1")
+    return const(ratio) * expr
 
 
 def exp_mink_dot(b, pre, anchor, sign: float = -1.0) -> Expr:
-    """exp(i b . k(z)) for k(z) = pre @ boost1(sign z) @ anchor."""
-    c0, c1, c2 = mink_phase_coeffs(b)
-    arg = (Const(c0) * mom_comp(pre, anchor, 0, sign)
-           + Const(c1) * mom_comp(pre, anchor, 1, sign)
-           + Const(c2) * mom_comp(pre, anchor, 2, sign))
+    """exp(i b . k(z)) for k(z) = pre @ boost1(sign z) @ anchor, the Minkowski
+    dot written out; anchor may be (batch, 3)."""
+    b = np.asarray(b, dtype=complex)
+    arg = (Const(1j * b[0]) * mom_comp(pre, anchor, 0, sign)
+           + Const(-1j * b[1]) * mom_comp(pre, anchor, 1, sign)
+           + Const(-1j * b[2]) * mom_comp(pre, anchor, 2, sign))
     return Exp(arg)
 
 
@@ -600,7 +602,7 @@ def u_power_raw(pre, anchor, s_pow: float, m: float, variant: str = "plain",
     k2 = mom_comp(pre, anchor, 2, sign)
     if variant == "plain":
         x = k0 + (-k1)
-        return (Pow(Const(1.0 / m) * x, s_pow)
+        return (Pow(const(1.0 / m) * x, s_pow)
                 * Pow(x + const(m) + Const(-1j) * k2, s_pow)
                 * Pow(x + const(m) + Const(1j) * k2, -s_pow))
     if variant in ("pihalf", "pihalf_bar"):
@@ -609,7 +611,7 @@ def u_power_raw(pre, anchor, s_pow: float, m: float, variant: str = "plain",
         phase = cmath.exp(0.5j * s_pow * math.pi) if variant == "pihalf" \
             else cmath.exp(-0.5j * s_pow * math.pi)
         return (Const(phase)
-                * Pow(Const(1.0 / m) * y, s_pow)
+                * Pow(const(1.0 / m) * y, s_pow)
                 * Pow(y + const(m) + Const(sgn) * k1, s_pow)
                 * Pow(y + const(m) + Const(-sgn) * k1, -s_pow))
     raise ValueError(f"unknown compensator variant {variant!r}")
@@ -620,36 +622,36 @@ def boost_family_phase_raw(g: cg.CoverElement, q: MomentumPoint, s: float,
     """Raw tree for z -> e^{i s Omega(boost(eps z) g, q)}.
 
     Built from the 2x2 little-group matrix: the numerator is entire and the
-    two square-root normalizations appear as ledgered powers.  The caller
-    anchors the overall phase with normalize_at.
+    two square-root normalizations appear as ledgered powers; a sequence of
+    momenta q gives one batched tree.  The caller anchors the overall phase
+    with normalize_at.
     """
-    m = q.m
-    A_g = _const_mat2(cg.sl2_matrix(g))
+    qa, m = per_momentum(q, MomentumPoint.as_array), per_momentum(q, lambda p: p.m)
+    A_g = _mat2(*cg.sl2_matrix(g).ravel())
     lam_inv = cg.project(cg.inverse(g))
     # b(q)^-1 = (adj(Q) + m) / c_q, a constant matrix along the family
-    Qm = wg.spinor_matrix(q)
-    adjQ = np.array([[Qm[1, 1], -Qm[0, 1]], [-Qm[1, 0], Qm[0, 0]]])
-    binv_num = _const_mat2(adjQ + m * np.eye(2))
-    c_q_sq = 2.0 * m * (q.p0 + m)
+    q0, q1, q2 = qa[..., 0], qa[..., 1], qa[..., 2]
+    binv_num = _mat2(q0 - q1 + m, -q2, -q2, q0 + q1 + m)
+    c_q_sq = 2.0 * m * (q0 + m)
 
     # the x1-boost acts diagonally on [[x0+x1, x2], [x2, x0-x1]]
     half = 0.5 * eps
     B1 = (Exp(Affine(half)), Const(0j), Const(0j), Exp(Affine(-half)))
 
-    Kp = _spinor_plus_m(lam_inv, q.as_array(), m, sign=-eps)
+    Kp = _spinor_plus_m(lam_inv, qa, m, sign=-eps)
     E = _mat2_mul(_mat2_mul(binv_num, B1), _mat2_mul(A_g, Kp))
     V = E[0] + Const(1j) * E[2]
 
-    kp0 = mom_comp(lam_inv, q.as_array(), 0, -eps)
+    kp0 = mom_comp(lam_inv, qa, 0, -eps)
     return (Pow(V, 2.0 * s)
-            * Pow(Const(2.0 * m) * (kp0 + const(m)), -s)
-            * Const(c_q_sq ** (-s)))
+            * Pow(const(2.0 * m) * (kp0 + const(m)), -s)
+            * const(c_q_sq ** (-s)))
 
 
 def fixed_element_phase_raw(g: cg.CoverElement, pre, anchor, s: float, m: float,
                             sign: float = -1.0) -> Expr:
     """Raw tree for z -> e^{i s Omega(g, k(z))} with k(z) = pre@boost1(sign z)@anchor."""
-    A_g = _const_mat2(cg.sl2_matrix(g))
+    A_g = _mat2(*cg.sl2_matrix(g).ravel())
     lam_inv = cg.project(cg.inverse(g))
     pre = np.asarray(pre, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
@@ -672,13 +674,15 @@ def compensated_family_expr(g: cg.CoverElement, q: MomentumPoint, s: float,
     This is the quarter-rotation-compensated Wigner factor.  It extends
     analytically into the strip whenever g * quarter-rotation carries the
     reference approach path into the standard wedge class; the expression is
-    anchored at z = 0 against the exact shell functions.
+    anchored at z = 0 against the exact shell functions.  For a sequence of
+    momenta q the tree is batched, and each row is anchored at its own one.
     """
     lam_inv = cg.project(cg.inverse(g))
     raw = (boost_family_phase_raw(g, q, s, eps)
-           * u_power_raw(lam_inv, q.as_array(), s, q.m, "pihalf", sign=-eps))
-    target = (cmath.exp(1j * s * wg.wigner_angle(g, q))
-              * wg.u_pihalf(wg.transport(g, q), s))
+           * u_power_raw(lam_inv, per_momentum(q, MomentumPoint.as_array),
+                         s, per_momentum(q, lambda p: p.m), "pihalf", sign=-eps))
+    target = per_momentum(q, lambda p: cmath.exp(1j * s * wg.wigner_angle(g, p))
+                           * wg.u_pihalf(wg.transport(g, p), s))
     return normalize_at(raw, 0.0, target)
 
 
@@ -690,7 +694,7 @@ def uncompensated_phase_expr(g: cg.CoverElement, q: MomentumPoint, s: float,
     zeros of the boosted energy factor); it exists as the negative control.
     """
     raw = boost_family_phase_raw(g, q, s, eps)
-    target = cmath.exp(1j * s * wg.wigner_angle(g, q))
+    target = per_momentum(q, lambda p: cmath.exp(1j * s * wg.wigner_angle(g, p)))
     return normalize_at(raw, 0.0, target)
 
 
@@ -736,7 +740,6 @@ class OdeFamily:
 
     h_batch: callable
     f1_real: callable
-    n: int = 1
 
 
 def _family_from_callable(h) -> OdeFamily:

@@ -86,6 +86,11 @@ def _record(suite, anchor, inputs, residuals, tol):
     return Record(suite, anchor, inputs, residuals, bool(ok))
 
 
+def _error_inputs(inputs: dict, exc: Exception) -> dict:
+    """inputs plus the exception that ended a record, for its FAIL record."""
+    return {**inputs, "error": f"{type(exc).__name__}: {exc}"}
+
+
 def _rng(config: SuiteConfig, salt: int):
     return np.random.default_rng(np.random.SeedSequence((config.seed, salt)))
 
@@ -547,21 +552,20 @@ def spinstat_suite(config: SuiteConfig) -> list:
     for m in config.masses:
         for n in config.multiplicities:
             for s in config.spins:
-                rep = ss.run_pipeline(s, m, n, seed=config.seed,
-                                      grid_size=config.grid)
-                res = {
-                    "phase": rep.phase_error,
-                    "weak_phase": rep.weak_error,
-                    "path_invariance": rep.residuals["path_invariance"],
-                    "d_constancy": rep.residuals["d_constancy"],
-                    "pi_rotation": rep.residuals["pi_rotation"],
-                    "dual_route": rep.residuals["dual_route"],
-                    "boundary_closed": rep.residuals["boundary_closed"],
-                    "transformation_law": rep.residuals["transformation_law"],
-                    "wigner_cancellation": rep.residuals["wigner_cancellation"],
-                    "kernel_morera": rep.residuals["kernel_morera"],
-                    "ode_vs_engine": rep.residuals["ode_vs_engine"],
-                }
+                inputs = {"spin": s, "mass": m, "n": n, "seed": config.seed,
+                          "grid": config.grid}
+                try:
+                    rep = ss.run_pipeline(s, m, n, seed=config.seed,
+                                          grid_size=config.grid)
+                except Exception as e:
+                    records.append(Record("spinstat", "statistics-phase-pipeline",
+                                          _error_inputs(inputs, e), {}, False))
+                    continue
+                res = {"phase": rep.phase_error, "weak_phase": rep.weak_error,
+                       **{k: rep.residuals[k] for k in (
+                           "path_invariance", "d_constancy", "pi_rotation", "dual_route",
+                           "boundary_closed", "transformation_law", "wigner_cancellation",
+                           "kernel_morera", "ode_vs_engine")}}
                 tols = {k: tol for k in res}
                 tols["weak_phase"] = max(tol, 1e-7)
                 tols["ode_vs_engine"] = 1e-6
@@ -569,8 +573,7 @@ def spinstat_suite(config: SuiteConfig) -> list:
                 min_eig = rep.residuals["dstar_d_min_eig"]
                 ok = all(res[k] < tols[k] for k in res) and min_eig > 1e-6
                 rec = Record("spinstat", "statistics-phase-pipeline",
-                             {"spin": s, "mass": m, "n": n, "seed": config.seed,
-                              "grid": config.grid,
+                             {**inputs,
                               "omega_hat": [rep.omega_hat.real, rep.omega_hat.imag],
                               "dstar_d_min_eig": min_eig},
                              res, bool(ok))
@@ -589,7 +592,11 @@ _SUITE_FUNCS = {
 
 
 def run_suite(name: str, config: SuiteConfig) -> Report:
-    """Run one suite (or 'all'); deterministic for a fixed seed and config."""
+    """Run one suite (or 'all'); deterministic for a fixed seed and config.
+
+    An exception that escapes a suite becomes one FAIL record for it, which
+    names the exception; the other suites still run.
+    """
     if name == "all":
         names = SUITE_NAMES
     elif name in _SUITE_FUNCS:
@@ -600,7 +607,10 @@ def run_suite(name: str, config: SuiteConfig) -> Report:
     report = Report(version="1", config=asdict(config))
     for n in names:
         t0 = time.perf_counter()
-        recs = _SUITE_FUNCS[n](config)
+        try:
+            recs = _SUITE_FUNCS[n](config)
+        except Exception as e:
+            recs = [Record(n, "suite-error", _error_inputs({}, e), {}, False)]
         dt = (time.perf_counter() - t0) * 1000.0 / max(1, len(recs))
         for r in recs:
             r.runtime_ms = dt

@@ -27,12 +27,6 @@ class BranchCutError(ValueError):
     """A power base landed on the cut R^-_0 where no principal value exists."""
 
 
-def spinor_matrix(p) -> np.ndarray:
-    """[[p0+p1, p2], [p2, p0-p1]] for a real on-shell 3-vector."""
-    a = np.asarray(p.as_array() if hasattr(p, "as_array") else p, dtype=float)
-    return np.array([[a[0] + a[1], a[2]], [a[2], a[0] - a[1]]])
-
-
 def standard_boost(p: MomentumPoint) -> cg.CoverElement:
     """The rotation-free cover element carrying the rest momentum to p.
 

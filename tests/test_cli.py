@@ -151,3 +151,47 @@ def test_every_config_field_from_file_and_flag(tmp_path):
         from_flag = cli.build_config({}, parser.parse_args(flags))
         assert getattr(from_file, key) == value
         assert getattr(from_flag, key) == value
+
+
+@pytest.mark.parametrize("flags", [["--spin", "0.25", "--grid", "2", "--mass", "8"],
+                                   ["--spin", "0.25", "--mass", "50"]])
+def test_numerical_failure_is_a_fail_record(flags):
+    # mass 8 raised SingularDeterminant as a traceback, and mass 50 tripped an
+    # absolute determinant guard that the CLI reported as a config error
+    r = run_cli("--suite", "spinstat", "--format", "json", *flags)
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr and "config error" not in r.stderr
+    (rec,) = json.loads(r.stdout)["records"]
+    assert not rec["passed"]
+    assert rec["inputs"]["error"].startswith("SingularDeterminant: ")
+
+
+def test_a_failing_pipeline_leaves_the_other_records():
+    report = run_suite("spinstat", SuiteConfig(spins=(0.25,), masses=(1.0, 8.0), grid=2))
+    ok, failed = report.records
+    assert ok.passed and "error" not in ok.inputs
+    assert not failed.passed and failed.residuals == {}
+    assert failed.inputs["mass"] == 8.0 and "SingularDeterminant" in failed.inputs["error"]
+
+
+def test_an_exception_escaping_a_suite_is_a_fail_record(monkeypatch):
+    def broken(config):
+        raise ZeroDivisionError("division by zero")
+
+    for name in suites.SUITE_NAMES:
+        monkeypatch.setitem(suites._SUITE_FUNCS, name,
+                            lambda config, name=name: [suites.Record(name, "ok", {}, {}, True)])
+    monkeypatch.setitem(suites._SUITE_FUNCS, "cones", broken)
+    report = run_suite("all", SuiteConfig())
+    assert [(r.suite, r.anchor, r.passed, r.inputs) for r in report.records] == [
+        (name, "ok", True, {}) if name != "cones" else
+        ("cones", "suite-error", False, {"error": "ZeroDivisionError: division by zero"})
+        for name in suites.SUITE_NAMES]
+
+
+def test_uncastable_config_file_value_is_a_config_error(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("seed = seven\n")
+    monkeypatch.setenv("ANYONSTAT_CONFIG", str(cfg))
+    assert cli.main(["--suite", "pauli-lubanski"]) == 2
+    assert "config error" in capsys.readouterr().err

@@ -292,3 +292,17 @@ def test_direction_validation():
         cgm.SpatialSector(0.0, math.pi + 0.1)  # not salient
     with pytest.raises(ValueError):
         cgm.ConePath(cgm.SpatialSector(-0.2, 0.2), 2.0)  # ends outside
+
+
+def test_poincare_act_path_moves_the_apex_like_act():
+    rng = np.random.default_rng(4)
+    path = cgm.ConePath(cgm.SpatialSector(0.3, 1.5, Vec3(0.1, 0.2, 0.3)), 0.9)
+    for _ in range(20):
+        g = cg.PoincareElement(Vec3(*rng.uniform(-1, 1, 3)),
+                               cg.random_element(rng, disk_radius=0.5, windings=1.0))
+        try:
+            out = cgm.poincare_act_path(g, path)
+        except cgm.DegenerateImage:
+            continue
+        want = g.act(path.sector.apex.as_array())
+        assert np.max(np.abs(out.sector.apex.as_array() - want)) < 1e-14

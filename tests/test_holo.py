@@ -75,6 +75,79 @@ def test_two_point_walk_bisects_each_large_turn():
     assert abs(holo.eval_principal(expr, z) - cmath.exp(-0.5j * math.pi * S)) < 1e-13
 
 
+BATCH = [mk.shell_point(0.4, -0.3, 1.0), mk.shell_point(0.02, 0.99, 1.0),
+         mk.shell_point(1.5, 0.2, 1.0), mk.shell_point(-0.7, 0.6, 1.0)]
+
+
+def _final_samples(monkeypatch, expr, zs):
+    """How many samples the walk of expr over zs ends with."""
+    seen = []
+    real = holo._bases
+    monkeypatch.setattr(holo, "_bases", lambda pows, z: seen.append(len(z)) or real(pows, z))
+    holo.evaluate_along(expr, zs)
+    monkeypatch.setattr(holo, "_bases", real)
+    return seen[-1]
+
+
+def _energy_factor(anchors):
+    # (k0 + m)^s passes close to zero, and turns fast, where p0 cos y = -m
+    # on the vertical path when p1 is small
+    return holo.Pow(holo.mom_comp(np.eye(3), anchors, 0) + holo.const(1.0), S)
+
+
+def test_batched_walk_matches_per_row_scalar_walks(monkeypatch):
+    zs = holo.StripPath.vertical(0.0, samples=5).points
+    anchors = np.array([p.as_array() for p in BATCH])
+    batched = holo.evaluate_along(_energy_factor(anchors), zs)
+    assert batched.shape == (len(BATCH), len(zs))
+    counts = []
+    for a, row in zip(anchors, batched):
+        scalar = holo.evaluate_along(_energy_factor(a), zs)
+        assert np.max(np.abs(row - scalar)) < 1e-14
+        counts.append(_final_samples(monkeypatch, _energy_factor(a), zs))
+    # the rows need different bisection depths; the batch takes them all
+    assert len(set(counts)) > 1
+    assert _final_samples(monkeypatch, _energy_factor(anchors), zs) >= max(counts)
+
+    family = holo.compensated_family_expr(cg.identity(), BATCH, S)
+    values = holo.continue_along(family, holo.StripPath.vertical(0.0))
+    assert values.shape == (len(BATCH),)
+    for p, v in zip(BATCH, values):
+        scalar = holo.continue_along(holo.compensated_family_expr(cg.identity(), p, S),
+                                     holo.StripPath.vertical(0.0))
+        assert isinstance(scalar, complex)
+        assert abs(v - scalar) < 1e-14 * max(1.0, abs(scalar))
+        assert abs(v - closed_boundary(cg.identity(), p, S)) < 1e-12
+
+
+def test_vanishing_base_in_one_row_names_its_z():
+    # p1 = 0 puts the energy-factor zero of the second row on the path, at
+    # z = i arccos(-m / m~)
+    zs = holo.StripPath.vertical(0.0, samples=129).points
+    hit = mk.shell_point(0.0, 1.0, 1.0)
+    anchors = np.array([BATCH[0].as_array(), hit.as_array(), BATCH[2].as_array()])
+    with pytest.raises(holo.PowerBaseVanishes) as err:
+        holo.evaluate_along(_energy_factor(anchors), zs)
+    zstar = holo.boost_energy_branch_point(hit)
+    assert str(err.value).endswith(f"near z={zstar} in row 1")
+    with pytest.raises(holo.PowerBaseVanishes) as alone:
+        holo.evaluate_along(_energy_factor(hit.as_array()), zs)
+    assert str(alone.value).endswith(f"near z={zstar}")
+
+
+def test_normalize_at_checks_every_row():
+    raw = holo.boost_family_phase_raw(cg.identity(), BATCH, S)
+    values = holo.evaluate_along(raw, [0.0])[:, 0]
+    phases = np.exp(1j * np.arange(len(BATCH)))
+    fixed = holo.normalize_at(raw, 0.0, phases * np.abs(values))
+    assert np.max(np.abs(holo.evaluate_along(fixed, [0.0])[:, 0]
+                         - phases * np.abs(values))) < 1e-14
+    wrong = phases * np.abs(values)
+    wrong[2] *= 1.1
+    with pytest.raises(ArithmeticError):
+        holo.normalize_at(raw, 0.0, wrong)
+
+
 def test_eval_principal_on_array_matches_pointwise():
     p = mk.shell_point(0.5, 1.0, 1.0)
     bare = holo.uncompensated_phase_expr(cg.identity(), p, S)
@@ -214,6 +287,24 @@ def test_vanishing_base_raises_and_robust_detour_succeeds():
         holo.continue_along(f, holo.StripPath.vertical(0.0, samples=129))
     v = holo.continue_robust(f, holo.StripPath.vertical(0.0, samples=129))
     assert abs(v - closed_boundary(cg.identity(), p, S)) < 1e-9
+
+
+def test_robust_detour_on_a_batch():
+    # one row collides with a compensator zero, so the whole batch detours;
+    # each row's two detours must agree
+    ps = [BATCH[0], mk.shell_point(0.0, 0.5, 1.0), BATCH[2]]
+    path = holo.StripPath.vertical(0.0, samples=129)
+    family = holo.compensated_family_expr(cg.identity(), ps, S)
+    with pytest.raises(holo.PowerBaseVanishes):
+        holo.continue_along(family, path)
+    values = holo.continue_robust(family, path)
+    for p, v in zip(ps, values):
+        assert abs(v - closed_boundary(cg.identity(), p, S)) < 1e-9
+    # the bare phase of a row with its branch point on the path cannot agree
+    ps = [BATCH[0], mk.shell_point(0.0, 1.0, 1.0)]
+    bare = holo.uncompensated_phase_expr(cg.identity(), ps, S)
+    with pytest.raises((holo.RefinementLimit, holo.PowerBaseVanishes)):
+        holo.continue_robust(bare, holo.StripPath.vertical(0.0, samples=65))
 
 
 def test_robust_detour_rejects_genuine_branch_point():

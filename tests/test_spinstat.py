@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -124,6 +125,49 @@ def test_extract_d_roundtrip():
     d, res = ss.extract_D(fam, grid)
     assert np.max(np.abs(d - injected)) < 1e-9
     assert res < 1e-8
+
+
+def _assert_fill_matches_scalar_walks(s, n, seed, grid, injected_d=None):
+    _, fam = ss.build_toy_model(s, 1.0, n, seed=seed, injected_d=injected_d)
+    fam.fill(grid)
+    assert len(fam._cache) == len(grid)
+    path = holo.StripPath.vertical(0.0)
+    for p in grid:
+        # the scalar trees of p, walked on their own, are the oracle
+        q = ss._reflected_anchor(p)
+        hat = holo.continue_robust(fam.pref1_expr(q), path).conjugate() * fam.model.a1.conj()
+        check = holo.continue_robust(fam.pref2bar_expr(q), path) * fam.model.a2.conj()
+        got_hat, got_check = fam.boundary_pair(p)
+        assert np.max(np.abs(got_hat - hat)) < 1e-14
+        assert np.max(np.abs(got_check - check)) < 1e-14
+    assert len(fam._cache) == len(grid)
+
+
+def test_batched_fill_matches_scalar_boundary_pairs():
+    grid = ss.momentum_grid(1.0, 3)
+    for s in (0.0, 1 / 3, 0.137):
+        _assert_fill_matches_scalar_walks(s, 2, 7, grid)
+    # the extract_D cases, with their injected D
+    _assert_fill_matches_scalar_walks(1 / 3, 2, 9, grid, np.diag([2.0, 1j]))
+    _assert_fill_matches_scalar_walks(0.25, 1, 4, grid, np.eye(1))
+
+
+def test_extract_d_heavy_mass():
+    # at m = 50 every conjugate matrix has det ~ 1e-44 but condition number
+    # ~ 2: the singularity guard must not depend on the scale
+    injected = np.diag([2.0, 1j])
+    _, fam = ss.build_toy_model(1 / 3, 50.0, 2, seed=9, injected_d=injected)
+    d, res = ss.extract_D(fam, ss.momentum_grid(50.0, 3))
+    assert np.max(np.abs(d - injected)) < 1e-12
+    assert res < 1e-8
+
+
+def test_extract_d_rejects_a_singular_conjugate_family():
+    model, _ = ss.build_toy_model(1 / 3, 1.0, 2, seed=9)
+    rank_one = np.array([[1.0, 2.0], [0.5, 1.0]])
+    fam = ss.WaveMatrixFamily(dataclasses.replace(model, a1=rank_one))
+    with pytest.raises(np.linalg.LinAlgError):
+        ss.extract_D(fam, ss.momentum_grid(1.0, 2))
 
 
 def test_extract_d_scalar_case():

@@ -43,7 +43,8 @@ def test_standard_boost_is_the_positive_spinor_square_root():
     for _ in range(200):
         m = rng.uniform(0.3, 3.0)
         p = mk.shell_point(*rng.uniform(-4.0, 4.0, 2), m)
-        B = (wg.spinor_matrix(p) + m * np.eye(2)) / math.sqrt(2.0 * m * (p.p0 + m))
+        spinor = np.array([[p.p0 + p.p1, p.p2], [p.p2, p.p0 - p.p1]])
+        B = (spinor + m * np.eye(2)) / math.sqrt(2.0 * m * (p.p0 + m))
         sb = wg.standard_boost(p)
         assert sb.omega == 0.0
         assert np.max(np.abs(cg.sl2_matrix(sb) - B)) < 1e-12
