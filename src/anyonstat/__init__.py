@@ -12,7 +12,7 @@ from .wigner import (cocycle, little_group_phase, standard_boost, u_pihalf,
                      u_plain, wigner_angle)
 from .holo import (GammaRegion, Gamma0Decomposition, NotInGamma0,
                    PowerBaseVanishes, RefinementLimit, SingularDeterminant,
-                   StripPath, boundary_at_ipi, continue_along, continue_robust,
+                   StripPath, continue_along, continue_robust,
                    gamma_contains, gamma_region, gamma0_decompose,
                    morera_residual, ode_continue)
 from .conegeom import (ConePath, SpacelikeDirection, SpatialSector,

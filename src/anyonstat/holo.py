@@ -1,26 +1,29 @@
-"""Branch-tracked analytic continuation of power-product expressions along
-paths in the strip R + i(0, pi), with Morera certificates, boundary values
-at i*pi, the tube regions of two-point kernels, and a log-derivative ODE
-continuation as an independent cross check.
+"""Branch-tracked analytic continuation of power products along paths in the
+strip R + i(0, pi), with Morera certificates, the tube regions of two-point
+kernels, and a log-derivative ODE continuation as an independent cross check.
 
-Expressions are immutable trees.  All complex dependence enters through
-entire nodes (boosted momentum components, exponentials, affine maps); the
-only multivalued node is Pow, a fractional power with a real exponent.  A
-Pow node carries no global state.  A walk evaluates every Pow base on all
-samples of the path at once, as one array, and inserts midpoints into every
-interval where some base turns by 0.999 * pi/2 or more, until none does;
-each Pow's argument ledger is then the principal argument at the start plus
-the cumulative sum of the angles of consecutive base ratios.  Values
-therefore depend only on the homotopy class of the path and on nothing
-else: there is no global cut bookkeeping, and the value at each accepted
-sample is exact up to float rounding (step size only influences branch
-selection, never the numerical value).
+Every family continued here has one shape, a `PowerProduct`:
 
-The module also provides the expression builders for the compensated
-Wigner-phase families used by the spin-statistics pipeline.  Those builders
-return trees whose value at the real anchor is matched exactly against the
-closed-form shell functions of `wigner`, so every continued family agrees
-with its real-axis definition by construction.
+    c * exp(E_1(z) + ... ) * B_1(z)^{s_1} * B_2(z)^{s_2} * ...
+
+where the exponents E_i and the bases B_j are entire functions of z (boosted
+momentum components, exponentials) and the s_j are real.  The bases are the
+only multivalued part, and a base carries no global state.  A walk evaluates
+every base on all samples of the path at once, as one array, and inserts
+midpoints into every interval where some base turns by 0.999 * pi/2 or more,
+until none does; each base's argument ledger is then the principal argument
+at the start plus the cumulative sum of the angles of consecutive base
+ratios.  Values therefore depend only on the homotopy class of the path and
+on nothing else: there is no global cut bookkeeping, and the value at each
+accepted sample is exact up to float rounding (step size only influences
+branch selection, never the numerical value).
+
+The module also provides the builders of the compensated Wigner-phase
+families used by the spin-statistics pipeline.  Each builder computes its
+boosted momentum k(z) = pre @ boost1(sign z) @ anchor once (`momentum`) and
+writes the 2x2 little-group product out by hand; its value at the real
+anchor is matched against the closed-form shell functions of `wigner`, so
+every continued family agrees with its real-axis definition by construction.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ from . import wigner as wg
 from .minkowski import MomentumPoint, boost1, rotation, minkowski_product
 
 _HALF_PI = math.pi / 2.0
+# a base below this fraction of its running maximum modulus (at least 1)
+# counts as vanishing on the path
+_VANISH_TOL = 1e-12
 
 
 class PowerBaseVanishes(ArithmeticError):
@@ -55,185 +61,70 @@ class NotInGamma0(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# expression trees
+# power products
 # ---------------------------------------------------------------------------
 
-class Expr:
-    """Base class for expression nodes; supports arithmetic sugar."""
+def _per_row(v):
+    """A scalar as it is; a 1-D array (one value per anchor) as a (batch, 1) column."""
+    return np.asarray(v)[:, None] if np.ndim(v) else v
 
-    __slots__ = ()
 
-    def __add__(self, other):
-        return Add((self, _as_expr(other)))
+@dataclass(frozen=True, eq=False)
+class PowerProduct:
+    """The family z -> scale * exp(sum of exps(z)) * prod of bases(z)^exponents.
 
-    __radd__ = __add__
+    `exps` holds entire functions E(z).  `pows` holds (bases, exponents)
+    pairs: bases(z) returns a tuple of entire base arrays, one per exponent,
+    so a builder computes what its bases share once.  A family built for a
+    batch of anchors evaluates to (batch, samples) arrays, and its scale may
+    be a (batch, 1) array.  Families multiply by concatenating their parts;
+    a number, or a 1-D array with one number per row, scales a family.
+    """
+    scale: complex | np.ndarray = 1.0
+    exps: tuple = ()
+    pows: tuple = ()
+
+    __array_ufunc__ = None   # ndarray * family defers to __rmul__
 
     def __mul__(self, other):
-        return Mul((self, _as_expr(other)))
+        if isinstance(other, PowerProduct):
+            return PowerProduct(self.scale * other.scale, self.exps + other.exps,
+                                self.pows + other.pows)
+        return PowerProduct(self.scale * _per_row(other), self.exps, self.pows)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return Div(self, _as_expr(other))
+    def bases(self, z: np.ndarray) -> list:
+        """Every power base on the samples z, in the order of the exponents."""
+        return [b for fn, _ in self.pows for b in fn(z)]
 
-    def __neg__(self):
-        return Neg(self)
-
-    def __sub__(self, other):
-        return Add((self, Neg(_as_expr(other))))
-
-
-@dataclass(frozen=True, eq=False)
-class Const(Expr):
-    """A constant; a batch of constants, one per anchor, is a (batch, 1) array."""
-    value: complex
-
-
-@dataclass(frozen=True, eq=False)
-class Affine(Expr):
-    """a*z + b."""
-    a: complex
-    b: complex = 0j
+    def value(self, z: np.ndarray, bases: list, args: list) -> np.ndarray:
+        """The family on the samples z, each power taken on the branch given
+        by its argument array."""
+        total = np.zeros(np.shape(z), dtype=complex)
+        for e in self.exps:
+            total = total + e(z)
+        exponents = [s for _, ss in self.pows for s in ss]
+        for s, b, a in zip(exponents, bases, args):
+            total = total + s * (np.log(np.abs(b)) + 1j * a)
+        return self.scale * np.exp(total)
 
 
-@dataclass(frozen=True, eq=False)
-class MomComp(Expr):
-    """Component mu of pre @ boost1(sign*z) @ anchor; entire in z.  A batch
-    of anchors is a (3, batch, 1) array that broadcasts against the samples."""
-    pre: np.ndarray
-    anchor: np.ndarray
-    mu: int
-    sign: float = -1.0
+def momentum(pre, anchor, z, sign: float = -1.0) -> list:
+    """The components of k(z) = pre @ boost1(sign z) @ anchor, entire in z.
 
-
-@dataclass(frozen=True, eq=False)
-class Add(Expr):
-    terms: tuple
-
-
-@dataclass(frozen=True, eq=False)
-class Mul(Expr):
-    factors: tuple
-
-
-@dataclass(frozen=True, eq=False)
-class Div(Expr):
-    num: Expr
-    den: Expr
-
-
-@dataclass(frozen=True, eq=False)
-class Neg(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True, eq=False)
-class Exp(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True, eq=False)
-class Pow(Expr):
-    """base ** exponent with a per-walk argument ledger.
-
-    The base subtree must itself be single valued (no nested Pow); this is
-    checked at construction so ledger updates stay a simple two-pass affair.
+    A (batch, 3) anchor gives (batch, samples) components.
     """
-    base: Expr
-    exponent: float
-
-    def __post_init__(self):
-        if _collect_pows(self.base):
-            raise ValueError("power bases must not contain nested powers")
-
-
-def _as_expr(x) -> Expr:
-    return x if isinstance(x, Expr) else const(x)
+    v = np.asarray(anchor, dtype=float)
+    if v.ndim == 2:
+        v = v.T[:, :, None]
+    zz = sign * z
+    c, s = np.cosh(zz), np.sinh(zz)
+    x, y = v[0] * c + v[1] * s, v[0] * s + v[1] * c
+    return [row[0] * x + row[1] * y + row[2] * v[2] for row in np.asarray(pre, dtype=float)]
 
 
-def const(v) -> Const:
-    """A constant, or a batch of constants from a 1-D array (one per anchor)."""
-    if np.ndim(v):
-        return Const(np.asarray(v, dtype=complex)[:, None])
-    return Const(complex(v))
-
-
-def mom_comp(pre, anchor, mu: int, sign: float = -1.0) -> MomComp:
-    anchor = np.asarray(anchor, dtype=float)   # a 3-vector or (batch, 3)
-    if anchor.ndim == 2:
-        anchor = anchor.T[:, :, None]
-    return MomComp(np.asarray(pre, dtype=float), anchor, int(mu), float(sign))
-
-
-def _collect_pows(node: Expr) -> list:
-    out = []
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, Pow):
-            out.append(n)
-            stack.append(n.base)
-        elif isinstance(n, Add):
-            stack.extend(n.terms)
-        elif isinstance(n, Mul):
-            stack.extend(n.factors)
-        elif isinstance(n, Div):
-            stack.extend((n.num, n.den))
-        elif isinstance(n, (Neg, Exp)):
-            stack.append(n.arg)
-    return out
-
-
-def _eval(node: Expr, z: np.ndarray, pow_values: dict) -> np.ndarray:
-    """Evaluate on an array of samples; Pow nodes read their precomputed values.
-    A tree with batched constants or anchors evaluates to (batch, samples)."""
-    if isinstance(node, Const):
-        v = node.value
-        if isinstance(v, np.ndarray):
-            return np.broadcast_to(v, np.broadcast_shapes(v.shape, z.shape))
-        return np.full(z.shape, v, dtype=complex)
-    if isinstance(node, Affine):
-        return node.a * z + node.b
-    if isinstance(node, MomComp):
-        v = node.anchor
-        zz = node.sign * z
-        c, s = np.cosh(zz), np.sinh(zz)
-        row = node.pre[node.mu]
-        return row[0] * (v[0] * c + v[1] * s) + row[1] * (v[0] * s + v[1] * c) + row[2] * v[2]
-    if isinstance(node, Add):
-        return sum(_eval(t, z, pow_values) for t in node.terms)
-    if isinstance(node, Mul):
-        out = (1.0 + 0j) * _eval(node.factors[0], z, pow_values)
-        for f in node.factors[1:]:
-            v = _eval(f, z, pow_values)
-            if v.ndim > out.ndim:
-                out = out * v   # a batched factor widens the product
-            else:
-                out *= v
-        return out
-    if isinstance(node, Div):
-        return _eval(node.num, z, pow_values) / _eval(node.den, z, pow_values)
-    if isinstance(node, Neg):
-        return -_eval(node.arg, z, pow_values)
-    if isinstance(node, Exp):
-        return np.exp(_eval(node.arg, z, pow_values))
-    if isinstance(node, Pow):
-        return pow_values[node]
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _bases(pows: list, z: np.ndarray) -> list:
-    return [_eval(n.base, z, {}) for n in pows]
-
-
-def _eval_with_args(expr: Expr, z: np.ndarray, pows: list, bases: list, args: list):
-    """expr at z, each Pow taken on the branch given by its argument array."""
-    vals = {n: np.exp(n.exponent * (np.log(np.abs(b)) + 1j * a))
-            for n, b, a in zip(pows, bases, args)}
-    return _eval(expr, z, vals)
-
-
-def eval_principal(expr: Expr, z):
+def eval_principal(expr: PowerProduct, z):
     """Pointwise evaluation with principal-branch powers (no ledger).
 
     Accepts a sample or an array of samples.  This deliberately ignores
@@ -241,33 +132,9 @@ def eval_principal(expr: Expr, z):
     the ledgered walk is compared.
     """
     zs = np.asarray(z, dtype=complex)
-    pows = _collect_pows(expr)
-    bases = _bases(pows, zs)
-    out = _eval_with_args(expr, zs, pows, bases, [np.angle(b) for b in bases])
+    bases = expr.bases(zs)
+    out = expr.value(zs, bases, [np.angle(b) for b in bases])
     return out if zs.ndim else complex(out)
-
-
-def schwarz_reflect(expr: Expr) -> Expr:
-    """The tree of z -> conj(expr(conj z)); conjugates every constant."""
-    if isinstance(expr, Const):
-        return Const(expr.value.conjugate())
-    if isinstance(expr, Affine):
-        return Affine(expr.a.conjugate(), expr.b.conjugate())
-    if isinstance(expr, MomComp):
-        return expr
-    if isinstance(expr, Add):
-        return Add(tuple(schwarz_reflect(t) for t in expr.terms))
-    if isinstance(expr, Mul):
-        return Mul(tuple(schwarz_reflect(f) for f in expr.factors))
-    if isinstance(expr, Div):
-        return Div(schwarz_reflect(expr.num), schwarz_reflect(expr.den))
-    if isinstance(expr, Neg):
-        return Neg(schwarz_reflect(expr.arg))
-    if isinstance(expr, Exp):
-        return Exp(schwarz_reflect(expr.arg))
-    if isinstance(expr, Pow):
-        return Pow(schwarz_reflect(expr.base), expr.exponent)
-    raise TypeError(f"unknown node {expr!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +180,15 @@ class StripPath:
 class Walker:
     """Records the samples of a walk; value() walks the ledger along them."""
 
-    def __init__(self, expr: Expr, z0: complex, vanish_tol: float = 1e-12):
+    def __init__(self, expr: PowerProduct, z0: complex):
         self._expr = expr
-        self._vanish_tol = vanish_tol
         self.samples = [complex(z0)]
 
     def step_to(self, z1: complex):
         self.samples.append(complex(z1))
 
     def value(self) -> complex:
-        return continue_along(self._expr, self.samples, self._vanish_tol)
+        return continue_along(self._expr, self.samples)
 
 
 def _path_points(path) -> tuple:
@@ -331,39 +197,38 @@ def _path_points(path) -> tuple:
     return tuple(complex(z) for z in path)
 
 
-def continue_along(expr: Expr, path, vanish_tol: float = 1e-12):
+def continue_along(expr: PowerProduct, path):
     """The analytic continuation of expr along the path, anchored at its start
-    with principal branches; one value per row for a batched tree."""
-    end = evaluate_along(expr, _path_points(path), vanish_tol)[..., -1]
+    with principal branches; one value per row for a batched family."""
+    end = evaluate_along(expr, _path_points(path))[..., -1]
     return end if end.ndim else complex(end)
 
 
-def evaluate_along(expr: Expr, zs, vanish_tol: float = 1e-12) -> np.ndarray:
+def evaluate_along(expr: PowerProduct, zs) -> np.ndarray:
     """Ledgered values at each supplied sample, walking them in order.
 
     Every interval between neighbouring samples in which some power base turns
     by 0.999 * pi/2 or more gets its midpoint inserted, all such intervals at
     once, until no base turns that far; each ledger is then the principal
     argument at the first sample plus the running sum of the turns.  A batched
-    tree is walked as one (batch, samples) array: an interval is split when
+    family is walked as one (batch, samples) array: an interval is split when
     any row's base turns that far there, and each row keeps its own ledger.
     """
     z = np.array(zs, dtype=complex)
-    pows = _collect_pows(expr)
     given = np.ones(len(z), dtype=bool)
     depth = np.zeros(len(z) - 1, dtype=int)
     while True:
-        bases = _bases(pows, z)
+        bases = expr.bases(z)
         turns = []
         split = np.zeros(len(z) - 1, dtype=bool)
         for b in bases:
             size = np.abs(b)
-            low = size < vanish_tol * np.maximum(1.0, np.maximum.accumulate(size, axis=-1))
+            low = size < _VANISH_TOL * np.maximum(1.0, np.maximum.accumulate(size, axis=-1))
             if low.any():
                 at = np.argwhere(low)[0]
                 row = f" in row {at[0]}" if b.ndim == 2 else ""
                 raise PowerBaseVanishes(
-                    f"power base within {vanish_tol} of zero near z={z[at[-1]]}{row}")
+                    f"power base within {_VANISH_TOL} of zero near z={z[at[-1]]}{row}")
             turns.append(np.angle(b[..., 1:] / b[..., :-1]))
             big = np.abs(turns[-1]) > 0.999 * _HALF_PI
             split |= big.any(axis=0) if big.ndim == 2 else big
@@ -378,17 +243,16 @@ def evaluate_along(expr: Expr, zs, vanish_tol: float = 1e-12) -> np.ndarray:
         depth = np.repeat(depth + split, np.where(split, 2, 1))
     args = [np.cumsum(np.concatenate((np.angle(b[..., :1]), t), axis=-1), axis=-1)
             for b, t in zip(bases, turns)]
-    return _eval_with_args(expr, z, pows, bases, args)[..., given]
+    return expr.value(z, bases, args)[..., given]
 
 
-def continue_robust(expr: Expr, path, offset: float = 1e-3,
-                    agree_tol: float = 1e-9) -> complex:
+def continue_robust(expr: PowerProduct, path) -> complex:
     """continue_along with the lateral-detour fallback.
 
     If the straight walk collides with a power-base zero, the interior of the
-    path is bowed sideways by +/- offset; the two detours must agree (they are
-    homotopic in the strip), in every row of a batched tree, or the collision
-    is reported as unresolvable.
+    path is bowed sideways by +/- 1e-3; the two detours must agree to 1e-9
+    relative (they are homotopic in the strip), in every row of a batched
+    family, or the collision is reported as unresolvable.
     """
     try:
         return continue_along(expr, path)
@@ -397,33 +261,16 @@ def continue_robust(expr: Expr, path, offset: float = 1e-3,
     pts = _path_points(path)
     # each interior point moves along the normal of the chord through its neighbours
     normals = [-1j * (b - a) / abs(b - a) if b != a else 1.0 for a, b in zip(pts, pts[2:])]
-    r0, r1 = (continue_along(expr, [pts[0], *(z + sgn * offset * n for z, n in
+    r0, r1 = (continue_along(expr, [pts[0], *(z + sgn * 1e-3 * n for z, n in
                                                zip(pts[1:-1], normals)), pts[-1]])
               for sgn in (+1.0, -1.0))
-    if np.any(np.abs(r0 - r1) > agree_tol * np.maximum(1.0, np.abs(r0))):
+    if np.any(np.abs(r0 - r1) > 1e-9 * np.maximum(1.0, np.abs(r0))):
         raise RefinementLimit(
             "two-sided path perturbation disagrees; collision not resolvable")
     return 0.5 * (r0 + r1)
 
 
-def boundary_at_ipi(expr: Expr, anchor_t: float = 0.0, samples: int = 17,
-                    validate: bool = False, validate_tol: float = 1e-8) -> complex:
-    """Continue straight up from the real anchor to anchor_t + i*pi.
-
-    With validate=True, Morera residuals on two rectangles flanking the
-    vertical path certify analyticity before the value is trusted.
-    """
-    if validate:
-        for lo, hi in ((anchor_t - 0.45, anchor_t - 0.05),
-                       (anchor_t + 0.05, anchor_t + 0.45)):
-            r = morera_residual(expr, StripPath.rectangle(lo, hi, 0.05, math.pi - 0.05))
-            if r > validate_tol:
-                raise RefinementLimit(
-                    f"flanking Morera residual {r:.3e} exceeds {validate_tol}")
-    return continue_robust(expr, StripPath.vertical(anchor_t, samples=samples))
-
-
-def morera_residual(expr: Expr, contour, order: int = 8, panels: int = 4,
+def morera_residual(expr: PowerProduct, contour, order: int = 8, panels: int = 4,
                     principal: bool = False) -> float:
     """|closed contour integral| by composite Gauss-Legendre quadrature.
 
@@ -527,7 +374,7 @@ def gamma0_decompose(k, m: float, tol: float = 1e-10) -> Gamma0Decomposition:
 
 
 # ---------------------------------------------------------------------------
-# expression builders for the compensated families
+# builders of the compensated families
 # ---------------------------------------------------------------------------
 
 def per_momentum(q, fn):
@@ -536,164 +383,135 @@ def per_momentum(q, fn):
     return fn(q) if isinstance(q, MomentumPoint) else np.array([fn(p) for p in q])
 
 
-def _mat2(e00, e01, e10, e11) -> tuple:
-    return (_as_expr(e00), _as_expr(e01), _as_expr(e10), _as_expr(e11))
-
-
-def _mat2_mul(A: tuple, B: tuple) -> tuple:
-    a00, a01, a10, a11 = A
-    b00, b01, b10, b11 = B
-    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
-
-
-def _spinor_plus_m(pre, anchor, m: float, sign: float) -> tuple:
-    """K(z) + m for k(z) = pre @ boost1(sign z) @ anchor, as a 2x2 expr."""
-    k0 = mom_comp(pre, anchor, 0, sign)
-    k1 = mom_comp(pre, anchor, 1, sign)
-    k2 = mom_comp(pre, anchor, 2, sign)
-    return _mat2(k0 + k1 + const(m), k2, k2, (k0 + (-k1)) + const(m))
-
-
-def _adj_spinor_plus_m(pre, anchor, m: float, sign: float) -> tuple:
-    """adj(K(z)) + m = [[k0-k1+m, -k2], [-k2, k0+k1+m]]."""
-    k0 = mom_comp(pre, anchor, 0, sign)
-    k1 = mom_comp(pre, anchor, 1, sign)
-    k2 = mom_comp(pre, anchor, 2, sign)
-    return _mat2((k0 + (-k1)) + const(m), Neg(k2), Neg(k2), k0 + k1 + const(m))
-
-
-def normalize_at(expr: Expr, z0: complex, target: complex,
-                 tol: float = 1e-6) -> Expr:
-    """Multiply by the constant making expr(z0) equal the closed-form target.
+def normalize_at(expr: PowerProduct, z0: complex, target: complex) -> PowerProduct:
+    """Scale expr so that its value at z0 equals the closed-form target.
 
     The correction must be a pure phase (the builders produce the right
-    modulus) in every row of a batched tree; a modulus mismatch means the
-    expression structure is wrong.
+    modulus) in every row of a batched family; a modulus mismatch means the
+    family's structure is wrong.
     """
     ratio = target / evaluate_along(expr, [z0])[..., 0]
-    if np.any(np.abs(np.abs(ratio) - 1.0) > tol):
+    if np.any(np.abs(np.abs(ratio) - 1.0) > 1e-6):
         raise ArithmeticError(
             f"anchor normalization has modulus {np.abs(ratio)}, expected 1")
-    return const(ratio) * expr
+    return expr * ratio
 
 
-def exp_mink_dot(b, pre, anchor, sign: float = -1.0) -> Expr:
+def exp_mink_dot(b, pre, anchor, sign: float = -1.0) -> PowerProduct:
     """exp(i b . k(z)) for k(z) = pre @ boost1(sign z) @ anchor, the Minkowski
     dot written out; anchor may be (batch, 3)."""
     b = np.asarray(b, dtype=complex)
-    arg = (Const(1j * b[0]) * mom_comp(pre, anchor, 0, sign)
-           + Const(-1j * b[1]) * mom_comp(pre, anchor, 1, sign)
-           + Const(-1j * b[2]) * mom_comp(pre, anchor, 2, sign))
-    return Exp(arg)
+
+    def exponent(z):
+        k0, k1, k2 = momentum(pre, anchor, z, sign)
+        return 1j * b[0] * k0 - 1j * b[1] * k1 - 1j * b[2] * k2
+
+    return PowerProduct(exps=(exponent,))
 
 
-def u_power_raw(pre, anchor, s_pow: float, m: float, variant: str = "plain",
-                sign: float = -1.0) -> Expr:
-    """The compensator as a product of ledgered powers of k(z)-components.
+def u_power_raw(pre, anchor, s_pow: float, m, variant: str = "pihalf",
+                sign: float = -1.0) -> PowerProduct:
+    """The quarter-rotated compensator as a product of ledgered powers of
+    k(z)-components.
 
-    variant "plain" is the x1-axis form, "pihalf" the quarter-rotated form,
-    and "pihalf_bar" its componentwise conjugate on the real shell (needed
-    for families that are conjugated before continuation).  The overall
-    branch is fixed by the caller through normalize_at.
+    variant "pihalf_bar" is the componentwise conjugate of "pihalf" on the
+    real shell (needed for families that are conjugated before
+    continuation).  m is a mass, or one mass per anchor.  The overall branch
+    is fixed by the caller through normalize_at.
     """
-    k0 = mom_comp(pre, anchor, 0, sign)
-    k1 = mom_comp(pre, anchor, 1, sign)
-    k2 = mom_comp(pre, anchor, 2, sign)
-    if variant == "plain":
-        x = k0 + (-k1)
-        return (Pow(const(1.0 / m) * x, s_pow)
-                * Pow(x + const(m) + Const(-1j) * k2, s_pow)
-                * Pow(x + const(m) + Const(1j) * k2, -s_pow))
-    if variant in ("pihalf", "pihalf_bar"):
-        y = k0 + (-k2)
-        sgn = 1j if variant == "pihalf" else -1j
-        phase = cmath.exp(0.5j * s_pow * math.pi) if variant == "pihalf" \
-            else cmath.exp(-0.5j * s_pow * math.pi)
-        return (Const(phase)
-                * Pow(const(1.0 / m) * y, s_pow)
-                * Pow(y + const(m) + Const(sgn) * k1, s_pow)
-                * Pow(y + const(m) + Const(-sgn) * k1, -s_pow))
-    raise ValueError(f"unknown compensator variant {variant!r}")
+    if variant not in ("pihalf", "pihalf_bar"):
+        raise ValueError(f"unknown compensator variant {variant!r}")
+    sgn = 1j if variant == "pihalf" else -1j
+    m = _per_row(m)
 
+    def bases(z):
+        k0, k1, k2 = momentum(pre, anchor, z, sign)
+        y = k0 - k2
+        return y / m, y + m + sgn * k1, y + m - sgn * k1
+
+    return PowerProduct(cmath.exp(0.5 * math.pi * s_pow * sgn), (),
+                        ((bases, (s_pow, s_pow, -s_pow)),))
+
+
+# Both raw phase families need V = e00 + i e10 of a 2x2 product E = L R whose
+# left factor is L = adj(K) + m = [[k0-k1+m, -k2], [-k2, k0+k1+m]] for a
+# momentum k: V = u r00 + w r10 with u = L00 + i L10 and w = L01 + i L11.
+# The right factor ends in K' + m = [[k0'+k1'+m, k2'], [k2', k0'-k1'+m]].
 
 def boost_family_phase_raw(g: cg.CoverElement, q: MomentumPoint, s: float,
-                           eps: float = 1.0) -> Expr:
-    """Raw tree for z -> e^{i s Omega(boost(eps z) g, q)}.
+                           eps: float = 1.0) -> PowerProduct:
+    """Raw family z -> e^{i s Omega(boost(eps z) g, q)}.
 
-    Built from the 2x2 little-group matrix: the numerator is entire and the
-    two square-root normalizations appear as ledgered powers; a sequence of
-    momenta q gives one batched tree.  The caller anchors the overall phase
-    with normalize_at.
+    Built from the 2x2 little-group matrix b(q)^-1 B1(eps z) A_g (K'(z) + m),
+    with K'(z) the spinor of k'(z) = project(g^-1) boost1(-eps z) q: the
+    numerator is entire and the two square-root normalizations appear as
+    ledgered powers; a sequence of momenta q gives one batched family.  The
+    caller anchors the overall phase with normalize_at.
     """
-    qa, m = per_momentum(q, MomentumPoint.as_array), per_momentum(q, lambda p: p.m)
-    A_g = _mat2(*cg.sl2_matrix(g).ravel())
+    qa = per_momentum(q, MomentumPoint.as_array)
+    m = _per_row(per_momentum(q, lambda p: p.m))
+    a00, a01, a10, a11 = cg.sl2_matrix(g).ravel()
     lam_inv = cg.project(cg.inverse(g))
-    # b(q)^-1 = (adj(Q) + m) / c_q, a constant matrix along the family
-    q0, q1, q2 = qa[..., 0], qa[..., 1], qa[..., 2]
-    binv_num = _mat2(q0 - q1 + m, -q2, -q2, q0 + q1 + m)
+    # b(q)^-1 = (adj(Q) + m) / c_q, constant along the family
+    q0, q1, q2 = (_per_row(c) for c in qa.T)
+    u, w = q0 - q1 + m - 1j * q2, 1j * (q0 + q1 + m) - q2
     c_q_sq = 2.0 * m * (q0 + m)
 
-    # the x1-boost acts diagonally on [[x0+x1, x2], [x2, x0-x1]]
-    half = 0.5 * eps
-    B1 = (Exp(Affine(half)), Const(0j), Const(0j), Exp(Affine(-half)))
+    def bases(z):
+        k0, k1, k2 = momentum(lam_inv, qa, z, -eps)
+        # the x1-boost B1 = diag(e^{eps z/2}, e^{-eps z/2}) sits between the factors
+        e = np.exp(0.5 * eps * z)
+        kp = k0 + k1 + m
+        v = u * e * (a00 * kp + a01 * k2) + w / e * (a10 * kp + a11 * k2)
+        return v, 2.0 * m * (k0 + m)
 
-    Kp = _spinor_plus_m(lam_inv, qa, m, sign=-eps)
-    E = _mat2_mul(_mat2_mul(binv_num, B1), _mat2_mul(A_g, Kp))
-    V = E[0] + Const(1j) * E[2]
-
-    kp0 = mom_comp(lam_inv, qa, 0, -eps)
-    return (Pow(V, 2.0 * s)
-            * Pow(const(2.0 * m) * (kp0 + const(m)), -s)
-            * const(c_q_sq ** (-s)))
+    return PowerProduct(c_q_sq ** (-s), (), ((bases, (2.0 * s, -s)),))
 
 
-def fixed_element_phase_raw(g: cg.CoverElement, pre, anchor, s: float, m: float,
-                            sign: float = -1.0) -> Expr:
-    """Raw tree for z -> e^{i s Omega(g, k(z))} with k(z) = pre@boost1(sign z)@anchor."""
-    A_g = _mat2(*cg.sl2_matrix(g).ravel())
+def fixed_element_phase_raw(g: cg.CoverElement, pre, anchor, s: float,
+                            m: float) -> PowerProduct:
+    """Raw family z -> e^{i s Omega(g, k(z))} with k(z) = pre @ boost1(-z) @ anchor,
+    from the 2x2 product (adj(K) + m) A_g (K' + m) for k' = project(g^-1) k."""
+    a00, a01, a10, a11 = cg.sl2_matrix(g).ravel()
     lam_inv = cg.project(cg.inverse(g))
-    pre = np.asarray(pre, dtype=float)
-    anchor = np.asarray(anchor, dtype=float)
-    Ktil = _adj_spinor_plus_m(pre, anchor, m, sign)
-    Kp = _spinor_plus_m(lam_inv @ pre, anchor, m, sign)
-    E = _mat2_mul(_mat2_mul(Ktil, A_g), Kp)
-    V = E[0] + Const(1j) * E[2]
-    k0 = mom_comp(pre, anchor, 0, sign)
-    kp0 = mom_comp(lam_inv @ pre, anchor, 0, sign)
-    return (Pow(V, 2.0 * s)
-            * Pow(Const(2.0 * m) * (k0 + const(m)), -s)
-            * Pow(Const(2.0 * m) * (kp0 + const(m)), -s))
+
+    def bases(z):
+        k0, k1, k2 = momentum(pre, anchor, z)
+        l0, l1, l2 = (r[0] * k0 + r[1] * k1 + r[2] * k2 for r in lam_inv)
+        u, w = k0 - k1 + m - 1j * k2, 1j * (k0 + k1 + m) - k2
+        lp = l0 + l1 + m
+        v = (u * a00 + w * a10) * lp + (u * a01 + w * a11) * l2
+        return v, 2.0 * m * (k0 + m), 2.0 * m * (l0 + m)
+
+    return PowerProduct(pows=((bases, (2.0 * s, -s, -s)),))
 
 
-def compensated_family_expr(g: cg.CoverElement, q: MomentumPoint, s: float,
-                            eps: float = 1.0) -> Expr:
-    """The analytic family z -> e^{i s Omega(boost(eps z) g, q)} u_pihalf(k'(z)),
-    with k'(z) the momentum transported by (boost(eps z) g)^{-1}.
+def compensated_family_expr(g: cg.CoverElement, q: MomentumPoint, s: float) -> PowerProduct:
+    """The analytic family z -> e^{i s Omega(boost(z) g, q)} u_pihalf(k'(z)),
+    with k'(z) the momentum transported by (boost(z) g)^{-1}.
 
     This is the quarter-rotation-compensated Wigner factor.  It extends
     analytically into the strip whenever g * quarter-rotation carries the
-    reference approach path into the standard wedge class; the expression is
+    reference approach path into the standard wedge class; the family is
     anchored at z = 0 against the exact shell functions.  For a sequence of
-    momenta q the tree is batched, and each row is anchored at its own one.
+    momenta q the family is batched, and each row is anchored at its own one.
     """
     lam_inv = cg.project(cg.inverse(g))
-    raw = (boost_family_phase_raw(g, q, s, eps)
+    raw = (boost_family_phase_raw(g, q, s)
            * u_power_raw(lam_inv, per_momentum(q, MomentumPoint.as_array),
-                         s, per_momentum(q, lambda p: p.m), "pihalf", sign=-eps))
+                         s, per_momentum(q, lambda p: p.m), "pihalf"))
     target = per_momentum(q, lambda p: cmath.exp(1j * s * wg.wigner_angle(g, p))
                            * wg.u_pihalf(wg.transport(g, p), s))
     return normalize_at(raw, 0.0, target)
 
 
-def uncompensated_phase_expr(g: cg.CoverElement, q: MomentumPoint, s: float,
-                             eps: float = 1.0) -> Expr:
+def uncompensated_phase_expr(g: cg.CoverElement, q: MomentumPoint, s: float) -> PowerProduct:
     """The bare Wigner phase family, normalized at z = 0.
 
     For non-integer s this has genuine branch points inside the strip (at the
     zeros of the boosted energy factor); it exists as the negative control.
     """
-    raw = boost_family_phase_raw(g, q, s, eps)
+    raw = boost_family_phase_raw(g, q, s)
     target = per_momentum(q, lambda p: cmath.exp(1j * s * wg.wigner_angle(g, p)))
     return normalize_at(raw, 0.0, target)
 
@@ -709,20 +527,6 @@ def boost_energy_branch_point(p: MomentumPoint) -> complex:
     # k0(z) = p0 cosh z - p1 sinh z = m~ cosh(z - phi) with tanh(phi) = p1/p0
     phi = 0.5 * math.log((p.p0 + p.p1) / (p.p0 - p.p1))
     return complex(phi, math.acos(-p.m / mt))
-
-
-def cocycle_family_expr(g_wedge: cg.CoverElement, p: MomentumPoint, s: float,
-                        g0: cg.CoverElement | None = None) -> Expr:
-    """z -> c(boost(z) g_wedge, p) for a wedge-class element g_wedge.
-
-    Uses the identity u(p) c(boost(z) g g0, p) = e^{i s Omega(boost(z) g, p)}
-    u_l0 of the transported momentum, writing g_wedge = g * g0 with g0 the
-    quarter rotation.
-    """
-    if g0 is None:
-        g0 = cg.lift_rotation(math.pi / 2.0)
-    g = cg.compose(g_wedge, cg.inverse(g0))
-    return Const(1.0 / wg.u_plain(p, s)) * compensated_family_expr(g, p, s)
 
 
 # ---------------------------------------------------------------------------

@@ -144,22 +144,22 @@ class WaveMatrixFamily:
 
     # -- dressed prefactors for the continuation engine --------------------
 
-    def pref1_expr(self, q) -> holo.Expr:
+    def pref1_expr(self, q) -> holo.PowerProduct:
         """Scalar prefactor of the dressed first family anchored at q (a list
-        of momenta gives a batched tree)."""
+        of momenta gives a batched family)."""
         m = self.model
         return (holo.compensated_family_expr(cg.identity(), q, m.s)
                 * holo.exp_mink_dot(m.b1, np.eye(3),
                                     holo.per_momentum(q, MomentumPoint.as_array)))
 
-    def pref2bar_expr(self, q) -> holo.Expr:
+    def pref2bar_expr(self, q) -> holo.PowerProduct:
         """Scalar prefactor of the conjugated dressed second family."""
         m = self.model
         return (holo.compensated_family_expr(cg.identity(), q, -m.s)
                 * holo.exp_mink_dot(m.b2, np.eye(3),
                                     holo.per_momentum(q, MomentumPoint.as_array)))
 
-    def pref2_pi_expr(self, q: MomentumPoint) -> holo.Expr:
+    def pref2_pi_expr(self, q: MomentumPoint) -> holo.PowerProduct:
         """Scalar prefactor of the half-turn-rotated second family.
 
         The half turn conjugates the boost subgroup into its inverse, so the
@@ -169,10 +169,10 @@ class WaveMatrixFamily:
         m = self.model
         qp_arr = rotation(-math.pi) @ q.as_array()
         qp = to_momentum(qp_arr, m.m)
-        raw = (holo.Const(cmath.exp(1j * math.pi * m.s))
-               * holo.boost_family_phase_raw(cg.identity(), qp, m.s, eps=-1.0)
+        raw = (holo.boost_family_phase_raw(cg.identity(), qp, m.s, eps=-1.0)
                * holo.u_power_raw(np.eye(3), qp_arr, -m.s, m.m, "pihalf_bar", sign=1.0)
-               * holo.exp_mink_dot(-m.b2.conjugate(), np.eye(3), qp_arr, sign=1.0))
+               * holo.exp_mink_dot(-m.b2.conjugate(), np.eye(3), qp_arr, sign=1.0)
+               * cmath.exp(1j * math.pi * m.s))
         target = cmath.exp(1j * math.pi * m.s) * (
             wg.u_pihalf(qp, -m.s)
             * cmath.exp(1j * minkowski_product(m.b2, qp_arr))).conjugate()
@@ -275,7 +275,7 @@ class TwoPointKernel:
 
     family: WaveMatrixFamily
 
-    def scalar_expr(self, q: MomentumPoint) -> holo.Expr:
+    def scalar_expr(self, q: MomentumPoint) -> holo.PowerProduct:
         return self.family.pref2bar_expr(q) * self.family.pref1_expr(q)
 
     def matrix_const(self) -> np.ndarray:
@@ -333,7 +333,7 @@ def verify_transformation_law(g: cg.CoverElement, p: MomentumPoint,
     lhs_f1 = holo.compensated_family_expr(g, q, mdl.s)
     lhs = lhs_f1 * holo.exp_mink_dot(mdl.b1, -lam_inv, J @ p_arr)
     rhs_phase = cmath.exp(-1j * mdl.s * wg.wigner_angle(g, p))
-    rhs_f1 = holo.Const(rhs_phase) * holo.compensated_family_expr(cg.identity(), q2, mdl.s)
+    rhs_f1 = holo.compensated_family_expr(cg.identity(), q2, mdl.s) * rhs_phase
     rhs = rhs_f1 * holo.exp_mink_dot(mdl.b1, -np.eye(3), J @ (lam_inv @ p_arr))
 
     path = holo.StripPath.vertical(0.0)
@@ -463,8 +463,8 @@ def _ode_family(family: WaveMatrixFamily, p: MomentumPoint) -> holo.OdeFamily:
     """The shifted-product data h_{t0}(t) = Psi_2(t;p)^* Psi_1(t+t0;p).
 
     Writing q = boost1(-t) p, the product equals a fixed-element Wigner phase
-    at the continued momentum times shell compensators and exponentials, all
-    inside the expression algebra, so the engine can walk it for each t0.
+    at the continued momentum times shell compensators and exponentials, one
+    power product, so the engine can walk it for each t0.
     """
     mdl = family.model
     eye = np.eye(3)

@@ -40,15 +40,17 @@ class SuiteConfig:
     format: str = "text"
 
     def __post_init__(self):
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ValueError("seed must be an integer >= 0")
         for t in (self.tol_engine, self.tol_boundary, self.tol_pipeline):
-            if not t > 0.0:
-                raise ValueError("tolerances must be positive")
+            if not (t > 0.0 and math.isfinite(t)):
+                raise ValueError("tolerances must be finite and positive")
         for s in self.spins:
             if not math.isfinite(s):
                 raise ValueError("spins must be finite reals")
         for m in self.masses:
-            if not m > 0.0:
-                raise ValueError("masses must be strictly positive")
+            if not (m > 0.0 and math.isfinite(m)):
+                raise ValueError("masses must be finite and strictly positive")
         for n in self.multiplicities:
             if not (isinstance(n, int) and n >= 1):
                 raise ValueError("multiplicities must be integers >= 1")
@@ -336,7 +338,7 @@ def continuation_suite(config: SuiteConfig) -> list:
         f = holo.compensated_family_expr(g, p, s)
         worst = max(worst, holo.morera_residual(
             f, holo.StripPath.rectangle(-0.4, 0.4, 0.15, math.pi - 0.15)))
-    ent = holo.Exp(holo.Const(0.4j) * holo.mom_comp(np.eye(3), _shell(rng).as_array(), 0))
+    ent = holo.exp_mink_dot((0.4, 0.0, 0.0), np.eye(3), _shell(rng).as_array())
     # perimeter-4 rectangle strictly inside the open strip
     r_ent = holo.morera_residual(ent, holo.StripPath.rectangle(-0.5, 0.5, 0.8, 1.8))
     records.append(_record("continuation", "strip-morera",

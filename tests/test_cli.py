@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anyonstat import cli, suites
 from anyonstat.suites import Report, SuiteConfig, run_suite
@@ -108,6 +111,12 @@ def test_config_validation():
         SuiteConfig(masses=(0.0,))
     with pytest.raises(ValueError):
         SuiteConfig(spins=(float("nan"),))
+    with pytest.raises(ValueError):
+        SuiteConfig(seed=-1)
+    with pytest.raises(ValueError):
+        SuiteConfig(masses=(float("inf"),))
+    with pytest.raises(ValueError):
+        SuiteConfig(tol_pipeline=float("inf"))
 
 
 @pytest.mark.parametrize("flags", [["--grid", "1"], ["--grid", "0"], ["--n", "0"]])
@@ -115,6 +124,61 @@ def test_degenerate_grid_or_multiplicity_is_a_config_error(flags):
     r = run_cli("--suite", "spinstat", "--spin", "0.5", *flags)
     assert r.returncode == 2
     assert "config error" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("flags", [["--suite", "group", "--seed", "-1"],
+                                   ["--suite", "spinstat", "--spin", "0.5", "--mass", "inf"],
+                                   ["--suite", "group", "--tol-engine", "inf"],
+                                   ["--suite", "group", "--tol-boundary", "inf"],
+                                   ["--suite", "group", "--tol-pipeline", "inf"]])
+def test_negative_seed_or_infinite_mass_or_tolerance_is_a_config_error(flags):
+    # a negative seed ended in a suite-error FAIL record, an infinite mass in
+    # a RuntimeWarning, and an infinite tolerance turned its gate into a pass
+    r = run_cli(*flags)
+    assert r.returncode == 2
+    assert "config error" in r.stderr and "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+# flag -> (valid values, invalid values)
+_FUZZ_FLAGS = {
+    "--seed": (["0", "7", "26"], ["-1", "-30"]),
+    "--mass": (["1.0", "0.5", "2.0"], ["0", "-1", "inf", "nan"]),
+    "--spin": (["0", "0.25", "0.5", "-0.137"], ["inf", "nan"]),
+    "--n": (["1", "2"], ["0", "-2"]),
+    "--grid": (["2"], ["1", "0", "-3"]),
+    "--tol-engine": (["1e-9", "1e-6"], ["0", "-1e-9", "inf", "nan"]),
+    "--tol-boundary": (["1e-8", "1e-5"], ["0", "inf", "nan"]),
+    "--tol-pipeline": (["1e-8", "1e-20"], ["-1e-8", "inf", "nan"]),
+}
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(suite=st.sampled_from(["pauli-lubanski", "spinstat"]),
+       chosen=st.fixed_dictionaries({}, optional={f: st.sampled_from(valid)
+                                                  for f, (valid, _) in _FUZZ_FLAGS.items()}),
+       bad=st.none() | st.sampled_from([(f, v) for f, (_, invalid) in _FUZZ_FLAGS.items()
+                                        for v in invalid]))
+def test_config_space_ends_in_a_config_error_or_a_report(suite, chosen, bad):
+    # every input either exits 2 with a config error before any suite runs,
+    # or ends as a report whose records pass or fail, never a traceback
+    flags = {"--grid": "2", "--spin": "0.25"} if suite == "spinstat" else {}
+    flags.update(chosen)
+    if bad is not None:
+        flags[bad[0]] = bad[1]
+    # flag=value, because argparse reads a separate "-1e-8" as an option
+    argv = ["--suite", suite, "--format", "json"] + [f"{f}={v}" for f, v in flags.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if bad is not None:
+        assert code == 2
+    if code == 2:
+        assert "config error" in err.getvalue() and out.getvalue() == ""
+        return
+    assert code in (0, 1)
+    records = json.loads(out.getvalue())["records"]
+    assert records and all(r["anchor"] != "suite-error" for r in records)
 
 
 def test_record_requires_a_tolerance_for_every_residual():

@@ -26,33 +26,36 @@ def closed_boundary(g, p, s):
             * wg.u_plain(mk.to_momentum(vec, p.m), s))
 
 
+def _rest_light_cone_power():
+    # the base k0 - k1 of the rest momentum is exactly m e^z
+    rest = mk.shell_point(0.0, 0.0, 1.0).as_array()
+
+    def bases(z):
+        k0, k1, _ = holo.momentum(np.eye(3), rest, z)
+        return (k0 - k1,)
+
+    return holo.PowerProduct(pows=((bases, (S,)),))
+
+
 def test_constant_expression():
-    e = holo.const(2.0 - 1.5j)
+    e = holo.PowerProduct(2.0 - 1.5j)
     assert holo.continue_along(e, holo.StripPath.vertical(0.0)) == 2.0 - 1.5j
-
-
-def test_expression_arithmetic_sugar():
-    p = mk.shell_point(0.3, 0.2, 1.0)
-    k0 = holo.mom_comp(np.eye(3), p.as_array(), 0)
-    expr = (k0 + 1.0) / (2.0 * holo.Exp(holo.Affine(0.5))) - k0
-    z = 0.3 + 1.2j
-    kv = (mk.boost1(-z) @ p.as_array())[0]
-    expected = (kv + 1.0) / (2.0 * cmath.exp(0.5 * z)) - kv
-    assert abs(holo.evaluate_along(expr, [0.0, z])[-1] - expected) < 1e-14
 
 
 def test_momentum_node_at_ipi_is_reflection():
     p = mk.shell_point(0.6, -0.4, 1.0)
-    vals = [holo.continue_along(holo.mom_comp(np.eye(3), p.as_array(), mu),
-                                holo.StripPath.vertical(0.0)) for mu in range(3)]
-    assert np.max(np.abs(np.array(vals) - mk.J @ p.as_array())) < 1e-13
+    vals = holo.momentum(np.eye(3), p.as_array(), np.array([0.0, 1j * math.pi]))
+    assert np.max(np.abs(np.array(vals)[:, 0] - p.as_array())) < 1e-15
+    assert np.max(np.abs(np.array(vals)[:, 1] - mk.J @ p.as_array())) < 1e-13
+    # a batch of anchors gives one row per anchor
+    batch = np.array([p.as_array(), mk.shell_point(0.1, 0.2, 2.0).as_array()])
+    k = holo.momentum(np.eye(3), batch, np.array([0.0, 1j * math.pi]))
+    assert np.max(np.abs(np.array(k)[:, :, 0] - batch.T)) < 1e-15
+    assert np.max(np.abs(np.array(k)[:, :, 1] - mk.J @ batch.T)) < 1e-13
 
 
 def test_simple_power_continuation_and_halved_step():
-    rest = mk.shell_point(0.0, 0.0, 1.0)
-    k0 = holo.mom_comp(np.eye(3), rest.as_array(), 0)
-    k1 = holo.mom_comp(np.eye(3), rest.as_array(), 1)
-    expr = holo.Pow(k0 + (-k1), S)
+    expr = _rest_light_cone_power()
     # base is exactly m e^z, so the continued power is m^s e^{s z}
     v = holo.continue_along(expr, holo.StripPath.vertical(0.0))
     assert abs(v - cmath.exp(1j * math.pi * S)) < 1e-13
@@ -63,10 +66,7 @@ def test_simple_power_continuation_and_halved_step():
 def test_two_point_walk_bisects_each_large_turn():
     # the base m e^z turns by pi over [0, i pi]: one bisection leaves two
     # quarter turns at the 0.999 pi/2 bound, a second leaves eighth turns
-    rest = mk.shell_point(0.0, 0.0, 1.0)
-    k0 = holo.mom_comp(np.eye(3), rest.as_array(), 0)
-    k1 = holo.mom_comp(np.eye(3), rest.as_array(), 1)
-    expr = holo.Pow(k0 - k1, S)
+    expr = _rest_light_cone_power()
     assert abs(holo.continue_along(expr, [0.0, 1j * math.pi])
                - cmath.exp(1j * math.pi * S)) < 1e-13
     # a three-quarter turn in one step reads as -pi/2 without bisection
@@ -79,23 +79,22 @@ BATCH = [mk.shell_point(0.4, -0.3, 1.0), mk.shell_point(0.02, 0.99, 1.0),
          mk.shell_point(1.5, 0.2, 1.0), mk.shell_point(-0.7, 0.6, 1.0)]
 
 
-def _final_samples(monkeypatch, expr, zs):
+def _final_samples(expr, zs):
     """How many samples the walk of expr over zs ends with."""
     seen = []
-    real = holo._bases
-    monkeypatch.setattr(holo, "_bases", lambda pows, z: seen.append(len(z)) or real(pows, z))
-    holo.evaluate_along(expr, zs)
-    monkeypatch.setattr(holo, "_bases", real)
+    counted = tuple((lambda z, fn=fn: seen.append(len(z)) or fn(z), ss) for fn, ss in expr.pows)
+    holo.evaluate_along(holo.PowerProduct(expr.scale, expr.exps, counted), zs)
     return seen[-1]
 
 
 def _energy_factor(anchors):
     # (k0 + m)^s passes close to zero, and turns fast, where p0 cos y = -m
     # on the vertical path when p1 is small
-    return holo.Pow(holo.mom_comp(np.eye(3), anchors, 0) + holo.const(1.0), S)
+    return holo.PowerProduct(
+        pows=((lambda z: (holo.momentum(np.eye(3), anchors, z)[0] + 1.0,), (S,)),))
 
 
-def test_batched_walk_matches_per_row_scalar_walks(monkeypatch):
+def test_batched_walk_matches_per_row_scalar_walks():
     zs = holo.StripPath.vertical(0.0, samples=5).points
     anchors = np.array([p.as_array() for p in BATCH])
     batched = holo.evaluate_along(_energy_factor(anchors), zs)
@@ -104,10 +103,10 @@ def test_batched_walk_matches_per_row_scalar_walks(monkeypatch):
     for a, row in zip(anchors, batched):
         scalar = holo.evaluate_along(_energy_factor(a), zs)
         assert np.max(np.abs(row - scalar)) < 1e-14
-        counts.append(_final_samples(monkeypatch, _energy_factor(a), zs))
+        counts.append(_final_samples(_energy_factor(a), zs))
     # the rows need different bisection depths; the batch takes them all
     assert len(set(counts)) > 1
-    assert _final_samples(monkeypatch, _energy_factor(anchors), zs) >= max(counts)
+    assert _final_samples(_energy_factor(anchors), zs) >= max(counts)
 
     family = holo.compensated_family_expr(cg.identity(), BATCH, S)
     values = holo.continue_along(family, holo.StripPath.vertical(0.0))
@@ -118,6 +117,55 @@ def test_batched_walk_matches_per_row_scalar_walks(monkeypatch):
         assert isinstance(scalar, complex)
         assert abs(v - scalar) < 1e-14 * max(1.0, abs(scalar))
         assert abs(v - closed_boundary(cg.identity(), p, S)) < 1e-12
+
+
+def test_product_of_families_matches_its_factors():
+    # the product walks the bases of both factors in one ledger; on a path
+    # that needs bisection its values are still the product of the factors'
+    zs = [0.0, 0.3 + 1.0j, -0.2 + 2.0j, 0.1 + 1j * math.pi]
+    batched = holo.compensated_family_expr(cg.identity(), BATCH, S)
+    p = mk.shell_point(0.5, 1.0, 1.0)
+    single = (holo.uncompensated_phase_expr(cg.identity(), p, S)
+              * holo.exp_mink_dot((0.2, -0.1j, 0.3), np.eye(3), p.as_array()))
+    f, g = holo.evaluate_along(batched, zs), holo.evaluate_along(single, zs)
+    both = holo.evaluate_along(batched * single, zs)
+    assert both.shape == (len(BATCH), len(zs))
+    assert np.max(np.abs(both - f * g)) < 1e-13 * np.max(np.abs(f * g))
+    assert np.max(np.abs(holo.evaluate_along(single * batched, zs) - both)) < 1e-13
+    # a number, or an array with one number per row, scales the family
+    assert np.max(np.abs(holo.evaluate_along(single * (2 - 1j), zs) - (2 - 1j) * g)) < 1e-14
+    assert np.max(np.abs(holo.evaluate_along(0.5j * batched, zs) - 0.5j * f)) < 1e-14
+    rows = np.arange(1.0, len(BATCH) + 1.0)
+    scaled = rows * batched
+    assert isinstance(scaled, holo.PowerProduct)
+    assert np.max(np.abs(holo.evaluate_along(scaled, zs) - rows[:, None] * f)) < 1e-13
+
+
+@pytest.mark.parametrize("s", [S, 0.137, -2.4])
+def test_phase_builders_match_wigner_angle_on_the_real_line(s):
+    # once normalised at 0, each raw phase family is e^{i s Omega} at every
+    # real t, not only at the anchor
+    g = cg.compose(cg.lift_rotation(0.2), cg.lift_boost(1.1, 0.3))
+    ts = np.linspace(-1.0, 1.0, 21)
+    q = mk.shell_point(0.4, -0.3, 1.0)
+    for eps in (1.0, -1.0):
+        fam = holo.normalize_at(holo.boost_family_phase_raw(g, q, s, eps), 0.0,
+                                cmath.exp(1j * s * wg.wigner_angle(g, q)))
+        vals = holo.evaluate_along(fam, np.concatenate(([0.0], ts)))[1:]
+        want = [cmath.exp(1j * s * wg.wigner_angle(cg.compose(cg.lift_boost1(eps * t), g), q))
+                for t in ts]
+        assert np.max(np.abs(vals - want)) < 1e-13
+    pre = cg.project(cg.lift_rotation(0.7))
+    anchor = mk.shell_point(0.2, 0.5, 1.3).as_array()
+
+    def k(t):
+        return mk.to_momentum(pre @ mk.boost1(-t) @ anchor, 1.3)
+
+    fam = holo.normalize_at(holo.fixed_element_phase_raw(g, pre, anchor, s, 1.3), 0.0,
+                            cmath.exp(1j * s * wg.wigner_angle(g, k(0.0))))
+    vals = holo.evaluate_along(fam, np.concatenate(([0.0], ts)))[1:]
+    want = [cmath.exp(1j * s * wg.wigner_angle(g, k(t))) for t in ts]
+    assert np.max(np.abs(vals - want)) < 1e-13
 
 
 def test_vanishing_base_in_one_row_names_its_z():
@@ -177,7 +225,9 @@ def test_compensated_boundary_matches_closed_form():
 def test_cocycle_family_boundary_identities():
     p = mk.shell_point(0.4, -0.3, 1.0)
     gw = cg.compose(cg.lift_rotation(0.13), QUARTER)
-    cf = holo.cocycle_family_expr(gw, p, S)
+    # u(p) c(boost(z) g QUARTER, p) = e^{i s Omega(boost(z) g, p)} u_l0(k'(z))
+    g = cg.compose(gw, cg.inverse(QUARTER))
+    cf = holo.compensated_family_expr(g, p, S) * (1 / wg.u_plain(p, S))
     v = holo.continue_along(cf, holo.StripPath.vertical(0.0))
     mjp = reflected_point(p)
     assert abs(v - cmath.exp(1j * math.pi * S) * wg.cocycle(gw, mjp, S).conjugate()) < 1e-13
@@ -185,27 +235,10 @@ def test_cocycle_family_boundary_identities():
                * wg.cocycle(cg.j_conjugate(gw), p, S)) < 1e-13
 
 
-def test_schwarz_reflection_tree():
-    # the reflected tree represents z -> conj(f(conj z)): real-axis values are
-    # conjugated, and continuations mirror across the axis
-    p = mk.shell_point(0.4, -0.3, 1.0)
-    k0 = holo.mom_comp(np.eye(3), p.as_array(), 0)
-    expr = holo.Pow(k0 + holo.const(0.3 + 0.2j), 0.4) * holo.Exp(holo.Const(0.1j) * k0)
-    refl = holo.schwarz_reflect(expr)
-    t = 0.7
-    a = holo.evaluate_along(expr, [0.0, t])[-1]
-    b = holo.evaluate_along(refl, [0.0, t])[-1]
-    assert abs(b - a.conjugate()) < 1e-14
-    z = 0.4 + 0.9j
-    up = holo.evaluate_along(refl, [0.0, z])[-1]
-    down = holo.evaluate_along(expr, [0.0, z.conjugate()])[-1]
-    assert abs(up - down.conjugate()) < 1e-14
-
-
 def test_morera_entire_node():
     # perimeter-4 rectangle strictly inside the open strip
     p = mk.shell_point(0.3, 0.5, 1.0)
-    ent = holo.Exp(holo.Const(0.7j) * holo.mom_comp(np.eye(3), p.as_array(), 0))
+    ent = holo.exp_mink_dot((0.7, 0.0, 0.0), np.eye(3), p.as_array())
     r = holo.morera_residual(ent, holo.StripPath.rectangle(-0.5, 0.5, 0.8, 1.8))
     assert r < 1e-10
 
@@ -213,7 +246,7 @@ def test_morera_entire_node():
 def test_morera_quadrature_order_certificate():
     # at quadrature order 2 the composite rule converges like step^4
     p = mk.shell_point(0.3, 0.5, 1.0)
-    osc = holo.Exp(holo.Const(3.0j) * holo.mom_comp(np.eye(3), p.as_array(), 1))
+    osc = holo.exp_mink_dot((0.0, -3.0, 0.0), np.eye(3), p.as_array())
     rect = holo.StripPath.rectangle(-0.6, 0.6, 0.4, 2.8)
     r2 = holo.morera_residual(osc, rect, order=2, panels=2)
     r4 = holo.morera_residual(osc, rect, order=2, panels=4)
@@ -275,7 +308,11 @@ def test_path_and_anchor_independence():
 def test_boundary_at_ipi_with_validation():
     p = mk.shell_point(0.4, -0.3, 1.0)
     f = holo.compensated_family_expr(cg.identity(), p, S)
-    v = holo.boundary_at_ipi(f, 0.0, validate=True)
+    # Morera residuals on two rectangles flanking the vertical path certify
+    # analyticity there before the boundary value is trusted
+    for lo, hi in ((-0.45, -0.05), (0.05, 0.45)):
+        assert holo.morera_residual(f, holo.StripPath.rectangle(lo, hi, 0.05, math.pi - 0.05)) < 1e-8
+    v = holo.continue_robust(f, holo.StripPath.vertical(0.0))
     assert abs(v - closed_boundary(cg.identity(), p, S)) < 1e-12
 
 
@@ -317,13 +354,8 @@ def test_robust_detour_rejects_genuine_branch_point():
         holo.continue_robust(bare, holo.StripPath.vertical(0.0, samples=65))
 
 
-def test_nested_power_rejected():
-    with pytest.raises(ValueError):
-        holo.Pow(holo.Pow(holo.const(2.0), 0.5), 0.5)
-
-
 def test_morera_contour_must_be_interior():
-    e = holo.const(1.0)
+    e = holo.PowerProduct(1.0)
     with pytest.raises(ValueError):
         holo.morera_residual(e, holo.StripPath.rectangle(-1, 1, 0.0, 1.0))
 
