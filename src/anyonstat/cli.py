@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import typing
 from dataclasses import asdict, fields
@@ -165,10 +166,27 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads only '-1' or '-0.5' as negative numbers, and would take a
+# value such as -1e-8 or -inf for an option: it is attached to its flag
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+def _attach_negative_values(argv: list) -> list:
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] \
+                and _NEGATIVE_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(
+            sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
 

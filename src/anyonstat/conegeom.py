@@ -7,6 +7,9 @@ class of approach paths is encoded by a single real lifted angle.  Cones are
 the causal completions of open salient sectors in the rest plane; a boosted
 cone is represented by its transported direction interval, which is all the
 path predicates ever consume.
+
+Directions, sectors and paths may be stacks (array angles, vectors (..., 3));
+a stack row whose image degenerates is NaN, which the checks let through.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import covergroup as cg
-from .minkowski import Vec3, as_array, minkowski_product
+from .minkowski import Vec3, any_set, as_array, minkowski_product
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,10 +41,10 @@ class SpacelikeDirection:
 
     def __post_init__(self):
         a = self.e.as_array()
-        if abs(minkowski_product(a, a) + 1.0) > 1e-12:
+        if any_set(abs(minkowski_product(a, a) + 1.0) > 1e-12):
             raise ValueError("direction must satisfy e.e = -1")
-        ang = math.atan2(a[2], a[1])
-        if abs(_wrap(self.lifted_angle - ang)) > 1e-9:
+        ang = np.arctan2(a[..., 2], a[..., 1])
+        if any_set(abs(_wrap(self.lifted_angle - ang)) > 1e-9):
             raise ValueError("lifted_angle does not project to the spatial angle")
 
     @classmethod
@@ -77,15 +80,15 @@ class SpatialSector:
     edges: tuple | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.beta - self.alpha < math.pi:
-            raise ValueError(
-                f"sector opening must lie in (0, pi), got {self.beta - self.alpha}")
+        opening = self.beta - self.alpha
+        if any_set((opening <= 0.0) | (opening >= math.pi)):
+            raise ValueError(f"sector opening must lie in (0, pi), got {opening}")
         if self.edges is not None:
             for v, ang in zip(self.edges, (self.alpha, self.beta)):
                 a = as_array(v)
-                if abs(minkowski_product(a, a) + 1.0) > 1e-9:
+                if any_set(abs(minkowski_product(a, a) + 1.0) > 1e-9):
                     raise ValueError("sector edge directions must be unit space-like")
-                if abs(_wrap(math.atan2(a[2], a[1]) - ang)) > 1e-9:
+                if any_set(abs(_wrap(np.arctan2(a[..., 2], a[..., 1]) - ang)) > 1e-9):
                     raise ValueError("edge direction does not project to its angle")
 
     @property
@@ -95,12 +98,16 @@ class SpatialSector:
     def edge_vectors(self) -> tuple:
         if self.edges is not None:
             return tuple(as_array(v) for v in self.edges)
-        return (np.array([0.0, math.cos(self.alpha), math.sin(self.alpha)]),
-                np.array([0.0, math.cos(self.beta), math.sin(self.beta)]))
+        return _rest_direction(self.alpha), _rest_direction(self.beta)
 
     def angle_inside(self, phi, tol: float = 1e-12):
         rel = (phi - self.alpha) % TWO_PI
         return (-tol <= rel) & (rel <= self.opening + tol)
+
+
+def _rest_direction(angle) -> np.ndarray:
+    """The unit spatial directions (0, cos, sin) at the given angles, (..., 3)."""
+    return Vec3(0.0 * angle, np.cos(angle), np.sin(angle)).as_array()
 
 
 def _ray_distance(v, angle: float):
@@ -237,17 +244,16 @@ class ConePath:
 
     def __post_init__(self):
         rel = (self.accumulated_angle - self.sector.alpha) % TWO_PI
-        if not -1e-9 <= rel <= self.sector.opening + 1e-9:
+        if any_set((rel < -1e-9) | (rel > self.sector.opening + 1e-9)):
             raise ValueError("accumulated angle does not end inside the sector")
         if self.direction is not None:
-            if abs(self.direction.lifted_angle - self.accumulated_angle) > 1e-9:
+            if any_set(abs(self.direction.lifted_angle - self.accumulated_angle) > 1e-9):
                 raise ValueError("endpoint direction lift disagrees with the path")
 
     def endpoint_vector(self) -> np.ndarray:
         if self.direction is not None:
             return self.direction.e.as_array()
-        a = self.accumulated_angle
-        return np.array([0.0, math.cos(a), math.sin(a)])
+        return _rest_direction(self.accumulated_angle)
 
 
 def path_equivalent(p1: ConePath, p2: ConePath, ambient: SpatialSector) -> bool:
@@ -280,7 +286,7 @@ def exchange_hypothesis(p1: ConePath, p2: ConePath) -> bool:
 
 
 def _lifted_circle_action(g: cg.CoverElement, vecs, lift_start) -> np.ndarray:
-    """The lifted angles of the directions vecs (..., 3) transported by g.
+    """The lifted angles of the directions vecs transported by g.
 
     The group element is connected to the identity along the canonical path
     sigma -> (sigma * gamma, sigma * omega) and the retracted angle of each
@@ -289,21 +295,36 @@ def _lifted_circle_action(g: cg.CoverElement, vecs, lift_start) -> np.ndarray:
     the grid is doubled.  Any path to g in the cover gives the same lift,
     which is what makes repeated transports compose exactly; deck elements
     shift the result by full turns.
+
+    A stack g of shape G takes vecs of shape G + (..., 3); each row has its
+    grid doubled only while its own steps are too large, and a row that
+    cannot be tracked is NaN (a single g raises DegenerateImage).
     """
+    rows = np.shape(g.omega)
     e = np.asarray(vecs, dtype=float)
-    start = np.broadcast_to(np.asarray(lift_start, dtype=float), e.shape[:-1])
-    n = max(16, int(8 * (1.0 + abs(g.omega) / math.pi)))
+    shape = e.shape[:-1]
+    e = e.reshape((math.prod(rows), -1, 3))
+    gamma, omega = np.asarray(g.gamma).reshape(-1), np.asarray(g.omega).reshape(-1)
+    turn, todo = np.empty(e.shape[:-1]), np.arange(len(e))
+    n = max(16, int(8 * (1.0 + np.abs(omega).max(initial=0.0) / math.pi)))
     for _ in range(6):
-        lam = cg.project_path(g, np.arange(1, n + 1) / n)
-        images = np.einsum("kij,...j->...ki", lam[:, 1:], e)
-        pts = np.concatenate([e[..., None, 1:], images], axis=-2)
+        lam = cg.project_path(cg.CoverElement(gamma[todo], omega[todo]),
+                              np.arange(1, n + 1) / n)
+        ee = e[todo]
+        images = np.einsum("rkij,rvj->rvki", lam[:, :, 1:], ee)
+        pts = np.concatenate([ee[:, :, None, 1:], images], axis=2)
         prev, cur = pts[..., :-1, :], pts[..., 1:, :]
         steps = np.arctan2(prev[..., 0] * cur[..., 1] - prev[..., 1] * cur[..., 0],
                            prev[..., 0] * cur[..., 0] + prev[..., 1] * cur[..., 1])
-        if not np.any(np.abs(steps) > 1.0):
-            return np.cumsum(np.concatenate([start[..., None], steps], axis=-1), axis=-1)[..., -1]
-        n *= 2
-    raise DegenerateImage("direction transport could not be tracked continuously")
+        fine = ~(np.abs(steps) > 1.0).any(axis=(1, 2))
+        turn[todo[fine]] = np.cumsum(steps[fine], axis=-1)[..., -1]
+        todo, n = todo[~fine], 2 * n
+        if not todo.size:
+            return (lift_start + turn.reshape(shape))[()]
+    if not rows:
+        raise DegenerateImage("direction transport could not be tracked continuously")
+    turn[todo] = np.nan
+    return (lift_start + turn.reshape(shape))[()]
 
 
 def poincare_act_path(g: cg.PoincareElement, path: ConePath) -> ConePath:
@@ -312,21 +333,29 @@ def poincare_act_path(g: cg.PoincareElement, path: ConePath) -> ConePath:
     The cone's edge directions and the path's endpoint direction are moved by
     the projected matrix (exact), while their lifted angles are transported
     by the lifted circle action, so deck elements act by full-turn shifts.
+    g may be a stack of elements and path a stack of paths, acting row by
+    row; a row whose image degenerates is NaN (a single path raises).
     """
-    lor = g.lorentz
+    sec = path.sector
+    starts = np.stack(np.broadcast_arrays(sec.alpha, sec.beta, path.accumulated_angle), -1)
+    vecs = np.stack(np.broadcast_arrays(*sec.edge_vectors(), path.endpoint_vector()), -2)
+    shape = np.broadcast_shapes(np.shape(g.lorentz.omega), starts.shape[:-1])
+    lor = cg.CoverElement(*(np.broadcast_to(x, shape)[()]
+                            for x in (g.lorentz.gamma, g.lorentz.omega)))
+    lifts = _lifted_circle_action(lor, np.broadcast_to(vecs, shape + (3, 3)), starts)
+    a2, b2, acc = lifts[..., 0], lifts[..., 1], lifts[..., 2]
+    bad = ~((0.0 < b2 - a2) & (b2 - a2 < math.pi))
+    if not shape and bad:
+        raise DegenerateImage(f"transformed direction interval has opening {b2 - a2}")
     lam = cg.project(lor)
-    ea, eb = path.sector.edge_vectors()
-    d = path.endpoint_vector()
-    a2, b2, acc = _lifted_circle_action(
-        lor, np.array([ea, eb, d]),
-        [path.sector.alpha, path.sector.beta, path.accumulated_angle]).tolist()
-    if not 0.0 < b2 - a2 < math.pi:
-        raise DegenerateImage(
-            f"transformed direction interval has opening {b2 - a2}")
-    apex = Vec3.from_array(lam @ path.sector.apex.as_array() + g.translation.as_array())
-    sector = SpatialSector(a2, b2, apex, edges=(lam @ ea, lam @ eb))
-    return ConePath(sector, acc,
-                    direction=SpacelikeDirection(Vec3.from_array(lam @ d), acc))
+    moved = (lam[..., None, :, :] @ vecs[..., None])[..., 0]
+    ea, eb, d = moved[..., 0, :], moved[..., 1, :], moved[..., 2, :]
+    apex = (lam @ sec.apex.as_array()[..., None])[..., 0] + g.translation.as_array()
+    nan = np.where(bad, np.nan, 0.0)[()]  # NaN on the degenerate rows
+    a2, b2, acc = a2 + nan, b2 + nan, acc + nan
+    ea, eb, d, apex = (x + nan[..., None] for x in (ea, eb, d, apex))
+    sector = SpatialSector(a2, b2, Vec3.from_array(apex), edges=(ea, eb))
+    return ConePath(sector, acc, direction=SpacelikeDirection(Vec3.from_array(d), acc))
 
 
 def in_wedge_class(g: cg.CoverElement) -> bool:

@@ -15,29 +15,42 @@ Conventions fixed here:
   * lift_boost1(t) projects to minkowski.boost1(t).
   * j_conjugate implements the unique lift of L -> J L J fixing the identity;
     in disk coordinates it is (gamma, omega) -> (conj(gamma), -omega).
+
+A CoverElement may hold equal-shape arrays of gamma and omega, one element
+per entry; every function here broadcasts over them, and a scalar element
+goes through the same code and stays scalar.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .minkowski import Vec3, as_array
+from .minkowski import Vec3, all_set, as_array
 
 
 @dataclass(frozen=True)
 class CoverElement:
-    """An element of the covering group in disk coordinates."""
+    """An element of the covering group in disk coordinates, or an array of
+    them: gamma and omega are scalars or arrays of one shape."""
 
     gamma: complex
     omega: float
 
     def __post_init__(self):
-        if not abs(self.gamma) < 1.0:
-            raise ValueError(f"disk coordinate must satisfy |gamma| < 1, got {self.gamma}")
+        inside = abs(self.gamma) < 1.0
+        if not all_set(inside):
+            row = tuple(int(i) for i in np.argwhere(~np.asarray(inside))[0])
+            at = f" at index {row}" if row else ""
+            raise ValueError(f"disk coordinate must satisfy |gamma| < 1, got "
+                             f"{np.asarray(self.gamma)[row]}{at}")
+        if getattr(self.gamma, "shape", ()) != getattr(self.omega, "shape", ()):
+            raise ValueError(f"gamma and omega shapes differ: {np.shape(self.gamma)}")
+
+    def __getitem__(self, index) -> "CoverElement":
+        return CoverElement(self.gamma[index], self.omega[index])
 
 
 IDENTITY = CoverElement(0j, 0.0)
@@ -54,14 +67,14 @@ def compose(a: CoverElement, b: CoverElement) -> CoverElement:
     is continuous because the argument always lies in the open right half
     plane (|gamma| < 1 strictly).
     """
-    w = a.gamma * b.gamma.conjugate() * cmath.exp(-1j * b.omega)
-    gamma = (b.gamma + a.gamma * cmath.exp(-1j * b.omega)) / (1.0 + w)
-    omega = a.omega + b.omega + 2.0 * cmath.phase(1.0 + w)
-    return CoverElement(gamma, omega)
+    turn = np.exp(-1j * b.omega)
+    w = 1.0 + a.gamma * np.conjugate(b.gamma) * turn
+    gamma = (b.gamma + a.gamma * turn) / w
+    return CoverElement(gamma, a.omega + b.omega + 2.0 * np.arctan2(w.imag, w.real))
 
 
 def inverse(g: CoverElement) -> CoverElement:
-    return CoverElement(-g.gamma * cmath.exp(1j * g.omega), -g.omega)
+    return CoverElement(-g.gamma * np.exp(1j * g.omega), -g.omega)
 
 
 def _sl2_entries(gamma, omega):
@@ -80,52 +93,60 @@ def _sl2_entries(gamma, omega):
 
 
 def sl2_matrix(g: CoverElement) -> np.ndarray:
-    """The real unimodular 2x2 matrix onto which g projects."""
+    """The real unimodular 2x2 matrices onto which g projects, shape (..., 2, 2)."""
     a, b, c, d = _sl2_entries(g.gamma, g.omega)
-    return np.array([[a, b], [c, d]])
+    mat = np.array([[a, b], [c, d]])
+    return mat if mat.ndim == 2 else np.moveaxis(mat, (0, 1), (-2, -1))
 
 
-def _lorentz(gamma, omega) -> np.ndarray:
-    """Lorentz matrices of disk coordinates, shape (..., 3, 3).
+def _lorentz_rows(a, b, c, d) -> list:
+    """Rows of the Lorentz matrix of B = [[a, b], [c, d]].
 
     Column j holds the components of B X_j B^T for the symmetric basis
     X_0 = 1, X_1 = diag(1, -1), X_2 = [[0, 1], [1, 0]] (x0 = trace / 2,
     x1 = half the diagonal difference, x2 = the off-diagonal entry), written
-    out as quadratics in the entries of B = [[a, b], [c, d]].
+    out as quadratics in the entries.
     """
-    a, b, c, d = _sl2_entries(gamma, omega)
     aa, bb, cc, dd = a * a, b * b, c * c, d * d
-    rows = [[((aa + bb) + (cc + dd)) / 2.0, ((aa - bb) + (cc - dd)) / 2.0, a * b + c * d],
+    return [[((aa + bb) + (cc + dd)) / 2.0, ((aa - bb) + (cc - dd)) / 2.0, a * b + c * d],
             [((aa + bb) - (cc + dd)) / 2.0, ((aa - bb) - (cc - dd)) / 2.0, a * b - c * d],
             [a * c + b * d, a * c - b * d, b * c + a * d]]
-    lam = np.array(rows)
+
+
+def _lorentz(gamma, omega) -> np.ndarray:
+    """Lorentz matrices of disk coordinates, shape (..., 3, 3)."""
+    lam = np.array(_lorentz_rows(*_sl2_entries(gamma, omega)))
     return lam.transpose(tuple(range(2, lam.ndim)) + (0, 1))
 
 
 def project(g: CoverElement) -> np.ndarray:
-    """The proper orthochronous Lorentz matrix onto which g projects."""
+    """The proper orthochronous Lorentz matrices onto which g projects,
+    shape (..., 3, 3)."""
     return _lorentz(g.gamma, g.omega)
 
 
 def project_path(g: CoverElement, sigma) -> np.ndarray:
     """Lorentz matrices along the canonical path sigma -> (sigma gamma, sigma omega).
 
-    Returns shape (len(sigma), 3, 3); at sigma = 1 this is project(g).
+    Returns shape g's shape + (len(sigma), 3, 3); at sigma = 1 this is project(g).
     """
     sigma = np.asarray(sigma, dtype=float)
-    return _lorentz(g.gamma * sigma, g.omega * sigma)
+    return _lorentz(np.multiply.outer(g.gamma, sigma), np.multiply.outer(g.omega, sigma))
 
 
 def act_on_vector(g: CoverElement, x) -> np.ndarray:
-    return project(g) @ as_array(x)
+    """project(g) applied to vectors (..., 3), the stacks broadcast."""
+    return (project(g) @ as_array(x)[..., None])[..., 0]
 
 
 def lift_rotation(omega: float) -> CoverElement:
-    return CoverElement(0j, float(omega))
+    omega = np.asarray(omega, dtype=float)[()]
+    return CoverElement(np.zeros(np.shape(omega), dtype=complex)[()], omega)
 
 
 def lift_boost1(t: float) -> CoverElement:
-    return CoverElement(complex(math.tanh(t / 2.0)), 0.0)
+    t = np.asarray(t, dtype=float)[()]
+    return CoverElement(np.tanh(t / 2.0) + 0j, np.zeros(np.shape(t))[()])
 
 
 def lift_boost(direction: float, rapidity: float) -> CoverElement:
@@ -140,7 +161,7 @@ def j_conjugate(g: CoverElement) -> CoverElement:
     Continuous involutive automorphism; fixes lift_boost1 elementwise and
     sends lift_rotation(w) to lift_rotation(-w).
     """
-    return CoverElement(g.gamma.conjugate(), -g.omega)
+    return CoverElement(np.conjugate(g.gamma), -g.omega)
 
 
 def random_element(rng, disk_radius: float = 0.8, windings: float = 2.0) -> CoverElement:
@@ -149,15 +170,23 @@ def random_element(rng, disk_radius: float = 0.8, windings: float = 2.0) -> Cove
     disk_radius 0.8 corresponds to rapidities up to about 2.2; beyond that the
     projected matrix entries grow enough that float error crosses 1e-12.
     """
-    r = disk_radius * math.sqrt(rng.uniform())
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    omega = rng.uniform(-windings, windings) * 2.0 * math.pi
-    return CoverElement(r * cmath.exp(1j * phi), omega)
+    return element_from_draws(rng.uniform(size=3), disk_radius, windings)
+
+
+def element_from_draws(u, disk_radius: float = 0.8, windings: float = 2.0) -> CoverElement:
+    """The element random_element makes of its uniform draws u[..., :3]: a
+    block rng.uniform(size=(n, 3)) gives, bit for bit, n calls' elements."""
+    u = np.asarray(u, dtype=float)
+    r = disk_radius * np.sqrt(u[..., 0])
+    phi = 2.0 * math.pi * u[..., 1]
+    omega = (-windings + 2.0 * windings * u[..., 2]) * 2.0 * math.pi
+    return CoverElement(r * np.exp(1j * phi), omega)
 
 
 @dataclass(frozen=True)
 class PoincareElement:
-    """A pair (translation, covering Lorentz element)."""
+    """A pair (translation, covering Lorentz element), or a stack of pairs:
+    a Vec3 of arrays with a CoverElement of the same shape."""
 
     translation: Vec3
     lorentz: CoverElement
@@ -175,11 +204,8 @@ class PoincareElement:
         return cls(Vec3(0.0, 0.0, 0.0), g)
 
     def compose(self, other: "PoincareElement") -> "PoincareElement":
-        shifted = project(self.lorentz) @ other.translation.as_array()
-        return PoincareElement(
-            Vec3.from_array(self.translation.as_array() + shifted),
-            compose(self.lorentz, other.lorentz),
-        )
+        return PoincareElement(Vec3.from_array(self.act(other.translation)),
+                               compose(self.lorentz, other.lorentz))
 
     def act(self, x) -> np.ndarray:
-        return project(self.lorentz) @ as_array(x) + self.translation.as_array()
+        return act_on_vector(self.lorentz, x) + self.translation.as_array()

@@ -377,10 +377,12 @@ def gamma0_decompose(k, m: float, tol: float = 1e-10) -> Gamma0Decomposition:
 # builders of the compensated families
 # ---------------------------------------------------------------------------
 
-def per_momentum(q, fn):
-    """fn at one momentum, or the array of fn over a batch (a sequence) of
-    momenta; per_momentum(q, MomentumPoint.as_array) is a family's anchor."""
-    return fn(q) if isinstance(q, MomentumPoint) else np.array([fn(p) for p in q])
+def stack_momenta(q) -> MomentumPoint:
+    """One momentum as it is, or a batch (a sequence) of momenta as one
+    MomentumPoint stack; stack_momenta(q).as_array() is a family's anchor."""
+    if isinstance(q, MomentumPoint):
+        return q
+    return MomentumPoint(*(np.array([getattr(p, k) for p in q]) for k in ("p1", "p2", "m")))
 
 
 def normalize_at(expr: PowerProduct, z0: complex, target: complex) -> PowerProduct:
@@ -448,8 +450,8 @@ def boost_family_phase_raw(g: cg.CoverElement, q: MomentumPoint, s: float,
     ledgered powers; a sequence of momenta q gives one batched family.  The
     caller anchors the overall phase with normalize_at.
     """
-    qa = per_momentum(q, MomentumPoint.as_array)
-    m = _per_row(per_momentum(q, lambda p: p.m))
+    qs = stack_momenta(q)
+    qa, m = qs.as_array(), _per_row(qs.m)
     a00, a01, a10, a11 = cg.sl2_matrix(g).ravel()
     lam_inv = cg.project(cg.inverse(g))
     # b(q)^-1 = (adj(Q) + m) / c_q, constant along the family
@@ -496,12 +498,10 @@ def compensated_family_expr(g: cg.CoverElement, q: MomentumPoint, s: float) -> P
     anchored at z = 0 against the exact shell functions.  For a sequence of
     momenta q the family is batched, and each row is anchored at its own one.
     """
-    lam_inv = cg.project(cg.inverse(g))
-    raw = (boost_family_phase_raw(g, q, s)
-           * u_power_raw(lam_inv, per_momentum(q, MomentumPoint.as_array),
-                         s, per_momentum(q, lambda p: p.m), "pihalf"))
-    target = per_momentum(q, lambda p: cmath.exp(1j * s * wg.wigner_angle(g, p))
-                           * wg.u_pihalf(wg.transport(g, p), s))
+    qs = stack_momenta(q)
+    raw = (boost_family_phase_raw(g, qs, s)
+           * u_power_raw(cg.project(cg.inverse(g)), qs.as_array(), s, qs.m, "pihalf"))
+    target = np.exp(1j * s * wg.wigner_angle(g, qs)) * wg.u_pihalf(wg.transport(g, qs), s)
     return normalize_at(raw, 0.0, target)
 
 
@@ -511,9 +511,9 @@ def uncompensated_phase_expr(g: cg.CoverElement, q: MomentumPoint, s: float) -> 
     For non-integer s this has genuine branch points inside the strip (at the
     zeros of the boosted energy factor); it exists as the negative control.
     """
-    raw = boost_family_phase_raw(g, q, s)
-    target = per_momentum(q, lambda p: cmath.exp(1j * s * wg.wigner_angle(g, p)))
-    return normalize_at(raw, 0.0, target)
+    qs = stack_momenta(q)
+    return normalize_at(boost_family_phase_raw(g, qs, s), 0.0,
+                        np.exp(1j * s * wg.wigner_angle(g, qs)))
 
 
 def boost_energy_branch_point(p: MomentumPoint) -> complex:

@@ -6,11 +6,14 @@ psi(Lambda^{-1} p), unitary for the invariant measure d^2p / (2 p0).  The
 generators are obtained by Richardson-refined central differences, keeping
 the representation itself a black box; the Casimir J.P with J = (-L0, L2,
 -L1) must act as the scalar -m*s.
+
+Wave functions take a momentum or a stack of them (a MomentumPoint stack or
+on-shell vectors (..., 3)) and return (..., n); act and inner_product
+evaluate whole grids of momenta in one call.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import covergroup as cg
 from . import wigner as wg
-from .minkowski import minkowski_product, to_momentum
+from .minkowski import MomentumPoint, minkowski_product, to_momentum
 
 
 class QuadratureSupportError(ValueError):
@@ -41,9 +44,9 @@ class RepConfig:
 class WaveFunction:
     """A smooth C^n-valued function on the positive mass shell.
 
-    fn maps a real on-shell 3-vector (p0, p1, p2) to a length-n complex
-    vector.  Instances are immutable in practice; act() wraps rather than
-    mutates.
+    fn maps real on-shell 3-vectors (..., 3) of components (p0, p1, p2) to
+    complex vectors (..., n).  Instances are immutable in practice; act()
+    wraps rather than mutates.
     """
 
     def __init__(self, config: RepConfig, fn):
@@ -63,11 +66,11 @@ class WaveFunction:
             else np.asarray(vector, dtype=complex)
 
         def fn(parr):
-            d = parr[1:] - c
-            val = math.exp(-float(d @ d) / width ** 2)
+            d = parr[..., 1:] - c
+            val = np.exp(-(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) / width ** 2)
             if poly is not None:
-                val *= poly(parr)
-            return val * v
+                val = val * poly(parr)
+            return val[..., None] * v
 
         return cls(config, fn)
 
@@ -75,14 +78,13 @@ class WaveFunction:
 def act(g: cg.PoincareElement, psi: WaveFunction) -> WaveFunction:
     """(U(a, g) psi)(p) = e^{i s Omega} e^{i a.p} psi(Lambda^{-1} p)."""
     cfg = psi.config
-    lam_inv = cg.project(cg.inverse(g.lorentz))
     a = g.translation.as_array()
 
     def fn(parr):
         p = to_momentum(parr, cfg.m)
-        phase = cmath.exp(1j * cfg.s * wg.wigner_angle(g.lorentz, p))
-        phase *= cmath.exp(1j * minkowski_product(a, parr))
-        return phase * psi(lam_inv @ parr)
+        phase = (np.exp(1j * cfg.s * wg.wigner_angle(g.lorentz, p))
+                 * np.exp(1j * minkowski_product(a, parr)))
+        return phase[..., None] * psi(wg.transport(g.lorentz, p))
 
     return WaveFunction(cfg, fn)
 
@@ -110,23 +112,17 @@ def inner_product(phi: WaveFunction, psi: WaveFunction,
         grid = QuadGrid()
     m = psi.config.m
     p1, p2, W = grid.nodes_weights()
-    total = 0j
-    edge_max = 0.0
-    bulk_max = 0.0
-    for i, a in enumerate(p1):
-        for j, b in enumerate(p2):
-            parr = np.array([math.sqrt(a * a + b * b + m * m), a, b])
-            f = np.vdot(phi(parr), psi(parr))
-            total += W[i, j] * f / (2.0 * parr[0])
-            mag = abs(np.vdot(psi(parr), psi(parr)))
-            bulk_max = max(bulk_max, mag)
-            if i in (0, len(p1) - 1) or j in (0, len(p2) - 1):
-                edge_max = max(edge_max, mag)
+    p = MomentumPoint(*np.meshgrid(p1, p2, indexing="ij"), m)
+    vals = psi(p)
+    total = np.sum(W * np.sum(phi(p).conj() * vals, axis=-1) / (2.0 * p.p0))
+    mag = np.sum(np.abs(vals) ** 2, axis=-1)
+    bulk_max = float(np.max(mag))
+    edge_max = float(max(np.max(mag[[0, -1], :]), np.max(mag[:, [0, -1]])))
     # envelope < 1e-12 of peak at the box edge, i.e. 1e-24 on |psi|^2
     if check_support and bulk_max > 0 and edge_max > 1e-24 * bulk_max:
         raise QuadratureSupportError(
             f"integrand at box edge is {edge_max / bulk_max:.2e} of its peak")
-    return total
+    return complex(total)
 
 
 _BOOST_KINDS = {
@@ -139,7 +135,7 @@ _BOOST_KINDS = {
 def _group_value(psi: WaveFunction, kind: str, t: float, parr: np.ndarray) -> np.ndarray:
     g = _BOOST_KINDS[kind](t)
     p = to_momentum(parr, psi.config.m)
-    phase = cmath.exp(1j * psi.config.s * wg.wigner_angle(g, p))
+    phase = np.exp(1j * psi.config.s * wg.wigner_angle(g, p))
     return phase * psi(cg.project(cg.inverse(g)) @ parr)
 
 
@@ -172,7 +168,7 @@ def pauli_lubanski(psi: WaveFunction, p, step: float = 0.004) -> np.ndarray:
     cfg = psi.config
     out = np.zeros(cfg.n, dtype=complex)
     for coeff, jkind, mu in ((-1.0, "L0", 0), (1.0, "L2", 1), (-1.0, "L1", 2)):
-        mult = WaveFunction(cfg, lambda parr, mu=mu: parr[mu] * psi(parr))
+        mult = WaveFunction(cfg, lambda parr, mu=mu: parr[..., mu, None] * psi(parr))
         out += coeff * generator(mult, jkind, p, step)
     return out
 

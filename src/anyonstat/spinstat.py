@@ -150,14 +150,14 @@ class WaveMatrixFamily:
         m = self.model
         return (holo.compensated_family_expr(cg.identity(), q, m.s)
                 * holo.exp_mink_dot(m.b1, np.eye(3),
-                                    holo.per_momentum(q, MomentumPoint.as_array)))
+                                    holo.stack_momenta(q).as_array()))
 
     def pref2bar_expr(self, q) -> holo.PowerProduct:
         """Scalar prefactor of the conjugated dressed second family."""
         m = self.model
         return (holo.compensated_family_expr(cg.identity(), q, -m.s)
                 * holo.exp_mink_dot(m.b2, np.eye(3),
-                                    holo.per_momentum(q, MomentumPoint.as_array)))
+                                    holo.stack_momenta(q).as_array()))
 
     def pref2_pi_expr(self, q: MomentumPoint) -> holo.PowerProduct:
         """Scalar prefactor of the half-turn-rotated second family.

@@ -97,8 +97,16 @@ def _rng(config: SuiteConfig, salt: int):
     return np.random.default_rng(np.random.SeedSequence((config.seed, salt)))
 
 
-def _shell(rng, m=1.0, spread=0.9):
-    return mk.shell_point(rng.uniform(-spread, spread), rng.uniform(-spread, spread), m)
+def _shell(u, m=1.0, spread=0.9) -> mk.MomentumPoint:
+    """Shell momenta with (p1, p2) = rng.uniform(-spread, spread, 2) made of
+    the uniform draws u (..., 2): a block of draws gives a stack."""
+    p1, p2 = np.moveaxis(-spread + 2.0 * spread * np.asarray(u, dtype=float), -1, 0)
+    return mk.MomentumPoint(p1, p2, m)
+
+
+def _worst(*residuals) -> float:
+    """The largest absolute entry over scalar or array residuals."""
+    return max(float(np.max(np.abs(r))) for r in residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +114,9 @@ def _shell(rng, m=1.0, spread=0.9):
 # ---------------------------------------------------------------------------
 
 def _series_expm(M: np.ndarray, terms: int = 40) -> np.ndarray:
-    out = np.eye(M.shape[0], dtype=complex)
-    term = np.eye(M.shape[0], dtype=complex)
+    """exp of a matrix or a stack (..., k, k) by its Taylor series."""
+    out = np.broadcast_to(np.eye(M.shape[-1], dtype=complex), M.shape).copy()
+    term = out.copy()
     for k in range(1, terms):
         term = term @ M / k
         out = out + term
@@ -117,54 +126,42 @@ def _series_expm(M: np.ndarray, terms: int = 40) -> np.ndarray:
 def group_suite(config: SuiteConfig) -> list:
     rng = _rng(config, 1)
     records = []
+    # a block of draws holds, row by row, a per-sample loop's draws
 
-    worst = 0.0
-    for _ in range(1000):
-        a, b = cg.random_element(rng), cg.random_element(rng)
-        worst = max(worst, float(np.max(np.abs(
-            cg.project(cg.compose(a, b)) - cg.project(a) @ cg.project(b)))))
+    u = rng.uniform(size=(1000, 6))
+    a, b = cg.element_from_draws(u[:, :3]), cg.element_from_draws(u[:, 3:])
+    worst = _worst(cg.project(cg.compose(a, b)) - cg.project(a) @ cg.project(b))
     records.append(_record("group", "cover-homomorphism",
                            {"samples": 1000}, {"matrix": worst}, 1e-12))
 
-    wm, wo = 0.0, 0.0
-    for _ in range(200):
-        g = cg.random_element(rng)
-        for k in (-2, -1, 1, 2):
-            deck = cg.compose(cg.lift_rotation(2.0 * math.pi * k), g)
-            wm = max(wm, float(np.max(np.abs(cg.project(deck) - cg.project(g)))))
-            wo = max(wo, abs(deck.omega - g.omega - 2.0 * math.pi * k))
+    g = cg.element_from_draws(rng.uniform(size=(200, 3)))
+    k = np.array([-2.0, -1.0, 1.0, 2.0])[:, None]
+    deck = cg.compose(cg.lift_rotation(2.0 * math.pi * k), g)
+    wm = _worst(cg.project(deck) - cg.project(g))
+    wo = _worst(deck.omega - g.omega - 2.0 * math.pi * k)
     records.append(_record("group", "deck-transformations",
                            {"samples": 200, "decks": 4},
                            {"matrix": wm, "winding": wo},
                            {"matrix": 1e-12, "winding": 1e-10}))
 
-    wg_, wo = 0.0, 0.0
-    for _ in range(1000):
-        g = cg.random_element(rng)
-        e = cg.compose(cg.inverse(g), g)
-        wg_ = max(wg_, abs(e.gamma))
-        wo = max(wo, abs(e.omega))
+    g = cg.element_from_draws(rng.uniform(size=(1000, 3)))
+    e = cg.compose(cg.inverse(g), g)
     records.append(_record("group", "cover-inverse", {"samples": 1000},
-                           {"gamma": wg_, "omega": wo},
+                           {"gamma": _worst(e.gamma), "omega": _worst(e.omega)},
                            {"gamma": 1e-12, "omega": 1e-10}))
 
-    wj, winv, wcont = 0.0, 0.0, 0.0
-    for _ in range(300):
-        g = cg.random_element(rng)
-        h = cg.random_element(rng)
-        wj = max(wj, float(np.max(np.abs(
-            cg.project(cg.j_conjugate(g)) - mk.J @ cg.project(g) @ mk.J))))
-        lhs = cg.j_conjugate(cg.compose(g, h))
-        rhs = cg.compose(cg.j_conjugate(g), cg.j_conjugate(h))
-        wj = max(wj, abs(lhs.gamma - rhs.gamma), abs(lhs.omega - rhs.omega))
-        gg = cg.j_conjugate(cg.j_conjugate(g))
-        winv = max(winv, abs(gg.gamma - g.gamma), abs(gg.omega - g.omega))
+    u = rng.uniform(size=(300, 6))
+    g, h = cg.element_from_draws(u[:, :3]), cg.element_from_draws(u[:, 3:])
+    lhs = cg.j_conjugate(cg.compose(g, h))
+    rhs = cg.compose(cg.j_conjugate(g), cg.j_conjugate(h))
+    wj = _worst(cg.project(cg.j_conjugate(g)) - mk.J @ cg.project(g) @ mk.J,
+                lhs.gamma - rhs.gamma, lhs.omega - rhs.omega)
+    gg = cg.j_conjugate(cg.j_conjugate(g))
+    winv = _worst(gg.gamma - g.gamma, gg.omega - g.omega)
     g = cg.random_element(rng)
-    prev = cg.identity()
-    for k in range(1, 101):
-        cur = cg.j_conjugate(cg.CoverElement(g.gamma * k / 100.0, g.omega * k / 100.0))
-        wcont = max(wcont, abs(cur.gamma - prev.gamma) + abs(cur.omega - prev.omega) - 0.2)
-        prev = cur
+    steps = np.arange(0, 101)
+    path = cg.j_conjugate(cg.CoverElement(g.gamma * steps / 100.0, g.omega * steps / 100.0))
+    wcont = float(np.max(np.abs(np.diff(path.gamma)) + np.abs(np.diff(path.omega)) - 0.2))
     records.append(_record("group", "j-conjugation",
                            {"samples": 300, "path_steps": 100},
                            {"conjugation": wj, "involution": winv,
@@ -172,34 +169,29 @@ def group_suite(config: SuiteConfig) -> list:
                            {"conjugation": 1e-12, "involution": 1e-12,
                             "continuity_excess": 1e-12}))
 
-    worst = 0.0
-    for _ in range(1000):
-        a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
-        worst = max(worst, float(np.max(np.abs(
-            mk.boost1(a) @ mk.boost1(b) - mk.boost1(a + b)))))
+    a, b = (-2.0 + 4.0 * rng.uniform(size=(1000, 2))).T
+    worst = _worst(mk.boost1(a) @ mk.boost1(b) - mk.boost1(a + b))
     records.append(_record("group", "boost-group-law", {"samples": 1000},
                            {"matrix": worst}, 1e-12))
 
     K1 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     sigma = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    we, wf, wmet = 0.0, 0.0, 0.0
-    for t in np.linspace(-2.0, 2.0, 20):
-        for th in np.linspace(0.0, math.pi, 20):
-            z = complex(t, th)
-            B = mk.boost1(z)
-            we = max(we, float(np.max(np.abs(B - _series_expm(z * K1)))))
-            Jth = np.diag([math.cos(th), math.cos(th), 1.0])
-            wf = max(wf, float(np.max(np.abs(
-                B - (Jth + 1j * math.sin(th) * sigma) @ mk.boost1(t)))))
-            wmet = max(wmet, mk.lorentz_residual(B))
+    t = np.linspace(-2.0, 2.0, 20)[:, None]
+    th = np.linspace(0.0, math.pi, 20)[None, :]
+    z = t + 1j * th
+    B = mk.boost1(z)
+    we = _worst(B - _series_expm(z[..., None, None] * K1))
+    Jth = np.cos(th)[..., None, None] * np.diag([1.0, 1.0, 0.0]) + np.diag([0.0, 0.0, 1.0])
+    wf = _worst(B - (Jth + 1j * np.sin(th)[..., None, None] * sigma) @ mk.boost1(t))
+    wmet = mk.lorentz_residual(B)
     records.append(_record("group", "boost-strip-extension",
                            {"grid": "20x20 over [-2,2]+i[0,pi]"},
                            {"series_oracle": we, "factored_form": wf,
                             "metric": wmet}, 1e-12))
 
-    r_ipi = float(np.max(np.abs(mk.boost1(1j * math.pi) - mk.J)))
-    wjc = max(float(np.max(np.abs(mk.J @ mk.boost1(t) @ mk.J - mk.boost1(t))))
-              for t in np.linspace(-2, 2, 9))
+    r_ipi = _worst(mk.boost1(1j * math.pi) - mk.J)
+    ts = np.linspace(-2, 2, 9)
+    wjc = _worst(mk.J @ mk.boost1(ts) @ mk.J - mk.boost1(ts))
     records.append(_record("group", "boost-reflection-value", {},
                            {"value": r_ipi, "j_commutation": wjc}, 1e-14))
     return records
@@ -213,79 +205,68 @@ def wigner_suite(config: SuiteConfig) -> list:
     rng = _rng(config, 2)
     records = []
     s = 1.0 / 3.0
+    # a block of draws holds, row by row, a per-sample loop's draws
 
-    worst = 0.0
-    for _ in range(1000):
-        a, b = cg.random_element(rng), cg.random_element(rng)
-        p = _shell(rng)
-        lhs = wg.wigner_angle(cg.compose(a, b), p)
-        rhs = wg.wigner_angle(a, p) + wg.wigner_angle(b, wg.transport(a, p))
-        worst = max(worst, abs(lhs - rhs))
+    u = rng.uniform(size=(1000, 8))
+    a, b = cg.element_from_draws(u[:, :3]), cg.element_from_draws(u[:, 3:6])
+    p = _shell(u[:, 6:])
+    lhs = wg.wigner_angle(cg.compose(a, b), p)
+    rhs = wg.wigner_angle(a, p) + wg.wigner_angle(b, wg.transport(a, p))
     records.append(_record("wigner", "cocycle-additivity", {"samples": 1000},
-                           {"angle": worst}, 1e-9))
+                           {"angle": _worst(lhs - rhs)}, 1e-9))
 
-    worst = 0.0
-    for w in (0.0, 0.37, -1.2, math.pi, 2.0 * math.pi, 4.0 * math.pi, -2.0 * math.pi, 7.1):
-        for _ in range(20):
-            p = _shell(rng)
-            worst = max(worst, abs(wg.wigner_angle(cg.lift_rotation(w), p) - w))
+    w = np.array([0.0, 0.37, -1.2, math.pi, 2.0 * math.pi, 4.0 * math.pi,
+                  -2.0 * math.pi, 7.1])[:, None]
+    p = _shell(rng.uniform(size=(8, 20, 2)))
+    worst = _worst(wg.wigner_angle(cg.lift_rotation(w), p) - w)
     records.append(_record("wigner", "rotation-angle-exactness",
                            {"angles": 8, "momenta": 20}, {"angle": worst}, 1e-10))
 
-    worst = 0.0
-    for _ in range(1000):
-        g = cg.random_element(rng)
-        p = _shell(rng)
-        mjp = mk.to_momentum(-mk.j_reflect(p.as_array()), p.m)
-        worst = max(worst, abs(wg.wigner_angle(cg.j_conjugate(g), p)
-                               + wg.wigner_angle(g, mjp)))
+    u = rng.uniform(size=(1000, 5))
+    g, p = cg.element_from_draws(u[:, :3]), _shell(u[:, 3:])
+    mjp = mk.to_momentum(-mk.j_reflect(p.as_array()), p.m)
+    worst = _worst(wg.wigner_angle(cg.j_conjugate(g), p) + wg.wigner_angle(g, mjp))
     records.append(_record("wigner", "reflection-angle-identity",
                            {"samples": 1000}, {"angle": worst}, 1e-9))
 
-    wmod, wlaw, wl0 = 0.0, 0.0, 0.0
     g0 = cg.lift_rotation(math.pi / 2.0)
-    for _ in range(300):
-        a, b = cg.random_element(rng), cg.random_element(rng)
-        p = _shell(rng)
-        c = wg.cocycle(a, p, s)
-        wmod = max(wmod, abs(abs(c) - abs(wg.u_plain(wg.transport(a, p), s))
-                             / abs(wg.u_plain(p, s))))
-        lhs = wg.cocycle(cg.compose(a, b), p, s)
-        rhs = wg.cocycle(a, p, s) * wg.cocycle(b, wg.transport(a, p), s)
-        wlaw = max(wlaw, abs(lhs - rhs))
-        lhs0 = wg.u_l0(p, s, g0) * wg.cocycle(a, p, s, variant="c_l0", g0=g0)
-        rhs0 = wg.u_plain(p, s) * wg.cocycle(cg.compose(a, g0), p, s)
-        wl0 = max(wl0, abs(lhs0 - rhs0))
+    u = rng.uniform(size=(300, 8))
+    a, b = cg.element_from_draws(u[:, :3]), cg.element_from_draws(u[:, 3:6])
+    p = _shell(u[:, 6:])
+    c = wg.cocycle(a, p, s)
+    wmod = _worst(np.abs(c) - np.abs(wg.u_plain(wg.transport(a, p), s))
+                  / np.abs(wg.u_plain(p, s)))
+    wlaw = _worst(wg.cocycle(cg.compose(a, b), p, s)
+                  - c * wg.cocycle(b, wg.transport(a, p), s))
+    wl0 = _worst(wg.u_l0(p, s, g0) * wg.cocycle(a, p, s, variant="c_l0", g0=g0)
+                 - wg.u_plain(p, s) * wg.cocycle(cg.compose(a, g0), p, s))
     records.append(_record("wigner", "cocycle-modulus-and-law",
                            {"samples": 300},
                            {"modulus": wmod, "law": wlaw, "shifted": wl0}, 1e-10))
 
-    worst, wloop = 0.0, 0.0
-    for _ in range(300):
-        g = cg.random_element(rng)
-        p = _shell(rng)
-        worst = max(worst, abs(cmath.exp(1j * wg.wigner_angle(g, p))
-                               - wg.little_group_phase(g, p)))
-    for k in (-2, -1, 1, 2):
-        p = _shell(rng)
-        gs = [cg.random_element(rng, disk_radius=0.5) for _ in range(3)]
-        chain = gs + [cg.inverse(g) for g in reversed(gs)] \
-            + [cg.lift_rotation(2.0 * math.pi * k)]
-        total, cur = 0.0, p
-        for g in chain:
-            total += wg.wigner_angle(g, cur)
-            cur = wg.transport(g, cur)
-        wloop = max(wloop, abs(total - 2.0 * math.pi * k))
+    u = rng.uniform(size=(300, 5))
+    g, p = cg.element_from_draws(u[:, :3]), _shell(u[:, 3:])
+    worst = _worst(np.exp(1j * wg.wigner_angle(g, p)) - wg.little_group_phase(g, p))
+    # four loops (k = -2, -1, 1, 2), each a momentum and three elements
+    k = np.array([-2.0, -1.0, 1.0, 2.0])
+    u = rng.uniform(size=(4, 11))
+    p = _shell(u[:, :2])
+    gs = cg.element_from_draws(u[:, 2:].reshape(4, 3, 3), disk_radius=0.5)
+    chain = [gs[:, i] for i in range(3)] + [cg.inverse(gs[:, i]) for i in (2, 1, 0)] \
+        + [cg.lift_rotation(2.0 * math.pi * k)]
+    total = 0.0
+    for g in chain:
+        total = total + wg.wigner_angle(g, p)
+        p = wg.transport(g, p)
+    wloop = _worst(total - 2.0 * math.pi * k)
     records.append(_record("wigner", "little-group-phase-closed-form",
                            {"samples": 300, "loops": 4},
                            {"phase": worst, "deck_accumulation": wloop}, 1e-10))
 
-    worst = 0.0
-    for _ in range(200):
-        p = _shell(rng)
-        worst = max(worst, abs(wg.u_plain(mk.to_momentum(-mk.j_reflect(p.as_array()), p.m), s)
-                               - wg.u_plain(p, s).conjugate()))
-        worst = max(worst, abs(wg.u_l0(p, s, g0) - wg.u_pihalf(p, s)))
+    p = _shell(rng.uniform(size=(200, 2)))
+    mjp = mk.to_momentum(-mk.j_reflect(p.as_array()), p.m)
+    worst = _worst(wg.u_plain(mjp, s) - wg.u_plain(p, s).conjugate(),
+                   wg.u_l0(p, s, g0) - wg.u_pihalf(p, s))
     rest = mk.shell_point(0.0, 0.0, 1.0)
     worst = max(worst, abs(wg.u_plain(rest, 0.77) - 1.0))
     worst = max(worst, abs(wg.u_pihalf(rest, s) - cmath.exp(0.5j * math.pi * s)))
@@ -334,11 +315,12 @@ def continuation_suite(config: SuiteConfig) -> list:
     worst = 0.0
     for _ in range(6):
         g = _hypothesis_element(rng)
-        p = _shell(rng, spread=0.7)
+        p = _shell(rng.uniform(size=2), spread=0.7)
         f = holo.compensated_family_expr(g, p, s)
         worst = max(worst, holo.morera_residual(
             f, holo.StripPath.rectangle(-0.4, 0.4, 0.15, math.pi - 0.15)))
-    ent = holo.exp_mink_dot((0.4, 0.0, 0.0), np.eye(3), _shell(rng).as_array())
+    ent = holo.exp_mink_dot((0.4, 0.0, 0.0), np.eye(3),
+                            _shell(rng.uniform(size=2)).as_array())
     # perimeter-4 rectangle strictly inside the open strip
     r_ent = holo.morera_residual(ent, holo.StripPath.rectangle(-0.5, 0.5, 0.8, 1.8))
     records.append(_record("continuation", "strip-morera",
@@ -370,7 +352,7 @@ def continuation_suite(config: SuiteConfig) -> list:
                                and cdiff < config.tol_engine)))
 
     g = _hypothesis_element(rng)
-    p = _shell(rng, spread=0.6)
+    p = _shell(rng.uniform(size=2), spread=0.6)
     f = holo.compensated_family_expr(g, p, s)
     v0 = holo.continue_robust(f, [0.0, 1j * math.pi])
     v5 = holo.continue_robust(f, [0.0, 0.5, 0.5 + 1j * math.pi, 1j * math.pi])
@@ -406,6 +388,30 @@ def continuation_suite(config: SuiteConfig) -> list:
 # cones suite
 # ---------------------------------------------------------------------------
 
+def _equivariance_defects(rng, base: cgm.ConePath, count: int):
+    """Indices, in draw order, of the first `count` draws of Poincare pairs
+    (g1, g2) with no degenerate image, and per draw the largest difference
+    between (g1 g2) base and g1 (g2 base).  A draw is twelve uniforms (per
+    element a translation, then a cover element); blocks may overdraw."""
+    block = 64  # draws per batch; keeps the sigma-grid stacks well under 1 MB
+    rows, defects = [], []
+    while sum(map(len, rows)) < count:
+        u = rng.uniform(size=(block, 12))
+        g1, g2 = (cg.PoincareElement(mk.Vec3.from_array(-1.0 + 2.0 * u[:, i:i + 3]),
+                                     cg.element_from_draws(u[:, i + 3:i + 6], 0.3, 1.0))
+                  for i in (0, 6))
+        lhs = cgm.poincare_act_path(g1.compose(g2), base)
+        rhs = cgm.poincare_act_path(g1, cgm.poincare_act_path(g2, base))
+        diff = np.column_stack([lhs.accumulated_angle - rhs.accumulated_angle,
+                                lhs.sector.alpha - rhs.sector.alpha,
+                                lhs.sector.beta - rhs.sector.beta,
+                                lhs.sector.apex.as_array() - rhs.sector.apex.as_array()])
+        ok = ~np.isnan(diff).any(axis=1)
+        rows.append(block * len(rows) + np.flatnonzero(ok))
+        defects.append(np.max(np.abs(diff[ok]), axis=1))
+    return np.concatenate(rows)[:count], np.concatenate(defects)[:count]
+
+
 def cones_suite(config: SuiteConfig) -> list:
     rng = _rng(config, 4)
     records = []
@@ -436,18 +442,14 @@ def cones_suite(config: SuiteConfig) -> list:
                           {"configuration": "antipodal pair", "asymmetry_samples": 100},
                           {"violations": 0.0 if ok else 1.0}, ok))
 
-    worst = 0.0
-    nested_bad = 0
-    for _ in range(200):
-        a = rng.uniform(-math.pi, math.pi)
-        b = a + rng.uniform(0.15, 2.9)
-        sec = cgm.SpatialSector(a, b)
-        dd = cgm.dual_sector(cgm.dual_sector(sec))
-        worst = max(worst, abs(dd.alpha - a), abs(dd.beta - b))
-        inner = cgm.SpatialSector(a + 0.05, b - 0.05)
-        da, di = cgm.dual_sector(sec), cgm.dual_sector(inner)
-        if not (di.alpha <= da.alpha + 1e-12 and da.beta <= di.beta + 1e-12):
-            nested_bad += 1
+    u = rng.uniform(size=(200, 2))
+    a = -math.pi + 2.0 * math.pi * u[:, 0]
+    b = a + (0.15 + (2.9 - 0.15) * u[:, 1])
+    sec = cgm.SpatialSector(a, b)
+    dd = cgm.dual_sector(cgm.dual_sector(sec))
+    worst = _worst(dd.alpha - a, dd.beta - b)
+    da, di = cgm.dual_sector(sec), cgm.dual_sector(cgm.SpatialSector(a + 0.05, b - 0.05))
+    nested_bad = np.sum(~((di.alpha <= da.alpha + 1e-12) & (da.beta <= di.beta + 1e-12)))
     records.append(_record("cones", "dual-cone-double-dual", {"samples": 200},
                            {"angles": worst, "order_reversal_violations": float(nested_bad)},
                            {"angles": 1e-12, "order_reversal_violations": 0.5}))
@@ -493,25 +495,8 @@ def cones_suite(config: SuiteConfig) -> list:
     records.append(Record("cones", "difference-cone-salience",
                           {"configurations": 3}, {"violations": 0.0 if ok else 1.0}, ok))
 
-    worst = 0.0
-    count = 0
     base = cgm.single_cone_paths()[1]
-    while count < 500:
-        g1 = cg.PoincareElement(mk.Vec3(*rng.uniform(-1, 1, 3)),
-                                cg.random_element(rng, disk_radius=0.3, windings=1.0))
-        g2 = cg.PoincareElement(mk.Vec3(*rng.uniform(-1, 1, 3)),
-                                cg.random_element(rng, disk_radius=0.3, windings=1.0))
-        try:
-            lhs = cgm.poincare_act_path(g1.compose(g2), base)
-            rhs = cgm.poincare_act_path(g1, cgm.poincare_act_path(g2, base))
-        except cgm.DegenerateImage:
-            continue
-        count += 1
-        worst = max(worst, abs(lhs.accumulated_angle - rhs.accumulated_angle),
-                    abs(lhs.sector.alpha - rhs.sector.alpha),
-                    abs(lhs.sector.beta - rhs.sector.beta),
-                    float(np.max(np.abs(lhs.sector.apex.as_array()
-                                        - rhs.sector.apex.as_array()))))
+    worst = float(np.max(_equivariance_defects(rng, base, 500)[1]))
     deck = cgm.poincare_act_path(
         cg.PoincareElement.pure_lorentz(cg.lift_rotation(2.0 * math.pi)), base)
     worst_deck = abs(deck.accumulated_angle - base.accumulated_angle - 2.0 * math.pi)

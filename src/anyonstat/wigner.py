@@ -6,6 +6,10 @@ Omega(b, A^{-1} p), with Omega(identity, p) = 0 (the additive law leaves no
 other choice for the unit element) and Omega(lift_rotation(w), p) = w for
 every real w, including full turns.
 
+Every function broadcasts over an array-valued CoverElement and a
+MomentumPoint stack (`minkowski.to_momentum` makes one of vectors (..., 3));
+a single element and momentum give a scalar, or a MomentumPoint.
+
 All fractional powers taken here live on the real shell where the bracket
 arguments avoid the cut R^-_0, so principal branches are safe.  Evaluation
 at complex boost parameters is deliberately *not* done in this module; that
@@ -14,13 +18,12 @@ is the job of the continuation engine in `holo`.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
 from . import covergroup as cg
-from .minkowski import MomentumPoint, to_momentum
+from .minkowski import MomentumPoint, Vec3, any_set, to_momentum
 
 
 class BranchCutError(ValueError):
@@ -34,22 +37,31 @@ def standard_boost(p: MomentumPoint) -> cg.CoverElement:
     of the momentum's spinor matrix, lifted with zero winding; its disk
     coordinates are gamma = (p1 + i p2)/(p0 + m) and omega = 0.
     """
-    return cg.CoverElement(complex(p.p1, p.p2) / (p.p0 + p.m), 0.0)
+    e = p.p0 + p.m
+    gamma = p.p1 / e + 1j * (p.p2 / e)  # parts divided exactly, as in _sl2_entries
+    return cg.CoverElement(gamma, np.zeros(np.shape(gamma))[()])
 
 
 def transport(g: cg.CoverElement, p: MomentumPoint) -> MomentumPoint:
-    """The momentum Lambda^{-1} p, reattached to the shell."""
-    arr = cg.project(cg.inverse(g)) @ p.as_array()
-    return to_momentum(arr, p.m)
+    """The momentum Lambda^{-1} p, reattached to the shell.
+
+    p moves as its spinor matrix does, P -> B^{-1} P B^{-T}, with the entries
+    [[d, -b], [-c, a]] of B^{-1} put into the quadratics of the projection
+    and no 3x3 matrix built.
+    """
+    a, b, c, d = cg._sl2_entries(g.gamma, g.omega)
+    p0 = p.p0
+    q = (r[0] * p0 + r[1] * p.p1 + r[2] * p.p2 for r in cg._lorentz_rows(d, -b, -c, a))
+    return to_momentum(Vec3(*q), p.m)
 
 
 def little_group_element(g: cg.CoverElement, p: MomentumPoint) -> cg.CoverElement:
     """b(p)^{-1} g b(Lambda^{-1} p); projects into the rest-momentum stabiliser."""
     q = transport(g, p)
     w = cg.compose(cg.inverse(standard_boost(p)), cg.compose(g, standard_boost(q)))
-    if abs(w.gamma) > 1e-8:
+    if any_set(abs(w.gamma) > 1e-8):
         raise ArithmeticError(
-            f"little-group element has |gamma| = {abs(w.gamma):.3e}; "
+            f"little-group element has |gamma| = {np.max(abs(w.gamma)):.3e}; "
             "standard-boost conventions are broken"
         )
     return w
@@ -74,32 +86,34 @@ def little_group_phase(g: cg.CoverElement, p: MomentumPoint) -> complex:
         @ cg.sl2_matrix(g)
         @ cg.sl2_matrix(standard_boost(q))
     )
-    return complex(B[0, 0], B[1, 0]) ** 2
+    return (B[..., 0, 0] + 1j * B[..., 1, 0]) ** 2
 
 
 def _principal_power(bracket: complex, s: float) -> complex:
-    if bracket.imag == 0.0 and bracket.real <= 0.0:
-        raise BranchCutError(f"power base {bracket} lies on the cut R^-_0")
+    on_cut = (bracket.imag == 0.0) & (bracket.real <= 0.0)
+    if any_set(on_cut):
+        bad = np.asarray(bracket)[np.asarray(on_cut)][0]
+        raise BranchCutError(f"power base {bad} lies on the cut R^-_0")
     return bracket ** s
 
 
 def u_plain(p: MomentumPoint, s: float) -> complex:
     """((p0-p1)/m * (p0-p1+m-i p2)/(p0-p1+m+i p2))^s, principal branch."""
     x = p.p0 - p.p1
-    bracket = (x / p.m) * complex(x + p.m, -p.p2) / complex(x + p.m, p.p2)
+    bracket = (x / p.m) * ((x + p.m) - 1j * p.p2) / ((x + p.m) + 1j * p.p2)
     return _principal_power(bracket, s)
 
 
 def u_pihalf(p: MomentumPoint, s: float) -> complex:
     """e^{i s pi/2} ((p0-p2)/m * (p0-p2+m+i p1)/(p0-p2+m-i p1))^s."""
     y = p.p0 - p.p2
-    bracket = (y / p.m) * complex(y + p.m, p.p1) / complex(y + p.m, -p.p1)
-    return cmath.exp(0.5j * s * math.pi) * _principal_power(bracket, s)
+    bracket = (y / p.m) * ((y + p.m) + 1j * p.p1) / ((y + p.m) - 1j * p.p1)
+    return np.exp(0.5j * s * math.pi) * _principal_power(bracket, s)
 
 
 def u_l0(p: MomentumPoint, s: float, g0: cg.CoverElement) -> complex:
     """e^{i s Omega(g0, p)} u(Lambda_0^{-1} p): the g0-shifted compensator."""
-    return cmath.exp(1j * s * wigner_angle(g0, p)) * u_plain(transport(g0, p), s)
+    return np.exp(1j * s * wigner_angle(g0, p)) * u_plain(transport(g0, p), s)
 
 
 def cocycle(g: cg.CoverElement, p: MomentumPoint, s: float,
@@ -111,7 +125,7 @@ def cocycle(g: cg.CoverElement, p: MomentumPoint, s: float,
     cocycle law in (g, p).
     """
     q = transport(g, p)
-    phase = cmath.exp(1j * s * wigner_angle(g, p))
+    phase = np.exp(1j * s * wigner_angle(g, p))
     if variant == "c":
         return phase * u_plain(q, s) / u_plain(p, s)
     if variant == "c_l0":

@@ -253,6 +253,18 @@ def test_an_exception_escaping_a_suite_is_a_fail_record(monkeypatch):
         for name in suites.SUITE_NAMES]
 
 
+@pytest.mark.parametrize("flags", [["--tol-pipeline", "-1e-8"], ["--mass", "-inf"],
+                                   ["--tol-engine", "-2.5E-3"]])
+def test_a_separate_negative_exponent_value_is_a_config_error(flags, capsys):
+    # argparse reads only -1 / -0.5 style strings as negative numbers; the
+    # separated form must reach the config checks like --flag=value does
+    assert cli.main(["--suite", "pauli-lubanski", *flags]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "expected one argument" not in err
+    assert cli.main(["--suite", "pauli-lubanski", "=".join(flags)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_uncastable_config_file_value_is_a_config_error(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text("seed = seven\n")

@@ -65,6 +65,52 @@ def test_inner_product_properties():
     assert abs(ip0 - ip2) < 1e-8
 
 
+def _scalar_inner_product(phi, psi, grid=None):
+    """The node-by-node loop inner_product replaced, as an oracle: the sum
+    and the edge-support check, one shell point at a time."""
+    grid = grid or repn.QuadGrid()
+    m = psi.config.m
+    p1, p2, W = grid.nodes_weights()
+    total, edge_max, bulk_max = 0j, 0.0, 0.0
+    for i, a in enumerate(p1):
+        for j, b in enumerate(p2):
+            parr = np.array([math.sqrt(a * a + b * b + m * m), a, b])
+            total += W[i, j] * np.vdot(phi(parr), psi(parr)) / (2.0 * parr[0])
+            mag = abs(np.vdot(psi(parr), psi(parr)))
+            bulk_max = max(bulk_max, mag)
+            if i in (0, len(p1) - 1) or j in (0, len(p2) - 1):
+                edge_max = max(edge_max, mag)
+    return total, edge_max > 1e-24 * bulk_max
+
+
+def test_inner_product_matches_the_pointwise_loop():
+    cfg = repn.RepConfig(1.0, 1 / 3, 2)
+    psi = repn.WaveFunction.gaussian(cfg, center=(0.2, 0.0), width=0.5, vector=[1.0, 0.5j])
+    phi = repn.WaveFunction.gaussian(cfg, center=(-0.1, 0.2), width=0.6,
+                                     poly=lambda a: 1.0 + a[..., 1] * a[..., 2])
+    g = cg.PoincareElement(Vec3(0.3, -0.2, 0.5), cg.compose(cg.lift_rotation(0.4),
+                                                             cg.lift_boost(0.7, 0.25)))
+    grid = repn.QuadGrid(halfwidth=3.9, order=24)
+    for f, h in ((phi, psi), (repn.act(g, phi), repn.act(g, psi))):
+        ref, outside = _scalar_inner_product(f, h, grid)
+        assert not outside
+        assert abs(repn.inner_product(f, h, grid) - ref) < 1e-14 * max(1.0, abs(ref))
+    # the batched action agrees with the action at single momenta
+    upsi = repn.act(g, psi)
+    pts = np.array([[0.3, -0.1], [-0.7, 0.45], [1.2, 0.0]])
+    batch = upsi(mk.to_momentum(
+        np.column_stack([np.sqrt(1.0 + (pts ** 2).sum(1)), pts]), 1.0))
+    assert batch.shape == (3, 2)
+    for row, (a, b) in zip(batch, pts):
+        assert np.max(np.abs(row - upsi(mk.shell_point(a, b, 1.0)))) < 1e-15
+    # support leaking through one pair of box edges only, either pair
+    for center in ((0.0, 3.0), (3.0, 0.0), (0.0, -3.0)):
+        leak = repn.WaveFunction.gaussian(cfg, center=center, width=0.6)
+        assert _scalar_inner_product(leak, leak, grid)[1]
+        with pytest.raises(repn.QuadratureSupportError):
+            repn.inner_product(leak, leak, grid)
+
+
 def test_orthogonal_components():
     cfg = repn.RepConfig(1.0, 0.5, 2)
     psi = repn.WaveFunction.gaussian(cfg, vector=[1.0, 0.0])
