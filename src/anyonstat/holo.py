@@ -110,10 +110,16 @@ class PowerProduct:
         return self.scale * np.exp(total)
 
 
+def _matrix_rows(mat) -> np.ndarray:
+    """A 3x3 matrix as it is; a (batch, 3, 3) stack with (batch, 1) entries."""
+    mat = np.asarray(mat, dtype=float)
+    return mat if mat.ndim == 2 else np.moveaxis(mat, 0, -1)[..., None]
+
+
 def momentum(pre, anchor, z, sign: float = -1.0) -> list:
     """The components of k(z) = pre @ boost1(sign z) @ anchor, entire in z.
 
-    A (batch, 3) anchor gives (batch, samples) components.
+    A (batch, 3) anchor or (batch, 3, 3) pre gives (batch, samples) components.
     """
     v = np.asarray(anchor, dtype=float)
     if v.ndim == 2:
@@ -121,7 +127,7 @@ def momentum(pre, anchor, z, sign: float = -1.0) -> list:
     zz = sign * z
     c, s = np.cosh(zz), np.sinh(zz)
     x, y = v[0] * c + v[1] * s, v[0] * s + v[1] * c
-    return [row[0] * x + row[1] * y + row[2] * v[2] for row in np.asarray(pre, dtype=float)]
+    return [row[0] * x + row[1] * y + row[2] * v[2] for row in _matrix_rows(pre)]
 
 
 def eval_principal(expr: PowerProduct, z):
@@ -447,12 +453,12 @@ def boost_family_phase_raw(g: cg.CoverElement, q: MomentumPoint, s: float,
     Built from the 2x2 little-group matrix b(q)^-1 B1(eps z) A_g (K'(z) + m),
     with K'(z) the spinor of k'(z) = project(g^-1) boost1(-eps z) q: the
     numerator is entire and the two square-root normalizations appear as
-    ledgered powers; a sequence of momenta q gives one batched family.  The
-    caller anchors the overall phase with normalize_at.
+    ledgered powers; a sequence of momenta q, a stack of elements g, or both
+    give one batched family.  The caller anchors the phase with normalize_at.
     """
     qs = stack_momenta(q)
     qa, m = qs.as_array(), _per_row(qs.m)
-    a00, a01, a10, a11 = cg.sl2_matrix(g).ravel()
+    a00, a01, a10, a11 = (_per_row(e) for e in cg._sl2_entries(g.gamma, g.omega))
     lam_inv = cg.project(cg.inverse(g))
     # b(q)^-1 = (adj(Q) + m) / c_q, constant along the family
     q0, q1, q2 = (_per_row(c) for c in qa.T)
@@ -473,9 +479,10 @@ def boost_family_phase_raw(g: cg.CoverElement, q: MomentumPoint, s: float,
 def fixed_element_phase_raw(g: cg.CoverElement, pre, anchor, s: float,
                             m: float) -> PowerProduct:
     """Raw family z -> e^{i s Omega(g, k(z))} with k(z) = pre @ boost1(-z) @ anchor,
-    from the 2x2 product (adj(K) + m) A_g (K' + m) for k' = project(g^-1) k."""
-    a00, a01, a10, a11 = cg.sl2_matrix(g).ravel()
-    lam_inv = cg.project(cg.inverse(g))
+    from the 2x2 product (adj(K) + m) A_g (K' + m) for k' = project(g^-1) k;
+    a stack of elements g gives one row per element."""
+    a00, a01, a10, a11 = (_per_row(e) for e in cg._sl2_entries(g.gamma, g.omega))
+    lam_inv = _matrix_rows(cg.project(cg.inverse(g)))
 
     def bases(z):
         k0, k1, k2 = momentum(pre, anchor, z)
@@ -537,9 +544,9 @@ def boost_energy_branch_point(p: MomentumPoint) -> complex:
 class OdeFamily:
     """Data needed by ode_continue.
 
-    h_batch(t0, zs) returns the matrices h_{t0}(z) = f2(z) f1(z + t0) at the
-    given strip samples (engine backed for the pipeline families), and
-    f1_real(t) evaluates the continued function on the real axis.
+    h_batch(t0s, zs) returns h_{t0}(z) = f2(z) f1(z + t0) for an array of
+    offsets at the strip samples, shape (offsets, samples, n, n); the pipeline
+    walks its offsets as rows of one family.  f1_real(t) is f1 on the real axis.
     """
 
     h_batch: callable
@@ -547,14 +554,13 @@ class OdeFamily:
 
 
 def _family_from_callable(h) -> OdeFamily:
-    # Closed-form h(z, t0) with f2 = identity, so f1 = h(., 0).
-    def batch(t0, zs):
-        return np.array([np.atleast_2d(np.asarray(h(z, t0), dtype=complex)) for z in zs])
+    # Closed-form h(z, t0) with f2 = identity, so f1 = h(., 0); built one
+    # offset at a time, which keeps fewer tiny matrices alive at once.
+    def batch(t0s, zs):
+        return np.stack([np.array([np.atleast_2d(np.asarray(h(z, t0), dtype=complex))
+                                   for z in zs]) for t0 in t0s])
 
-    def f1_real(t):
-        return np.atleast_2d(np.asarray(h(complex(t), 0.0), dtype=complex))
-
-    return OdeFamily(batch, f1_real)
+    return OdeFamily(batch, lambda t: batch([0.0], [complex(t)])[0, 0])
 
 
 def _uniform_nodes(path, steps: int) -> np.ndarray:
@@ -575,66 +581,65 @@ def _with_midpoints(full: np.ndarray) -> np.ndarray:
 
 
 _FD_OFFSETS = (0.0, 1.0, -1.0, 0.5, -0.5)
+_FD_DELTA = 1e-3
+_STEPS = 120
+_DET_TOL = 1e-8
+_STEP_BUDGET = 0.01
 
 
-def _log_derivative(fam: "OdeFamily", zs, fd_delta: float):
+def _log_derivative(fam: "OdeFamily", zs):
     """h(z), and A(z) = h^{-1} h_hat by Richardson central differences."""
-    H = {o: fam.h_batch(o * fd_delta, zs) for o in _FD_OFFSETS}
-    d1 = (H[1.0] - H[-1.0]) / (2.0 * fd_delta)
-    d2 = (H[0.5] - H[-0.5]) / fd_delta
+    H = dict(zip(_FD_OFFSETS, fam.h_batch(_FD_DELTA * np.array(_FD_OFFSETS), zs)))
+    d1 = (H[1.0] - H[-1.0]) / (2.0 * _FD_DELTA)
+    d2 = (H[0.5] - H[-0.5]) / _FD_DELTA
     hhat = (4.0 * d2 - d1) / 3.0
     A = np.linalg.solve(H[0.0], hhat)
     return H[0.0], A
 
 
-def ode_continue(family, path, steps: int = 120, fd_delta: float = 1e-3,
-                 det_tol: float = 1e-8, shift: float = 0.1,
-                 step_budget: float = 0.01, _allow_shift: bool = True) -> np.ndarray:
+def ode_continue(family, path, shift: float = 0.1, _allow_shift: bool = True) -> np.ndarray:
     """Continue f1 along the path by integrating f1' = f1 (h^{-1} h_hat).
 
     h_hat is the t0-derivative of h_{t0} at 0 by Richardson-refined central
-    differences; the integrator is classical 4th order with the step length
-    throttled so that |dz| * ||h^{-1} h_hat|| stays below step_budget.  If
-    det h vanishes along the path, the whole problem is rerun at the shifted
-    argument z + shift (the zeros are isolated, so they move off the path)
-    and mapped back through f1(z) = f1(z+t0) h(z+t0)^{-1} h_{-t0}(z+t0).
+    differences, all offsets _FD_DELTA * _FD_OFFSETS from one h_batch call;
+    the integrator is classical 4th order with the step length throttled so
+    that |dz| * ||h^{-1} h_hat|| stays below _STEP_BUDGET.  If det h vanishes
+    along the path, the whole problem is rerun at the shifted argument
+    z + shift (the zeros are isolated, so they move off the path) and mapped
+    back through f1(z) = f1(z+t0) h(z+t0)^{-1} h_{-t0}(z+t0).
     """
     fam = family if isinstance(family, OdeFamily) else _family_from_callable(family)
 
-    coarse = _uniform_nodes(path, max(16, steps // 3))
+    coarse = _uniform_nodes(path, max(16, _STEPS // 3))
     try:
-        hc, A_scan = _log_derivative(fam, coarse, fd_delta)
+        hc, A_scan = _log_derivative(fam, coarse)
         norms = np.linalg.norm(A_scan, axis=(1, 2))
         dets = np.abs(np.linalg.det(hc))
-        singular = np.min(dets) < det_tol * max(1.0, float(np.median(dets)))
+        singular = np.min(dets) < _DET_TOL * max(1.0, float(np.median(dets)))
     except np.linalg.LinAlgError:
         singular = True
     if singular:
         if not _allow_shift:
             raise SingularDeterminant("det h vanishes along the shifted path too")
         pts = _path_points(path)
-        shifted = [z + shift for z in pts]
         # g(z) := f1(z + shift) obeys the same ODE with data read at z + shift,
         # i.e. the original family walked along the shifted path.
-        g_end = ode_continue(fam, shifted, steps=steps, fd_delta=fd_delta,
-                             det_tol=det_tol, shift=shift * 1.7,
-                             step_budget=step_budget, _allow_shift=shift < 0.5)
-        z_end = pts[-1]
-        h_at = fam.h_batch(0.0, [z_end + shift])[0]
-        h_minus = fam.h_batch(-shift, [z_end + shift])[0]
+        g_end = ode_continue(fam, [z + shift for z in pts], shift=shift * 1.7,
+                             _allow_shift=shift < 0.5)
+        h_at, h_minus = fam.h_batch(np.array([0.0, -shift]), [pts[-1] + shift])[:, 0]
         return g_end @ np.linalg.inv(h_at) @ h_minus
 
     total = sum(abs(b - a) for a, b in zip(coarse[:-1], coarse[1:]))
-    base_density = steps / total
+    base_density = _STEPS / total
     full = [coarse[0]]
     for j in range(len(coarse) - 1):
         a, b = coarse[j], coarse[j + 1]
         w = max(norms[j], norms[j + 1])
-        n = max(1, math.ceil(abs(b - a) * max(base_density, w / step_budget)))
+        n = max(1, math.ceil(abs(b - a) * max(base_density, w / _STEP_BUDGET)))
         full.extend(a + (b - a) * (k + 1) / n for k in range(n))
     zs = _with_midpoints(np.array(full))
 
-    _, A = _log_derivative(fam, zs, fd_delta)
+    _, A = _log_derivative(fam, zs)
     f = np.asarray(fam.f1_real(zs[0].real), dtype=complex)
     for j in range(0, len(zs) - 2, 2):
         dz = zs[j + 2] - zs[j]

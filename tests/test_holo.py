@@ -168,6 +168,47 @@ def test_phase_builders_match_wigner_angle_on_the_real_line(s):
     assert np.max(np.abs(vals - want)) < 1e-13
 
 
+# deck elements, half turns either way, and boosts on other sheets
+ELEMENTS = [cg.identity(), cg.lift_rotation(2 * math.pi), cg.lift_rotation(-2 * math.pi),
+            cg.lift_rotation(math.pi), cg.lift_rotation(-math.pi),
+            cg.compose(cg.lift_rotation(4 * math.pi), cg.lift_boost(1.1, 0.3)),
+            cg.compose(cg.lift_rotation(-0.2), cg.lift_boost(-0.4, 0.7))]
+
+
+def test_builders_take_a_stack_of_elements_through_the_scalar_code():
+    # each row of a family built for a stack of elements is the family of its
+    # own element, on a coarse path that the walk has to bisect
+    stack = cg.CoverElement(np.array([g.gamma for g in ELEMENTS], dtype=complex),
+                            np.array([g.omega for g in ELEMENTS]))
+    zs = [0.0, 0.3 + 1.0j, -0.2 + 2.0j, 0.1 + 1j * math.pi]
+    q = mk.shell_point(0.4, -0.3, 1.0)
+    qs = [BATCH[i % len(BATCH)] for i in range(len(ELEMENTS))]
+    pre = cg.project(cg.lift_rotation(0.7))
+    anchor = mk.shell_point(0.2, 0.5, 1.3).as_array()
+    builders = [
+        lambda g, i: holo.fixed_element_phase_raw(g, pre, anchor, S, 1.3),
+        lambda g, i: holo.boost_family_phase_raw(g, q, S, -1.0),
+        lambda g, i: holo.boost_family_phase_raw(g, qs if i is None else qs[i], S),
+        lambda g, i: holo.compensated_family_expr(g, qs if i is None else qs[i], S),
+        lambda g, i: holo.exp_mink_dot((0.2, -0.1j, 0.3), cg.project(g) @ pre, anchor)
+        * holo.u_power_raw(cg.project(cg.inverse(g)), anchor, S, 1.3),
+    ]
+    for build in builders:
+        batched = holo.evaluate_along(build(stack, None), zs)
+        assert batched.shape == (len(ELEMENTS), len(zs))
+        counts = []
+        for i, g in enumerate(ELEMENTS):
+            single = holo.evaluate_along(build(g, i), zs)
+            assert single.shape == (len(zs),)
+            assert np.max(np.abs(batched[i] - single)) < 1e-13 * max(1.0, np.max(np.abs(single)))
+            counts.append(_final_samples(build(g, i), zs))
+        assert max(counts) > len(zs)
+    k = holo.momentum(cg.project(stack), anchor, np.array(zs))
+    for i, g in enumerate(ELEMENTS):
+        row = holo.momentum(cg.project(g), anchor, np.array(zs))
+        assert np.max(np.abs(np.array(k)[:, i] - np.array(row))) < 1e-14
+
+
 def test_vanishing_base_in_one_row_names_its_z():
     # p1 = 0 puts the energy-factor zero of the second row on the path, at
     # z = i arccos(-m / m~)

@@ -238,3 +238,119 @@ def test_pipeline_report_single_spin():
 def test_build_rejects_bad_mass():
     with pytest.raises(ValueError):
         ss.build_toy_model(0.5, 0.0)
+
+
+# --- batched families: offsets and momenta as rows ---------------------------
+
+def test_ode_offsets_are_rows_of_one_family(family_third):
+    # each row of one h_batch call is the single-offset family, and both are
+    # the engine's straight continuations Psi_2(z)^* Psi_1(z + t0)
+    ode = ss._ode_family(family_third, P)
+    offsets = 1e-3 * np.array(holo._FD_OFFSETS)
+    zs = np.array([0.05j, 0.3 + 0.5j, -0.2 + 1.2j, 0.1 + 2.0j])
+    rows = ode.h_batch(offsets, zs)
+    assert rows.shape == (len(offsets), len(zs), 2, 2)
+    for t0, row in zip(offsets, rows):
+        assert np.max(np.abs(row - ode.h_batch([t0], zs)[0])) < 1e-14 * np.max(np.abs(row))
+        engine = np.array([ss.dressed_family(family_third, 2, z, P)
+                           @ ss.dressed_family(family_third, 1, z + t0, P) for z in zs])
+        assert np.max(np.abs(row - engine)) < 1e-12 * np.max(np.abs(engine))
+    # the closed-form route builds one offset at a time, with the same rows
+    h = lambda z, t0: np.array([[cmath.exp(1j * (z + t0)), 0.0], [0.0, cmath.cosh(z + t0)]])
+    closed = holo._family_from_callable(h)
+    got = closed.h_batch(offsets, zs)
+    assert got.shape == (len(offsets), len(zs), 2, 2)
+    for t0, row in zip(offsets, got):
+        assert np.array_equal(row, np.array([h(z, t0) for z in zs]))
+    assert np.array_equal(closed.f1_real(0.3), h(0.3 + 0j, 0.0))
+
+
+def test_shifted_retry_maps_the_pipeline_family_back(family_third, monkeypatch):
+    # a scan forced singular once reruns on the shifted path and maps back
+    # through h at the offsets (0, -shift), read in one h_batch call
+    path = holo.StripPath.vertical(0.0, height=math.pi / 2)
+    direct = holo.ode_continue(ss._ode_family(family_third, P), path)
+    scans = []
+
+    def singular_once(*args, _orig=holo._log_derivative):
+        scans.append(args[1])
+        if len(scans) == 1:
+            raise np.linalg.LinAlgError("forced")
+        return _orig(*args)
+
+    monkeypatch.setattr(holo, "_log_derivative", singular_once)
+    shifted = holo.ode_continue(ss._ode_family(family_third, P), path)
+    assert len(scans) == 3
+    assert np.max(np.abs(shifted - direct)) < 1e-10 * np.max(np.abs(direct))
+
+
+GRID = ss.momentum_grid(1.0, 2)
+
+
+def _assert_rows_match(batched, singles):
+    assert len(batched) == len(singles)
+    for got, want in zip(batched, singles):
+        assert got.keys() == want.keys()
+        for k in want:
+            assert abs(got[k] - want[k]) < 1e-14, k
+
+
+def test_pipeline_checks_on_a_list_match_each_momentum(family_third):
+    ps = GRID[:4]
+    _assert_rows_match(ss.two_point_boundary_check(family_third, ps),
+                       [ss.two_point_boundary_check(family_third, p) for p in ps])
+    _assert_rows_match(ss.rotation_pi_relation(family_third, ps),
+                       [ss.rotation_pi_relation(family_third, p) for p in ps])
+    gs = [cg.compose(cg.lift_rotation(w), cg.lift_boost(d, r))
+          for w, d, r in ((0.1, 0.3, 0.2), (-0.15, 2.0, 0.1), (0.0, 4.0, 0.25), (0.05, 5.5, 0.0))]
+    stack = cg.CoverElement(np.array([g.gamma for g in gs], dtype=complex),
+                            np.array([g.omega for g in gs]))
+    _assert_rows_match(ss.verify_transformation_law(stack, ps, family_third),
+                       [ss.verify_transformation_law(g, p, family_third)
+                        for g, p in zip(gs, ps)])
+    # one element serves every momentum of the list
+    _assert_rows_match(ss.verify_transformation_law(gs[1], ps, family_third),
+                       [ss.verify_transformation_law(gs[1], p, family_third) for p in ps])
+
+
+def test_transformation_law_gate_checks_every_row(family_third):
+    stack = cg.CoverElement(np.zeros(3, dtype=complex), np.array([0.1, 2.5, -0.1]))
+    with pytest.raises(ss.HypothesisViolation, match="element 1 "):
+        ss.verify_transformation_law(stack, [P, P, P], family_third)
+
+
+def _count_walks(run) -> dict:
+    counts = {"normalize_at": 0, "evaluate_along": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in counts:
+            def counted(*args, _fn=getattr(holo, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+
+            mp.setattr(holo, name, counted)
+        run()
+    return counts
+
+
+def test_work_counts_do_not_grow_with_offsets_or_momenta(monkeypatch):
+    # normalize_at walks its family once, which evaluate_along counts too;
+    # ode_vs_engine builds one family for all offsets and the direct route
+    _, fam = ss.build_toy_model(0.25, 1.0, 2, seed=7)
+    p = mk.shell_point(0.35, -0.2, 1.0)
+    ode = {"normalize_at": 2, "evaluate_along": 5}
+    assert _count_walks(lambda: ss.ode_vs_engine(fam, p)) == ode
+    monkeypatch.setattr(holo, "_FD_OFFSETS", holo._FD_OFFSETS + (0.25, -0.25))
+    assert _count_walks(lambda: ss.ode_vs_engine(fam, p)) == ode
+
+    for size in (2, 3):
+        assert _count_walks(lambda: ss.run_pipeline(0.25, grid_size=size)) == {
+            "normalize_at": 12, "evaluate_along": 26}
+    # on a new family each check also fills the boundary pairs it reads
+    for check, walks in ((ss.two_point_boundary_check, (4, 7)),
+                         (ss.rotation_pi_relation, (3, 6)),
+                         (lambda f, ps: ss.verify_transformation_law(cg.identity(), ps, f),
+                          (2, 6))):
+        for ps in (GRID[:1], GRID[:3], GRID):
+            _, fam = ss.build_toy_model(0.25, 1.0, 2, seed=7)
+            counts = _count_walks(lambda: check(fam, ps))
+            assert (counts["normalize_at"], counts["evaluate_along"]) == walks
