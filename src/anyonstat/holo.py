@@ -280,10 +280,11 @@ def morera_residual(expr: PowerProduct, contour, order: int = 8, panels: int = 4
                     principal: bool = False) -> float:
     """|closed contour integral| by composite Gauss-Legendre quadrature.
 
-    A small value certifies analyticity on the contour's interior.  With
-    principal=True the powers are evaluated without ledger; a function whose
-    base crosses the cut then produces a large residual, which is the
-    documented negative control.
+    A small value certifies analyticity on the contour's interior; a batched
+    family gives the largest |integral| over its rows.  With principal=True
+    the powers are evaluated without ledger; a function whose base crosses
+    the cut then produces a large residual, which is the documented negative
+    control.
     """
     pts = np.array(_path_points(contour), dtype=complex)
     if abs(pts[0] - pts[-1]) > 1e-14:
@@ -299,8 +300,10 @@ def morera_residual(expr: PowerProduct, contour, order: int = 8, panels: int = 4
     if principal:
         f = eval_principal(expr, zs)
     else:
-        f = evaluate_along(expr, np.concatenate(([pts[0]], zs)))[1:]
-    return float(abs(np.sum((weights * half[..., None]).ravel() * f)))
+        f = evaluate_along(expr, np.concatenate(([pts[0]], zs)))[..., 1:]
+    # Python's abs per row: np.abs can differ from it in the last bit
+    integrals = np.sum((weights * half[..., None]).ravel() * f, axis=-1)
+    return float(max(map(abs, np.atleast_1d(integrals))))
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +550,8 @@ class OdeFamily:
     h_batch(t0s, zs) returns h_{t0}(z) = f2(z) f1(z + t0) for an array of
     offsets at the strip samples, shape (offsets, samples, n, n); the pipeline
     walks its offsets as rows of one family.  f1_real(t) is f1 on the real axis.
+    A closed-form h(z, t0) given to ode_continue instead receives the whole
+    sample array z and returns one scalar or one n x n matrix per sample.
     """
 
     h_batch: callable
@@ -554,11 +559,12 @@ class OdeFamily:
 
 
 def _family_from_callable(h) -> OdeFamily:
-    # Closed-form h(z, t0) with f2 = identity, so f1 = h(., 0); built one
-    # offset at a time, which keeps fewer tiny matrices alive at once.
+    # Closed-form h(z, t0) with f2 = identity, so f1 = h(., 0); one call per
+    # offset on all samples, a scalar per sample read as a 1x1 matrix.
     def batch(t0s, zs):
-        return np.stack([np.array([np.atleast_2d(np.asarray(h(z, t0), dtype=complex))
-                                   for z in zs]) for t0 in t0s])
+        zs = np.asarray(zs, dtype=complex)
+        rows = [np.asarray(h(zs, t0), dtype=complex) for t0 in t0s]
+        return np.stack([r if r.ndim > zs.ndim else r[..., None, None] for r in rows])
 
     return OdeFamily(batch, lambda t: batch([0.0], [complex(t)])[0, 0])
 
@@ -600,13 +606,14 @@ def _log_derivative(fam: "OdeFamily", zs):
 def ode_continue(family, path, shift: float = 0.1, _allow_shift: bool = True) -> np.ndarray:
     """Continue f1 along the path by integrating f1' = f1 (h^{-1} h_hat).
 
-    h_hat is the t0-derivative of h_{t0} at 0 by Richardson-refined central
-    differences, all offsets _FD_DELTA * _FD_OFFSETS from one h_batch call;
-    the integrator is classical 4th order with the step length throttled so
-    that |dz| * ||h^{-1} h_hat|| stays below _STEP_BUDGET.  If det h vanishes
-    along the path, the whole problem is rerun at the shifted argument
-    z + shift (the zeros are isolated, so they move off the path) and mapped
-    back through f1(z) = f1(z+t0) h(z+t0)^{-1} h_{-t0}(z+t0).
+    family is an OdeFamily or a closed-form h(z, t0) on arrays of samples
+    (see OdeFamily).  h_hat is the t0-derivative of h_{t0} at 0 by Richardson-
+    refined central differences, all offsets _FD_DELTA * _FD_OFFSETS from one
+    h_batch call; _rk4_walk integrates with the step length throttled so that
+    |dz| * ||h^{-1} h_hat|| stays below _STEP_BUDGET.  If det h vanishes along
+    the path, the whole problem is rerun at the shifted argument z + shift
+    (the zeros are isolated, so they move off the path) and mapped back
+    through f1(z) = f1(z+t0) h(z+t0)^{-1} h_{-t0}(z+t0).
     """
     fam = family if isinstance(family, OdeFamily) else _family_from_callable(family)
 
@@ -640,12 +647,24 @@ def ode_continue(family, path, shift: float = 0.1, _allow_shift: bool = True) ->
     zs = _with_midpoints(np.array(full))
 
     _, A = _log_derivative(fam, zs)
-    f = np.asarray(fam.f1_real(zs[0].real), dtype=complex)
-    for j in range(0, len(zs) - 2, 2):
-        dz = zs[j + 2] - zs[j]
-        k1 = f @ A[j]
-        k2 = (f + 0.5 * dz * k1) @ A[j + 1]
-        k3 = (f + 0.5 * dz * k2) @ A[j + 1]
-        k4 = (f + dz * k3) @ A[j + 2]
-        f = f + (dz / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return f
+    return _rk4_walk(np.asarray(fam.f1_real(zs[0].real), dtype=complex), A, zs)
+
+
+def _rk4_walk(f, A, zs) -> np.ndarray:
+    """f carried along f' = f A by classical RK4 steps zs[j] -> zs[j + 2].
+
+    The ODE is linear, so step j is f -> f P_j with P_j = I + dz/6 (K1 + 2 K2
+    + 2 K3 + K4), K1 = A_j, K2 = (I + dz/2 K1) A_{j+1/2}, K3 = (I + dz/2 K2)
+    A_{j+1/2}, K4 = (I + dz K3) A_{j+1}; the P_j multiply in order, pairwise."""
+    eye = np.eye(A.shape[-1])
+    dz = (zs[2::2] - zs[:-2:2])[:, None, None]
+    k1 = A[:-2:2]
+    k2 = (eye + 0.5 * dz * k1) @ A[1::2]
+    k3 = (eye + 0.5 * dz * k2) @ A[1::2]
+    k4 = (eye + dz * k3) @ A[2::2]
+    P = eye + (dz / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    while len(P) > 1:
+        if len(P) % 2:
+            P = np.concatenate((P, eye[None]))
+        P = P[0::2] @ P[1::2]
+    return f @ P[0]

@@ -330,6 +330,54 @@ def test_negative_control_principal_branch():
     assert holo.morera_residual(bare, rect, principal=True) > 1e-3
 
 
+def test_morera_residual_of_a_batch_is_its_worst_row():
+    # the compensated families and the bare phase around its branch point,
+    # whose principal-branch residual is large
+    rect = holo.StripPath.rectangle(-0.4, 0.4, 0.15, math.pi - 0.15)
+    stack = cg.CoverElement(np.array([g.gamma for g in ELEMENTS], dtype=complex),
+                            np.array([g.omega for g in ELEMENTS]))
+    qs = [BATCH[i % len(BATCH)] for i in range(len(ELEMENTS))]
+    hit = mk.shell_point(0.5, 1.0, 1.0)
+    zstar = holo.boost_energy_branch_point(hit)
+    box = holo.StripPath.rectangle(zstar.real - 0.3, zstar.real + 0.3,
+                                   zstar.imag - 0.3, zstar.imag + 0.3)
+    cases = [(lambda i: holo.compensated_family_expr(stack if i is None else ELEMENTS[i],
+                                                     qs if i is None else qs[i], S),
+              len(ELEMENTS), rect, False)]
+    bare_qs = [BATCH[0], hit, BATCH[2]]
+    for principal in (False, True):
+        cases.append((lambda i: holo.uncompensated_phase_expr(
+            cg.identity(), bare_qs if i is None else bare_qs[i], S), 3, box, principal))
+    for build, rows, contour, principal in cases:
+        got = holo.morera_residual(build(None), contour, principal=principal)
+        want = max(holo.morera_residual(build(i), contour, principal=principal)
+                   for i in range(rows))
+        assert abs(got - want) < 1e-15 * max(1.0, want)
+    assert got > 1e-3
+
+
+def test_morera_residual_of_one_row_keeps_its_value():
+    # the continuation suite's negative control, to the bit
+    p = mk.shell_point(0.5, 1.0, 1.0)
+    zstar = holo.boost_energy_branch_point(p)
+    bare = holo.uncompensated_phase_expr(cg.identity(), p, S)
+    box = holo.StripPath.rectangle(zstar.real - 0.3, zstar.real + 0.3,
+                                   zstar.imag - 0.3, zstar.imag + 0.3)
+    assert holo.morera_residual(bare, box) == 1.6795342006623755
+    assert holo.morera_residual(bare, box, principal=True) == 1.278992743281049
+    zend = complex(zstar.real, min(zstar.imag + 0.5, 3.1))
+    left = [0.0, complex(zstar.real - 0.4, 0.0), complex(zstar.real - 0.4, zend.imag), zend]
+    right = [0.0, complex(zstar.real + 0.4, 0.0), complex(zstar.real + 0.4, zend.imag), zend]
+    assert abs(holo.continue_along(bare, left)
+               - holo.continue_along(bare, right)) == 2.2046207431184817
+    f = holo.compensated_family_expr(cg.identity(), mk.shell_point(0.4, -0.3, 1.0), S)
+    assert holo.morera_residual(
+        f, holo.StripPath.rectangle(-0.4, 0.4, 0.15, math.pi - 0.15)) == 8.881784197001252e-16
+    osc = holo.exp_mink_dot((0.0, -3.0, 0.0), np.eye(3), mk.shell_point(0.3, 0.5, 1.0).as_array())
+    assert holo.morera_residual(osc, holo.StripPath.rectangle(-0.6, 0.6, 0.4, 2.8),
+                                order=2, panels=2) == 15.435410001352777
+
+
 def test_path_and_anchor_independence():
     p = mk.shell_point(0.4, -0.3, 1.0)
     f = holo.compensated_family_expr(cg.identity(), p, S)
@@ -451,13 +499,66 @@ def test_gamma0_decomposition_roundtrip():
 
 def test_ode_scalar_exponential():
     a = 0.7
-    val = holo.ode_continue(lambda z, t0: cmath.exp(1j * a * (z + t0)),
+    val = holo.ode_continue(lambda z, t0: np.exp(1j * a * (z + t0)),
                             holo.StripPath.vertical(0.0, height=math.pi / 2))
     assert abs(val[0, 0] - cmath.exp(1j * a * 1j * math.pi / 2)) < 1e-8
 
 
 def test_ode_singular_determinant_detour():
     # f1 = cosh has a zero exactly on the path; the shifted detour recovers it
-    val = holo.ode_continue(lambda z, t0: cmath.cosh(z + t0),
+    val = holo.ode_continue(lambda z, t0: np.cosh(z + t0),
                             holo.StripPath.vertical(0.0, height=2.2))
     assert abs(val[0, 0] - cmath.cosh(2.2j)) < 1e-5
+
+
+def _stepwise_rk4(f, A, zs):
+    # the classical RK4 loop, one step zs[j] -> zs[j + 2] at a time
+    for j in range(0, len(zs) - 2, 2):
+        dz = zs[j + 2] - zs[j]
+        k1 = f @ A[j]
+        k2 = (f + 0.5 * dz * k1) @ A[j + 1]
+        k3 = (f + 0.5 * dz * k2) @ A[j + 1]
+        k4 = (f + dz * k3) @ A[j + 2]
+        f = f + (dz / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return f
+
+
+def _triangular(z, t0):
+    # f1(z) = [[e^{z/2}, z], [0, 1]]: its log-derivative A(z) = [[1/2, e^{-z/2}], [0, 0]]
+    # does not commute with itself along the path
+    w = np.asarray(z) + t0
+    out = np.zeros(w.shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 1] = np.exp(0.5 * w), w, 1.0
+    return out
+
+
+def test_ode_step_product_matches_the_stepwise_loop(monkeypatch):
+    from anyonstat import spinstat as ss
+    _, fam = ss.build_toy_model(1 / 3, 1.0, 2, seed=7)
+    cases = [
+        (lambda z, t0: np.exp(0.7j * (z + t0)), holo.StripPath.vertical(0.0, height=math.pi / 2)),
+        (lambda z, t0: np.cosh(z + t0), holo.StripPath.vertical(0.0, height=2.2)),
+        (ss._ode_family(fam, mk.shell_point(0.35, -0.2, 1.0)),
+         holo.StripPath.vertical(0.0, height=math.pi / 2)),
+        (_triangular, holo.StripPath.vertical(0.0, height=2.0)),
+        (_triangular, [0.0, 0.3 + 0.1j, 0.7j]),
+    ]
+    steps = []
+
+    def counted(f, A, zs, _walk=holo._rk4_walk):
+        steps.append((len(zs) - 1) // 2)
+        return _walk(f, A, zs)
+
+    for family, path in cases:
+        with monkeypatch.context() as mp:
+            mp.setattr(holo, "_rk4_walk", counted)
+            got = holo.ode_continue(family, path)
+        with monkeypatch.context() as mp:
+            mp.setattr(holo, "_rk4_walk", _stepwise_rk4)
+            want = holo.ode_continue(family, path)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+    # the last path takes an odd number of steps, so the first pairing pads
+    assert steps[-1] % 2 == 1
+    end = 0.7j
+    assert np.max(np.abs(got - _triangular(end, 0.0))) < 1e-8

@@ -255,8 +255,14 @@ def test_ode_offsets_are_rows_of_one_family(family_third):
         engine = np.array([ss.dressed_family(family_third, 2, z, P)
                            @ ss.dressed_family(family_third, 1, z + t0, P) for z in zs])
         assert np.max(np.abs(row - engine)) < 1e-12 * np.max(np.abs(engine))
-    # the closed-form route builds one offset at a time, with the same rows
-    h = lambda z, t0: np.array([[cmath.exp(1j * (z + t0)), 0.0], [0.0, cmath.cosh(z + t0)]])
+    # the closed-form route calls h once per offset on all samples, with the
+    # rows of one call per sample
+    def h(z, t0):
+        w = np.asarray(z) + t0
+        out = np.zeros(w.shape + (2, 2), dtype=complex)
+        out[..., 0, 0], out[..., 1, 1] = np.exp(1j * w), np.cosh(w)
+        return out
+
     closed = holo._family_from_callable(h)
     got = closed.h_batch(offsets, zs)
     assert got.shape == (len(offsets), len(zs), 2, 2)
