@@ -22,8 +22,7 @@ from .repn import (QuadGrid, RepConfig, WaveFunction, act, casimir_residual,
                    generator, inner_product, pauli_lubanski)
 from .spinstat import (PipelineReport, ToyModel, TwoPointKernel,
                        WaveMatrixFamily, build_toy_model, extract_D,
-                       extract_statistics_phase, run_pipeline, tomita_check,
-                       tomita_hat)
+                       extract_statistics_phase, run_pipeline)
 from .suites import Report, SuiteConfig, run_suite
 
 __version__ = "0.1.0"

@@ -80,15 +80,24 @@ def _coerce(key: str, value):
 
 
 def build_config(file_data: dict, args: argparse.Namespace) -> SuiteConfig:
+    """The validated config; a bad value, format or out path is a ConfigError."""
     try:
         values = {key: _coerce(key, value) for key, value in file_data.items()}
         for key in _SCHEMA:
             v = getattr(args, key)
             if v is not None:
                 values[key] = tuple(v) if isinstance(v, list) else v
-        return SuiteConfig(**values)
+        config = SuiteConfig(**values)
     except (TypeError, ValueError) as e:   # a ConfigError from _coerce is one too
         raise ConfigError(str(e)) from e
+    if config.format not in _RENDERERS:
+        raise ConfigError(f"unknown format {config.format!r}; choose json, csv or text")
+    if config.out is not None:
+        directory = os.path.dirname(config.out) or "."
+        if not os.path.basename(config.out) or os.path.isdir(config.out) \
+                or not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+            raise ConfigError(f"cannot write the report to {config.out!r}")
+    return config
 
 
 def _record_payload(r, volatile: bool) -> dict:
@@ -141,8 +150,6 @@ _RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
 
 
 def emit_report(report: Report, fmt: str, out: str | None = None) -> str:
-    if fmt not in _RENDERERS:
-        raise ConfigError(f"unknown format {fmt!r}; choose json, csv or text")
     content = _RENDERERS[fmt](report)
     if out:
         with open(out, "w", encoding="utf-8") as f:
@@ -196,11 +203,11 @@ def main(argv=None) -> int:
         if cfg_path:
             file_data = _parse_config_file(cfg_path)
         config = build_config(file_data, args)
-        report = run_suite(args.suite, config)
-        content = emit_report(report, config.format, config.out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    report = run_suite(args.suite, config)
+    content = emit_report(report, config.format, config.out)
     if config.out is None or config.format == "text":
         sys.stdout.write(content if config.out is None else "")
     if config.out is not None:

@@ -12,6 +12,8 @@ enters a pipeline identity is recomputed by the branch-tracked continuation
 engine and compared against the independent closed forms, whole-product
 continuations are compared against factor-wise ones, and the statistics
 phase is recovered by least squares from the reflected two-point identity.
+Closed forms take one momentum or a MomentumPoint stack; each check takes a
+list of momenta, continues once for all of them, and returns an array per residual.
 
 Construction of the families:
 
@@ -49,11 +51,17 @@ class NonScalarMismatch(ArithmeticError):
     """No scalar multiple relates the two reflected two-point products."""
 
 
-def _rel(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius distance of two matrices relative to their scale."""
+def _rel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Frobenius distance of two matrices relative to their scale; two stacks
+    (..., n, n) give one distance per pair of matrices."""
     a, b = np.atleast_2d(a), np.atleast_2d(b)
-    denom = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)), 1e-30)
-    return float(np.linalg.norm(a - b)) / denom
+    norm_a, norm_b, norm_diff = (np.linalg.norm(x, axis=(-2, -1)) for x in (a, b, a - b))
+    return norm_diff / np.maximum(np.maximum(norm_a, norm_b), 1e-30)
+
+
+def _times(scalar, matrix: np.ndarray) -> np.ndarray:
+    """Scalars (...) times a matrix or a stack of them: shape (..., n, n)."""
+    return np.asarray(scalar)[..., None, None] * matrix
 
 
 def _haar_unitary(n: int, rng) -> np.ndarray:
@@ -90,9 +98,9 @@ class ToyModel:
 class WaveMatrixFamily:
     """The four matrix families of one toy model, plus their engine routes.
 
-    All matrices are scalar prefactors times constant matrices, so each
-    continuation is a single scalar walk; boundary pairs are memoized per
-    momentum, and fill() walks those of a list of momenta as one batch.
+    All matrices are scalar prefactors times constant matrices, so a momentum
+    stack is one array of scalars and each continuation one batched walk;
+    boundary pairs are memoized per momentum and fill() walks new ones at once.
     """
 
     def __init__(self, model: ToyModel):
@@ -104,37 +112,37 @@ class WaveMatrixFamily:
 
     def psi1(self, p: MomentumPoint) -> np.ndarray:
         m = self.model
-        return (wg.u_pihalf(p, m.s)
-                * cmath.exp(1j * minkowski_product(m.b1, p.as_array()))) * m.a1
+        return _times(wg.u_pihalf(p, m.s)
+                      * np.exp(1j * minkowski_product(m.b1, p.as_array())), m.a1)
 
     def psi2(self, p: MomentumPoint) -> np.ndarray:
         m = self.model
-        scalar = wg.u_pihalf(p, -m.s) * cmath.exp(1j * minkowski_product(m.b2, p.as_array()))
-        return scalar.conjugate() * m.a2
+        scalar = wg.u_pihalf(p, -m.s) * np.exp(1j * minkowski_product(m.b2, p.as_array()))
+        return _times(np.conj(scalar), m.a2)
 
     def two_point(self, p: MomentumPoint) -> np.ndarray:
         """M(p) = Psi_2(p)^* Psi_1(p); the compensators cancel exactly."""
         m = self.model
-        return (cmath.exp(1j * minkowski_product(m.b1 + m.b2, p.as_array()))
-                * (m.a2.conj().T @ m.a1))
+        return _times(np.exp(1j * minkowski_product(m.b1 + m.b2, p.as_array())),
+                      m.a2.conj().T @ m.a1)
 
     def hat_closed(self, p: MomentumPoint) -> np.ndarray:
         """Boundary value route of the first family, in closed form."""
         m = self.model
-        q = to_momentum(rotation(-math.pi / 2.0) @ p.as_array(), m.m)
+        q = to_momentum(p.as_array() @ rotation(-math.pi / 2.0).T, m.m)
         scalar = (cmath.exp(-1j * math.pi * m.s) * cmath.exp(0.5j * math.pi * m.s)
                   * wg.u_plain(q, m.s)
-                  * cmath.exp(1j * minkowski_product(m.b1.conjugate(), p.as_array())))
-        return scalar * m.a1.conjugate()
+                  * np.exp(1j * minkowski_product(m.b1.conjugate(), p.as_array())))
+        return _times(scalar, m.a1.conjugate())
 
     def check_closed(self, p: MomentumPoint) -> np.ndarray:
         """Boundary value route of the conjugated second family, closed form."""
         m = self.model
-        q = to_momentum(-rotation(math.pi / 2.0) @ J @ p.as_array(), m.m)
+        q = to_momentum(-(p.as_array() @ J @ rotation(math.pi / 2.0).T), m.m)
         scalar = (cmath.exp(-1j * math.pi * m.s) * cmath.exp(0.5j * math.pi * m.s)
                   * wg.u_plain(q, -m.s)
-                  * cmath.exp(-1j * minkowski_product(m.b2, p.as_array())))
-        return scalar * m.a2.conjugate()
+                  * np.exp(-1j * minkowski_product(m.b2, p.as_array())))
+        return _times(scalar, m.a2.conjugate())
 
     def psi1_conj(self, p: MomentumPoint) -> np.ndarray:
         return self._d_inv @ self.hat_closed(p)
@@ -146,30 +154,28 @@ class WaveMatrixFamily:
     # -- dressed prefactors for the continuation engine --------------------
 
     def pref1_expr(self, q) -> holo.PowerProduct:
-        """Scalar prefactor of the dressed first family anchored at q (a list
-        of momenta gives a batched family)."""
+        """Scalar prefactor of the dressed first family anchored at q (a
+        momentum stack gives a batched family)."""
         m = self.model
         return (holo.compensated_family_expr(cg.identity(), q, m.s)
-                * holo.exp_mink_dot(m.b1, np.eye(3),
-                                    holo.stack_momenta(q).as_array()))
+                * holo.exp_mink_dot(m.b1, np.eye(3), q.as_array()))
 
     def pref2bar_expr(self, q) -> holo.PowerProduct:
         """Scalar prefactor of the conjugated dressed second family."""
         m = self.model
         return (holo.compensated_family_expr(cg.identity(), q, -m.s)
-                * holo.exp_mink_dot(m.b2, np.eye(3),
-                                    holo.stack_momenta(q).as_array()))
+                * holo.exp_mink_dot(m.b2, np.eye(3), q.as_array()))
 
     def pref2_pi_expr(self, q) -> holo.PowerProduct:
-        """Scalar prefactor of the half-turn-rotated second family (a list of
-        momenta gives a batched family).
+        """Scalar prefactor of the half-turn-rotated second family (a momentum
+        stack gives a batched family).
 
         The half turn conjugates the boost subgroup into its inverse, so the
         family runs with reversed boost direction and the conjugate-symmetric
         compensator; the anchor is matched against the literal closed form.
         """
         m = self.model
-        qp_arr = holo.stack_momenta(q).as_array() @ rotation(-math.pi).T
+        qp_arr = q.as_array() @ rotation(-math.pi).T
         qp = to_momentum(qp_arr, m.m)
         raw = (holo.boost_family_phase_raw(cg.identity(), qp, m.s, eps=-1.0)
                * holo.u_power_raw(np.eye(3), qp_arr, -m.s, m.m, "pihalf_bar", sign=1.0)
@@ -182,28 +188,32 @@ class WaveMatrixFamily:
 
     # -- engine boundary values --------------------------------------------
 
-    def fill(self, ps) -> None:
-        """Cache the boundary pairs of all new momenta in ps: one batched walk
-        per family."""
-        new = list({(p.p1, p.p2): p for p in ps if (p.p1, p.p2) not in self._cache}.values())
-        if not new:
-            return
-        qs, path = [_reflected_anchor(p) for p in new], holo.StripPath.vertical(0.0)
-        v1 = holo.continue_robust(self.pref1_expr(qs), path)
-        v2 = holo.continue_robust(self.pref2bar_expr(qs), path)
-        for p, a, b in zip(new, v1, v2):
-            self._cache[(p.p1, p.p2)] = (a.conjugate() * self.model.a1.conjugate(),
-                                         b * self.model.a2.conjugate())
+    def fill(self, ps) -> list:
+        """Cache the boundary pairs of all new momenta in ps (a list or a
+        stack), one batched walk per family; returns the memo keys of ps."""
+        pa = holo.stack_momenta(ps)
+        keys = list(zip(pa.p1.tolist(), pa.p2.tolist()))
+        rows = {k: i for i, k in enumerate(keys) if k not in self._cache}
+        if rows:
+            idx = list(rows.values())
+            qs = _reflected_anchor(MomentumPoint(pa.p1[idx], pa.p2[idx], self.model.m))
+            path = holo.StripPath.vertical(0.0)
+            v1 = holo.continue_robust(self.pref1_expr(qs), path)
+            v2 = holo.continue_robust(self.pref2bar_expr(qs), path)
+            self._cache.update(zip(rows, zip(v1.tolist(), v2.tolist())))
+        return keys
 
-    def boundary_pair(self, p: MomentumPoint) -> tuple:
-        """Engine-continued (hat Psi_1, check Psi_2) at p, memoized."""
-        self.fill([p])
-        return self._cache[(p.p1, p.p2)]
+    def boundary_pair(self, ps) -> tuple:
+        """Engine-continued (hat Psi_1, check Psi_2) at the momenta ps (a list
+        or a stack), as two stacks (len(ps), n, n); memoized per momentum."""
+        v1, v2 = np.array([self._cache[k] for k in self.fill(ps)]).T
+        return (_times(np.conj(v1), self.model.a1.conjugate()),
+                _times(v2, self.model.a2.conjugate()))
 
 
 def _reflected_anchor(p: MomentumPoint) -> MomentumPoint:
     """-J p, the positive-shell anchor of every boundary continuation."""
-    return to_momentum(-(J @ p.as_array()), p.m)
+    return to_momentum(-(p.as_array() @ J), p.m)  # J is diagonal: p J = J p
 
 
 def build_toy_model(s: float, m: float, n: int = 2, seed: int = 0,
@@ -261,16 +271,6 @@ def dressed_family(family: WaveMatrixFamily, i: int, t, p: MomentumPoint) -> np.
     raise ValueError("family index must be 1 or 2")
 
 
-def tomita_hat(family: WaveMatrixFamily, p: MomentumPoint) -> np.ndarray:
-    """Engine route: continue the dressed first family to i*pi, then conjugate."""
-    return family.boundary_pair(p)[0]
-
-
-def tomita_check(family: WaveMatrixFamily, p: MomentumPoint) -> np.ndarray:
-    """Engine route: conjugate the dressed second family first, then continue."""
-    return family.boundary_pair(p)[1]
-
-
 @dataclass
 class TwoPointKernel:
     """M(p) = Psi_2(p)^* Psi_1(p) together with its strip realisation."""
@@ -290,52 +290,48 @@ class TwoPointKernel:
         return holo.morera_residual(self.scalar_expr(q), rect)
 
 
-def two_point_boundary_check(family: WaveMatrixFamily, p) -> dict | list:
+def two_point_boundary_check(family: WaveMatrixFamily, ps: list) -> dict:
     """Boundary identity of the two-point kernel at -p, three ways.
 
     Returns the relative residuals between the whole-product continuation,
     the factor-wise (hat/check) route, and the closed conjugate-family form,
-    plus the no-transpose control which must fail for generic data.  A list
-    of momenta is continued as one batched family and gives one dict each.
+    plus the no-transpose control which must fail for generic data, each as
+    an array with one row per momentum of ps.
     """
-    ps = [p] if isinstance(p, MomentumPoint) else list(p)
-    family.fill(ps)
+    pa = holo.stack_momenta(ps)
+    hat_v, check_v = family.boundary_pair(pa)
     kernel = TwoPointKernel(family)
-    wholes = holo.continue_robust(kernel.scalar_expr([_reflected_anchor(q) for q in ps]),
-                                  holo.StripPath.vertical(0.0))
-    out = []
-    for q, w in zip(ps, wholes):
-        whole = w * kernel.matrix_const()
-        hat_v, check_v = family.boundary_pair(q)
-        wrong = family.model.omega_target * (family.psi1_conj(q).conj().T @ family.psi2_conj(q))
-        out.append({"whole_vs_closed": _rel(whole, wrong.T),
-                    "whole_vs_factor": _rel(whole, (hat_v.conj().T @ check_v).T),
-                    "transpose_control": _rel(whole, wrong)})
-    return out[0] if isinstance(p, MomentumPoint) else out
+    whole = _times(holo.continue_robust(kernel.scalar_expr(_reflected_anchor(pa)),
+                                        holo.StripPath.vertical(0.0)),
+                   kernel.matrix_const())
+    wrong = family.model.omega_target * (family.psi1_conj(pa).conj().swapaxes(-1, -2)
+                                         @ family.psi2_conj(pa))
+    return {"whole_vs_closed": _rel(whole, wrong.swapaxes(-1, -2)),
+            "whole_vs_factor": _rel(whole, check_v.swapaxes(-1, -2) @ hat_v.conj()),
+            "transpose_control": _rel(whole, wrong)}
 
 
-def verify_transformation_law(g: cg.CoverElement, p, family: WaveMatrixFamily) -> dict | list:
+def verify_transformation_law(g: cg.CoverElement, ps: list, family: WaveMatrixFamily) -> dict:
     """Both sides of the reflected covariance law, by independent continuations.
 
     The left side dresses the transformed family, the right side transforms
     the dressed one; the compensated first factors are continued separately
-    and compared against their closed-form boundary values as well.  A list
-    of momenta, with one element or a stack of as many, gives one dict each.
+    and compared against their closed-form boundary values as well.  g is one
+    element or one per momentum of ps; each residual has a row per momentum.
     """
     mdl = family.model
-    ps = [p] if isinstance(p, MomentumPoint) else list(p)
-    g = cg.CoverElement(*(np.broadcast_to(x, (len(ps),)) for x in (g.gamma, g.omega)))
+    pa = holo.stack_momenta(ps)
+    p_arr = pa.as_array()
+    g = cg.CoverElement(*(np.broadcast_to(x, pa.p1.shape) for x in (g.gamma, g.omega)))
     gg0 = cg.compose(g, cg.lift_rotation(math.pi / 2.0))
-    for i in range(len(ps)):
+    for i in range(len(p_arr)):
         if not cgm.in_wedge_class(gg0[i]):
             raise HypothesisViolation(
                 f"element {i} leaves the strip-analyticity neighbourhood")
 
-    pa = holo.stack_momenta(ps)
-    p_arr = pa.as_array()
     lp_j = cg.act_on_vector(cg.inverse(g), p_arr) @ J  # J is diagonal: x J = J x
 
-    lhs_f1 = holo.compensated_family_expr(g, [_reflected_anchor(q) for q in ps], mdl.s)
+    lhs_f1 = holo.compensated_family_expr(g, _reflected_anchor(pa), mdl.s)
     lhs = lhs_f1 * holo.exp_mink_dot(mdl.b1, -cg.project(cg.inverse(g)), p_arr @ J)
     rhs_f1 = (holo.compensated_family_expr(cg.identity(), to_momentum(-lp_j, mdl.m), mdl.s)
               * np.exp(-1j * mdl.s * wg.wigner_angle(g, pa)))
@@ -345,44 +341,40 @@ def verify_transformation_law(g: cg.CoverElement, p, family: WaveMatrixFamily) -
                                   for f in (lhs, rhs, lhs_f1, rhs_f1))
 
     bv_vec = to_momentum(-(cg.act_on_vector(cg.inverse(gg0), p_arr) @ J), mdl.m)
-    bv_closed = (cmath.exp(1j * math.pi * mdl.s)
-                 * np.exp(-1j * mdl.s * wg.wigner_angle(gg0, pa))
-                 * wg.u_plain(bv_vec, mdl.s))
-    out = [{"sides": _rel(sl * mdl.a1, sr * mdl.a1),
-            "factor_lhs_vs_closed": float(abs(fl - bv) / max(1.0, abs(bv))),
-            "factor_rhs_vs_closed": float(abs(fr - bv) / max(1.0, abs(bv)))}
-           for sl, sr, fl, fr, bv in zip(side_l, side_r, f1_l, f1_r, bv_closed)]
-    return out[0] if isinstance(p, MomentumPoint) else out
+    bv = (cmath.exp(1j * math.pi * mdl.s)
+          * np.exp(-1j * mdl.s * wg.wigner_angle(gg0, pa))
+          * wg.u_plain(bv_vec, mdl.s))
+    return {"sides": _rel(_times(side_l, mdl.a1), _times(side_r, mdl.a1)),
+            "factor_lhs_vs_closed": np.abs(f1_l - bv) / np.maximum(1.0, np.abs(bv)),
+            "factor_rhs_vs_closed": np.abs(f1_r - bv) / np.maximum(1.0, np.abs(bv))}
 
 
-def extract_D(family: WaveMatrixFamily, grid) -> tuple:
+def extract_D(family: WaveMatrixFamily, grid: list) -> tuple:
     """Recover the proportionality matrix between the engine boundary route
     and the conjugate family, and its constancy defect over the grid."""
-    family.fill(grid)
-    ds = []
-    for p in grid:
-        c1 = family.psi1_conj(p)
-        # conditioning, not det: det scales like e^{-2 p0} with the mass
-        if not np.linalg.cond(c1) < 1e12:
-            raise np.linalg.LinAlgError("conjugate family is singular on the grid")
-        ds.append(tomita_hat(family, p) @ np.linalg.inv(c1))
+    pa = holo.stack_momenta(grid)
+    hat_v, _ = family.boundary_pair(pa)
+    c1 = family.psi1_conj(pa)
+    # conditioning, not det: det scales like e^{-2 p0} with the mass
+    if not np.all(np.linalg.cond(c1) < 1e12):
+        raise np.linalg.LinAlgError("conjugate family is singular on the grid")
+    ds = hat_v @ np.linalg.inv(c1)
     mean = np.mean(ds, axis=0)
     if not np.linalg.cond(mean) < 1e12:
         raise np.linalg.LinAlgError("extracted proportionality matrix is singular")
-    residual = max(_rel(d, mean) for d in ds)
-    return mean, residual
+    return mean, float(np.max(_rel(ds, mean)))
 
 
-def rotation_pi_relation(family: WaveMatrixFamily, p) -> dict | list:
+def rotation_pi_relation(family: WaveMatrixFamily, ps: list) -> dict:
     """The half-turn relations linking the two boundary routes.
 
     Checks that (i) the boundary route of the half-turn-rotated second family
     equals a phase times the conjugated route at the rotated momentum,
     (ii) the conjugated route reproduces the conjugate family through D and
     the squared phase, and (iii) the rotating phase on the conjugate side is
-    the expected half-turn value.  A list of momenta is continued as one
-    batched family and gives one dict each; the cone hypotheses do not
-    depend on the momentum and are checked once per call.
+    the expected half-turn value.  Each residual has a row per momentum of
+    ps; the cone hypotheses do not depend on the momentum and are checked
+    once per call.
     """
     mdl = family.model
     path1, path2 = cgm.antipodal_pair()
@@ -393,62 +385,45 @@ def rotation_pi_relation(family: WaveMatrixFamily, p) -> dict | list:
     if not cgm.path_equivalent(rot_path, path1, path1.sector):
         raise HypothesisViolation("half-turn image is not the first cone path")
 
-    ps = [p] if isinstance(p, MomentumPoint) else list(p)
-    p_rots = [to_momentum(rotation(math.pi) @ q.as_array(), mdl.m) for q in ps]
-    family.fill(ps + p_rots)
-    v_pi = holo.continue_robust(family.pref2_pi_expr([_reflected_anchor(q) for q in ps]),
+    pa = holo.stack_momenta(ps)
+    p_arr = pa.as_array()
+    # the momenta and their half turns, read in one boundary_pair call
+    both = np.concatenate([p_arr, p_arr @ rotation(math.pi).T])
+    _, checks = family.boundary_pair(to_momentum(both, mdl.m))
+    check_v, check_rot = np.split(checks, 2)
+    v_pi = holo.continue_robust(family.pref2_pi_expr(_reflected_anchor(pa)),
                                 holo.StripPath.vertical(0.0))
-    turns = wg.wigner_angle(cg.lift_rotation(math.pi), holo.stack_momenta(ps))
-    out = []
-    for q, q_rot, v, turn in zip(ps, p_rots, v_pi, turns):
-        hat_pi = v.conjugate() * mdl.a2.conjugate()
-        rhs1 = cmath.exp(-1j * math.pi * mdl.s) * tomita_check(family, q_rot)
-        rhs2 = cmath.exp(2j * math.pi * mdl.s) * (mdl.d @ family.psi2_conj(q))
-        back = family.psi2_conj(to_momentum(rotation(-math.pi) @ q.as_array(), mdl.m))
-        out.append({"half_turn_boundary": _rel(hat_pi, rhs1),
-                    "check_vs_conjugate": _rel(tomita_check(family, q), rhs2),
-                    "conjugate_side_phase": _rel(cmath.exp(1j * mdl.s * turn) * back,
-                                                 cmath.exp(1j * math.pi * mdl.s) * back)})
-    return out[0] if isinstance(p, MomentumPoint) else out
+    turns = wg.wigner_angle(cg.lift_rotation(math.pi), pa)
+    hat_pi = _times(np.conj(v_pi), mdl.a2.conjugate())
+    rhs1 = cmath.exp(-1j * math.pi * mdl.s) * check_rot
+    rhs2 = cmath.exp(2j * math.pi * mdl.s) * (mdl.d @ family.psi2_conj(pa))
+    back = family.psi2_conj(to_momentum(p_arr @ rotation(-math.pi).T, mdl.m))
+    return {"half_turn_boundary": _rel(hat_pi, rhs1),
+            "check_vs_conjugate": _rel(check_v, rhs2),
+            "conjugate_side_phase": _rel(_times(np.exp(1j * mdl.s * turns), back),
+                                         cmath.exp(1j * math.pi * mdl.s) * back)}
 
 
-@dataclass
-class PhaseExtraction:
-    omega_hat: complex
-    mismatch: float
-    dstar_d: np.ndarray
-    min_eigenvalue: float
-
-
-def extract_statistics_phase(family: WaveMatrixFamily, grid,
-                             mismatch_tol: float = 1e-6) -> PhaseExtraction:
-    """Least-squares scalar relating hat^* check to the conjugate product.
+def extract_statistics_phase(family: WaveMatrixFamily, grid: list,
+                             mismatch_tol: float = 1e-6) -> tuple:
+    """Least-squares scalar relating hat^* check to the conjugate product, and its mismatch.
 
     Solves for the single complex number multiplying Psi_1^c* Psi_2^c in the
     reflected two-point identity; the injected construction makes that
     number the statistics phase.  A residual above mismatch_tol means no
     scalar works, which signals an inconsistent pipeline.
     """
-    num = 0j
-    den = 0.0
-    pairs = []
-    for p in grid:
-        hat_v, check_v = family.boundary_pair(p)
-        L = hat_v.conj().T @ check_v
-        R = family.psi1_conj(p).conj().T @ family.psi2_conj(p)
-        pairs.append((L, R))
-        num += complex(np.vdot(R, L))
-        den += float(np.vdot(R, R).real)
-    omega_hat = num / den
-    mismatch = max(_rel(L, omega_hat * R) for L, R in pairs)
+    pa = holo.stack_momenta(grid)
+    hat_v, check_v = family.boundary_pair(pa)
+    lhs = hat_v.conj().swapaxes(-1, -2) @ check_v
+    rhs = family.psi1_conj(pa).conj().swapaxes(-1, -2) @ family.psi2_conj(pa)
+    omega_hat = complex(np.vdot(rhs, lhs)) / float(np.vdot(rhs, rhs).real)
+    mismatch = float(np.max(_rel(lhs, omega_hat * rhs)))
     if mismatch > mismatch_tol:
         raise NonScalarMismatch(
             f"no scalar reduces the reflected identity below {mismatch_tol}"
             f" (best {mismatch:.3e})")
-    dmat, _ = extract_D(family, grid[:4])
-    dstar_d = dmat.conj().T @ dmat
-    min_eig = float(np.min(np.linalg.eigvalsh((dstar_d + dstar_d.conj().T) / 2.0)))
-    return PhaseExtraction(omega_hat, mismatch, dstar_d, min_eig)
+    return omega_hat, mismatch
 
 
 def wigner_cancellation(family: WaveMatrixFamily, p: MomentumPoint,
@@ -536,9 +511,12 @@ def run_pipeline(s: float, m: float = 1.0, n: int = 2, seed: int = 0,
 
     sub = grid[:: max(1, len(grid) // 4)][:4]
     # the grid, and the half-turned momenta that rotation_pi_relation reads
-    family.fill(grid + [to_momentum(rotation(math.pi) @ p.as_array(), m) for p in sub])
+    turned = holo.stack_momenta(sub).as_array() @ rotation(math.pi).T
+    family.fill(to_momentum(np.concatenate([holo.stack_momenta(grid).as_array(), turned]), m))
     dmat, d_res = extract_D(family, grid)
-    phase = extract_statistics_phase(family, grid)
+    dstar_d = dmat.conj().T @ dmat
+    min_eig = float(np.min(np.linalg.eigvalsh((dstar_d + dstar_d.conj().T) / 2.0)))
+    omega_hat, mismatch = extract_statistics_phase(family, grid)
 
     tp = two_point_boundary_check(family, sub)
     rot = rotation_pi_relation(family, sub)
@@ -558,15 +536,14 @@ def run_pipeline(s: float, m: float = 1.0, n: int = 2, seed: int = 0,
     residuals = {
         "d_constancy": d_res,
         "path_invariance": spot,
-        "phase_mismatch": phase.mismatch,
-        "boundary_closed": max(t["whole_vs_closed"] for t in tp),
-        "dual_route": max(t["whole_vs_factor"] for t in tp),
-        "pi_rotation": max(max(r.values()) for r in rot),
-        "transformation_law": max(max(t.values()) for t in tl),
+        "phase_mismatch": mismatch,
+        "boundary_closed": float(np.max(tp["whole_vs_closed"])),
+        "dual_route": float(np.max(tp["whole_vs_factor"])),
+        "pi_rotation": float(np.max([*rot.values()])),
+        "transformation_law": float(np.max([*tl.values()])),
         "wigner_cancellation": wigner_cancellation(family, grid[3]),
         "kernel_morera": TwoPointKernel(family).morera(_reflected_anchor(grid[2])),
         "ode_vs_engine": ode_vs_engine(family, grid[1]),
-        "dstar_d_min_eig": phase.min_eigenvalue,
+        "dstar_d_min_eig": min_eig,
     }
-    return PipelineReport(s, m, n, seed, model.omega_target, phase.omega_hat,
-                          residuals)
+    return PipelineReport(s, m, n, seed, model.omega_target, omega_hat, residuals)

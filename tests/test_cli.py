@@ -271,3 +271,32 @@ def test_uncastable_config_file_value_is_a_config_error(tmp_path, monkeypatch, c
     monkeypatch.setenv("ANYONSTAT_CONFIG", str(cfg))
     assert cli.main(["--suite", "pauli-lubanski"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["format", "missing-dir", "out-is-a-dir", "unwritable-dir",
+                                  "empty"])
+def test_bad_delivery_settings_are_config_errors_before_any_suite(case, tmp_path,
+                                                                  monkeypatch, capsys):
+    # a config-file format = xml was rejected only after every suite had run,
+    # an out path in a missing directory ended in a FileNotFoundError, and an
+    # empty one printed "report written to" with no report anywhere
+    def no_suite(name, config):
+        raise AssertionError("a suite ran before the delivery settings were checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    monkeypatch.delenv("ANYONSTAT_CONFIG", raising=False)
+    argv = ["--suite", "pauli-lubanski"]
+    if case == "format":
+        cfg = tmp_path / "cfg"
+        cfg.write_text("format = xml\n")
+        monkeypatch.setenv("ANYONSTAT_CONFIG", str(cfg))
+    else:
+        out = {"missing-dir": tmp_path / "missing" / "x.json", "out-is-a-dir": tmp_path,
+               "unwritable-dir": tmp_path / "x.json", "empty": ""}[case]
+        argv += ["--out", str(out)]
+    if case == "unwritable-dir":
+        # a permission check cannot fail for root, so the answer is patched
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert "config error" in err and out == ""
