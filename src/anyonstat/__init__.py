@@ -20,9 +20,9 @@ from .conegeom import (ConePath, SpacelikeDirection, SpatialSector,
                        in_wedge_class, path_equivalent, poincare_act_path)
 from .repn import (QuadGrid, RepConfig, WaveFunction, act, casimir_residual,
                    generator, inner_product, pauli_lubanski)
-from .spinstat import (PipelineReport, ToyModel, TwoPointKernel,
-                       WaveMatrixFamily, build_toy_model, extract_D,
-                       extract_statistics_phase, run_pipeline)
+from .spinstat import (PipelineReport, ToyModel, WaveMatrixFamily,
+                       build_toy_model, extract_D, extract_statistics_phase,
+                       run_pipeline)
 from .suites import Report, SuiteConfig, run_suite
 
 __version__ = "0.1.0"

@@ -67,16 +67,24 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _coerce(key: str, value):
+    """A config-file value as its field's type.  A string is parsed; a JSON
+    value must have the type already: a number that is no bool, integral for
+    an int field, or a string.  A JSON null leaves an optional field unset."""
     if key not in _SCHEMA:
         raise ConfigError(f"unknown config key {key!r}")
     repeatable, cast = _SCHEMA[key]
-    if not repeatable:
-        return cast(value)
-    if isinstance(value, str):
+    if value is None and type(None) in typing.get_args(_HINTS[key]):
+        return None
+    if repeatable and isinstance(value, str):
         value = value.replace(",", " ").split()
-    if not isinstance(value, (list, tuple)):
-        value = [value]
-    return tuple(cast(v) for v in value)
+    items = value if repeatable and isinstance(value, (list, tuple)) else [value]
+    for v in items:
+        if not isinstance(v, str) and (cast is str or isinstance(v, bool)
+                                       or not isinstance(v, (int, float))
+                                       or cast is int and v != int(v)):
+            raise ConfigError(f"config key {key!r} takes {cast.__name__} values, got {v!r}")
+    values = tuple(cast(v) for v in items)
+    return values if repeatable else values[0]
 
 
 def build_config(file_data: dict, args: argparse.Namespace) -> SuiteConfig:
@@ -88,7 +96,7 @@ def build_config(file_data: dict, args: argparse.Namespace) -> SuiteConfig:
             if v is not None:
                 values[key] = tuple(v) if isinstance(v, list) else v
         config = SuiteConfig(**values)
-    except (TypeError, ValueError) as e:   # a ConfigError from _coerce is one too
+    except (TypeError, ValueError, OverflowError) as e:   # ConfigError is a ValueError
         raise ConfigError(str(e)) from e
     if config.format not in _RENDERERS:
         raise ConfigError(f"unknown format {config.format!r}; choose json, csv or text")
@@ -100,13 +108,6 @@ def build_config(file_data: dict, args: argparse.Namespace) -> SuiteConfig:
     return config
 
 
-def _record_payload(r, volatile: bool) -> dict:
-    d = asdict(r)
-    if not volatile:
-        d["runtime_ms"] = None
-    return d
-
-
 def render_json(report: Report) -> str:
     # out and format describe the delivery, not the verification run; keeping
     # them out of the echo makes reports byte-identical wherever they land
@@ -114,7 +115,7 @@ def render_json(report: Report) -> str:
     payload = {
         "version": report.version,
         "config": config,
-        "records": [_record_payload(r, volatile=False) for r in report.records],
+        "records": [{**asdict(r), "runtime_ms": None} for r in report.records],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 

@@ -8,8 +8,11 @@ the causal completions of open salient sectors in the rest plane; a boosted
 cone is represented by its transported direction interval, which is all the
 path predicates ever consume.
 
-Directions, sectors and paths may be stacks (array angles, vectors (..., 3));
-a stack row whose image degenerates is NaN, which the checks let through.
+Directions, sectors, paths and cover elements may be stacks (array angles,
+vectors (..., 3)), and contains_direction, in_wedge_class and
+poincare_act_path answer row by row; exchange_hypothesis takes stacks of
+lifted angles over one pair of cones.  A single input gives a single answer,
+and a stack row whose image degenerates is NaN, which the checks let through.
 """
 
 from __future__ import annotations
@@ -48,14 +51,14 @@ class SpacelikeDirection:
             raise ValueError("lifted_angle does not project to the spatial angle")
 
     @classmethod
-    def from_angles(cls, lifted_angle: float, tilt: float = 0.0) -> "SpacelikeDirection":
-        """Unit space-like direction at the given lifted spatial angle.
+    def from_angles(cls, lifted_angle, tilt=0.0) -> "SpacelikeDirection":
+        """Unit space-like directions at the given lifted spatial angles.
 
         tilt is the time component; the spatial radius sqrt(1 + tilt^2) keeps
         the vector on the unit space-like hyperboloid.
         """
-        r = math.sqrt(1.0 + tilt * tilt)
-        return cls(Vec3(tilt, r * math.cos(lifted_angle), r * math.sin(lifted_angle)),
+        r = np.sqrt(1.0 + tilt * tilt)
+        return cls(Vec3(tilt, r * np.cos(lifted_angle), r * np.sin(lifted_angle)),
                    lifted_angle)
 
 
@@ -100,9 +103,8 @@ class SpatialSector:
             return tuple(as_array(v) for v in self.edges)
         return _rest_direction(self.alpha), _rest_direction(self.beta)
 
-    def angle_inside(self, phi, tol: float = 1e-12):
-        rel = (phi - self.alpha) % TWO_PI
-        return (-tol <= rel) & (rel <= self.opening + tol)
+    def angle_inside(self, phi):
+        return (phi - self.alpha) % TWO_PI <= self.opening + 1e-12
 
 
 def _rest_direction(angle) -> np.ndarray:
@@ -110,12 +112,11 @@ def _rest_direction(angle) -> np.ndarray:
     return Vec3(0.0 * angle, np.cos(angle), np.sin(angle)).as_array()
 
 
-def _ray_distance(v, angle: float):
-    """Euclidean distance from planar points (..., 2) to the closed ray at `angle`."""
-    u = np.array([math.cos(angle), math.sin(angle)])
-    t = np.maximum(0.0, v @ u)
-    off = v - t[..., None] * u
-    return np.hypot(off[..., 0], off[..., 1])
+def _ray_distance(v, angle):
+    """Euclidean distance from planar points (..., 2) to the closed rays at the angles."""
+    c, s = np.cos(angle), np.sin(angle)
+    t = np.maximum(0.0, v[..., 0] * c + v[..., 1] * s)
+    return np.hypot(v[..., 0] - t * c, v[..., 1] - t * s)
 
 
 def sector_depth(sector: SpatialSector, v):
@@ -137,7 +138,7 @@ def cone_contains_point(sector: SpatialSector, x, margin: float = 0.0):
     return sector_depth(sector, v[..., 1:]) > np.abs(v[..., 0]) + margin
 
 
-def contains_direction(sector: SpatialSector, direction) -> bool:
+def contains_direction(sector: SpatialSector, direction):
     """Whether translating the cone along the direction keeps it inside itself.
 
     For a convex cone this is membership of the direction in the closure of
@@ -145,16 +146,8 @@ def contains_direction(sector: SpatialSector, direction) -> bool:
     closed angular interval and its depth must dominate the time component.
     """
     e = as_array(direction.e if isinstance(direction, SpacelikeDirection) else direction)
-    phi = math.atan2(e[2], e[1])
-    if not sector.angle_inside(phi):
-        return False
-    return bool(sector_depth(sector, e[1:]) >= abs(e[0]) - 1e-12)
-
-
-def direction_in_wedge(e, strict_margin: float = 1e-12) -> bool:
-    """Strict interior of the standard wedge x1 > |x0| for a direction."""
-    a = as_array(e)
-    return a[1] - abs(a[0]) > strict_margin
+    inside = sector.angle_inside(np.arctan2(e[..., 2], e[..., 1]))
+    return (inside & (sector_depth(sector, e[..., 1:]) >= np.abs(e[..., 0]) - 1e-12))[()]
 
 
 def dual_sector(sector: SpatialSector) -> SpatialSector:
@@ -211,8 +204,7 @@ def _cone_samples(sector: SpatialSector) -> np.ndarray:
     return (np.concatenate([t[..., None], v], -1) + sector.apex.as_array()).reshape(-1, 3)
 
 
-def causally_separated(c1: SpatialSector, c2: SpatialSector,
-                       margin: float = 1e-9) -> bool:
+def causally_separated(c1: SpatialSector, c2: SpatialSector) -> bool:
     """Space-like separation of two cones.
 
     Requires disjoint direction intervals plus a pairwise space-like check on
@@ -225,7 +217,7 @@ def causally_separated(c1: SpatialSector, c2: SpatialSector,
     xs, ys = _cone_samples(c1), _cone_samples(c2)
     d = xs[:, None, :] - ys[None, :, :]
     sq = d[..., 0] ** 2 - d[..., 1] ** 2 - d[..., 2] ** 2
-    return bool(np.max(sq) < -margin)
+    return bool(np.max(sq) < -1e-9)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,18 +263,18 @@ def path_equivalent(p1: ConePath, p2: ConePath, ambient: SpatialSector) -> bool:
     return ks[0] == ks[1]
 
 
-def exchange_hypothesis(p1: ConePath, p2: ConePath) -> bool:
+def exchange_hypothesis(p1: ConePath, p2: ConePath):
     """The ordered exchange condition for a pair of localization paths.
 
     True when the cones are causally separated and the composite path from
     cone 2 to cone 1 proceeds directly in the mathematically positive sense,
     i.e. the lifted angle difference lies in (0, 2*pi).  The condition is
-    deliberately not symmetric under swapping the arguments.
+    deliberately not symmetric under swapping the arguments.  The causal
+    separation of the one pair of cones is checked once for a whole stack.
     """
-    if not causally_separated(p1.sector, p2.sector):
-        return False
-    delta = p1.accumulated_angle - p2.accumulated_angle
-    return 1e-12 < delta < TWO_PI - 1e-12
+    delta = np.asarray(p1.accumulated_angle - p2.accumulated_angle)
+    direct = (1e-12 < delta) & (delta < TWO_PI - 1e-12)
+    return (direct & causally_separated(p1.sector, p2.sector))[()]
 
 
 def _lifted_circle_action(g: cg.CoverElement, vecs, lift_start) -> np.ndarray:
@@ -358,37 +350,40 @@ def poincare_act_path(g: cg.PoincareElement, path: ConePath) -> ConePath:
     return ConePath(sector, acc, direction=SpacelikeDirection(Vec3.from_array(d), acc))
 
 
-def in_wedge_class(g: cg.CoverElement) -> bool:
+def in_wedge_class(g: cg.CoverElement):
     """Whether g carries the reference path class into the standard wedge class.
 
-    The endpoint direction must lie strictly inside the wedge and the lifted
-    angle must land on the wedge's own copy of (-pi/2, pi/2): a 2*pi winding
-    disqualifies even though the endpoint direction is unchanged.
+    The endpoint direction must lie strictly inside the wedge x1 > |x0| and
+    the lifted angle must land on the wedge's own copy of (-pi/2, pi/2): a
+    2*pi winding disqualifies even though the endpoint direction is
+    unchanged.  Nothing is lifted when no endpoint lies inside the wedge.
     """
     e0 = np.array([0.0, 0.0, -1.0])
-    if not direction_in_wedge(cg.project(g) @ e0):
-        return False
-    acc = _lifted_circle_action(g, e0, REFERENCE_ANGLE)
-    return bool(-math.pi / 2.0 < acc < math.pi / 2.0)
+    e = cg.project(g) @ e0
+    inside = e[..., 1] - np.abs(e[..., 0]) > 1e-12
+    if not inside.any():
+        return inside[()]
+    acc = _lifted_circle_action(g, np.broadcast_to(e0, e.shape), REFERENCE_ANGLE)
+    return (inside & (-math.pi / 2.0 < acc) & (acc < math.pi / 2.0))[()]
 
 
 # ----------------------------------------------------------------------------
 # canonical configurations used by the verification suites
 # ----------------------------------------------------------------------------
 
-def single_cone_paths(opening: float = 0.6):
-    """One cone, three approach paths: two in the same class, one wound once.
+def single_cone_paths():
+    """One cone (opening 0.6), three approach paths: two in one class, one wound once.
 
     Returns (ambient sector, direct path, equivalent path, wound path).
     """
-    sector = SpatialSector(-opening / 2.0, opening / 2.0)
+    sector = SpatialSector(-0.3, 0.3)
     direct = ConePath(sector, 0.0)
-    nearby = ConePath(sector, opening / 4.0)
+    nearby = ConePath(sector, 0.15)
     wound = ConePath(sector, TWO_PI)
     return sector, direct, nearby, wound
 
 
-def antipodal_pair(gap: float = 0.15, apex_offset: float = 1.0):
+def antipodal_pair():
     """Two oppositely pointing cones whose paths satisfy the exchange
     condition in the order (first, second).
 
@@ -397,6 +392,6 @@ def antipodal_pair(gap: float = 0.15, apex_offset: float = 1.0):
     contains the negative x-axis, which is the configuration the statistics
     pipeline requires.
     """
-    c1 = SpatialSector(-gap, gap, Vec3(0.0, apex_offset, 0.0))
-    c2 = SpatialSector(math.pi - gap, math.pi + gap, Vec3(0.0, -apex_offset, 0.0))
+    c1 = SpatialSector(-0.15, 0.15, Vec3(0.0, 1.0, 0.0))
+    c2 = SpatialSector(math.pi - 0.15, math.pi + 0.15, Vec3(0.0, -1.0, 0.0))
     return ConePath(c1, TWO_PI), ConePath(c2, math.pi)

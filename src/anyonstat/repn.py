@@ -106,7 +106,7 @@ class QuadGrid:
 
 
 def inner_product(phi: WaveFunction, psi: WaveFunction,
-                  grid: QuadGrid | None = None, check_support: bool = True) -> complex:
+                  grid: QuadGrid | None = None) -> complex:
     """Integral of conj(phi).psi against d^2p / (2 p0) over the grid box."""
     if grid is None:
         grid = QuadGrid()
@@ -119,11 +119,13 @@ def inner_product(phi: WaveFunction, psi: WaveFunction,
     bulk_max = float(np.max(mag))
     edge_max = float(max(np.max(mag[[0, -1], :]), np.max(mag[:, [0, -1]])))
     # envelope < 1e-12 of peak at the box edge, i.e. 1e-24 on |psi|^2
-    if check_support and bulk_max > 0 and edge_max > 1e-24 * bulk_max:
+    if bulk_max > 0 and edge_max > 1e-24 * bulk_max:
         raise QuadratureSupportError(
             f"integrand at box edge is {edge_max / bulk_max:.2e} of its peak")
     return complex(total)
 
+
+_STEP = 0.004  # the central-difference step of the generators
 
 _BOOST_KINDS = {
     "L0": lambda t: cg.lift_rotation(t),
@@ -139,7 +141,7 @@ def _group_value(psi: WaveFunction, kind: str, t: float, parr: np.ndarray) -> np
     return phase * psi(cg.project(cg.inverse(g)) @ parr)
 
 
-def generator(psi: WaveFunction, kind: str, p, step: float = 0.004) -> np.ndarray:
+def generator(psi: WaveFunction, kind: str, p) -> np.ndarray:
     """-i d/dt U(g(t)) psi at t=0, by central differences plus Richardson.
 
     kind is one of L0 (rotation), L1, L2 (boosts along x1, x2) or P0, P1, P2
@@ -155,11 +157,11 @@ def generator(psi: WaveFunction, kind: str, p, step: float = 0.004) -> np.ndarra
         return (_group_value(psi, kind, h, parr)
                 - _group_value(psi, kind, -h, parr)) / (2.0 * h)
 
-    d = (4.0 * central(step / 2.0) - central(step)) / 3.0
+    d = (4.0 * central(_STEP / 2.0) - central(_STEP)) / 3.0
     return -1j * d
 
 
-def pauli_lubanski(psi: WaveFunction, p, step: float = 0.004) -> np.ndarray:
+def pauli_lubanski(psi: WaveFunction, p) -> np.ndarray:
     """The Casimir J.P applied to psi at p, multiplication acting first.
 
     J = (-L0, L2, -L1); on a mass-m spin-s representation the result equals
@@ -169,16 +171,16 @@ def pauli_lubanski(psi: WaveFunction, p, step: float = 0.004) -> np.ndarray:
     out = np.zeros(cfg.n, dtype=complex)
     for coeff, jkind, mu in ((-1.0, "L0", 0), (1.0, "L2", 1), (-1.0, "L1", 2)):
         mult = WaveFunction(cfg, lambda parr, mu=mu: parr[..., mu, None] * psi(parr))
-        out += coeff * generator(mult, jkind, p, step)
+        out += coeff * generator(mult, jkind, p)
     return out
 
 
-def casimir_residual(psi: WaveFunction, points, step: float = 0.004) -> float:
+def casimir_residual(psi: WaveFunction, points) -> float:
     """max over points of ||J.P psi + m s psi|| / ||psi||."""
     cfg = psi.config
     worst = 0.0
     for p in points:
-        w = pauli_lubanski(psi, p, step)
+        w = pauli_lubanski(psi, p)
         v = psi(p)
         denom = float(np.linalg.norm(v))
         if denom == 0.0:

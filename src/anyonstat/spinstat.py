@@ -237,13 +237,13 @@ def build_toy_model(s: float, m: float, n: int = 2, seed: int = 0,
     return model, WaveMatrixFamily(model)
 
 
-def momentum_grid(m: float, size: int = 5, boosted: int = 2) -> list:
-    """Deterministic shell grid; p1 stays away from 0 so the straight
-    vertical continuation paths keep clear of power-base zeros."""
+def momentum_grid(m: float, size: int = 5) -> list:
+    """Deterministic shell grid plus two boosted points; p1 stays away from 0
+    so the straight vertical continuation paths keep clear of power-base zeros."""
     pts = [MomentumPoint(p1, p2, m)
            for p1 in np.linspace(0.15, 0.75, size)
            for p2 in np.linspace(-0.6, 0.6, size)]
-    for k in range(boosted):
+    for k in range(2):
         src = pts[(k * 7) % len(pts)]
         pts.append(to_momentum(boost1(0.4 + 0.2 * k) @ src.as_array(), m))
     return pts
@@ -271,25 +271,6 @@ def dressed_family(family: WaveMatrixFamily, i: int, t, p: MomentumPoint) -> np.
     raise ValueError("family index must be 1 or 2")
 
 
-@dataclass
-class TwoPointKernel:
-    """M(p) = Psi_2(p)^* Psi_1(p) together with its strip realisation."""
-
-    family: WaveMatrixFamily
-
-    def scalar_expr(self, q: MomentumPoint) -> holo.PowerProduct:
-        return self.family.pref2bar_expr(q) * self.family.pref1_expr(q)
-
-    def matrix_const(self) -> np.ndarray:
-        m = self.family.model
-        return m.a2.conj().T @ m.a1
-
-    def morera(self, q: MomentumPoint, rect: holo.StripPath | None = None) -> float:
-        if rect is None:
-            rect = holo.StripPath.rectangle(-0.4, 0.4, 0.15, math.pi - 0.15)
-        return holo.morera_residual(self.scalar_expr(q), rect)
-
-
 def two_point_boundary_check(family: WaveMatrixFamily, ps: list) -> dict:
     """Boundary identity of the two-point kernel at -p, three ways.
 
@@ -300,10 +281,11 @@ def two_point_boundary_check(family: WaveMatrixFamily, ps: list) -> dict:
     """
     pa = holo.stack_momenta(ps)
     hat_v, check_v = family.boundary_pair(pa)
-    kernel = TwoPointKernel(family)
-    whole = _times(holo.continue_robust(kernel.scalar_expr(_reflected_anchor(pa)),
+    q, mdl = _reflected_anchor(pa), family.model
+    # the kernel M = Psi_2^* Psi_1: one scalar power product times a2^H a1
+    whole = _times(holo.continue_robust(family.pref2bar_expr(q) * family.pref1_expr(q),
                                         holo.StripPath.vertical(0.0)),
-                   kernel.matrix_const())
+                   mdl.a2.conj().T @ mdl.a1)
     wrong = family.model.omega_target * (family.psi1_conj(pa).conj().swapaxes(-1, -2)
                                          @ family.psi2_conj(pa))
     return {"whole_vs_closed": _rel(whole, wrong.swapaxes(-1, -2)),
@@ -324,10 +306,10 @@ def verify_transformation_law(g: cg.CoverElement, ps: list, family: WaveMatrixFa
     p_arr = pa.as_array()
     g = cg.CoverElement(*(np.broadcast_to(x, pa.p1.shape) for x in (g.gamma, g.omega)))
     gg0 = cg.compose(g, cg.lift_rotation(math.pi / 2.0))
-    for i in range(len(p_arr)):
-        if not cgm.in_wedge_class(gg0[i]):
-            raise HypothesisViolation(
-                f"element {i} leaves the strip-analyticity neighbourhood")
+    outside = np.flatnonzero(~cgm.in_wedge_class(gg0))
+    if outside.size:
+        raise HypothesisViolation(
+            f"element {outside[0]} leaves the strip-analyticity neighbourhood")
 
     lp_j = cg.act_on_vector(cg.inverse(g), p_arr) @ J  # J is diagonal: x J = J x
 
@@ -404,13 +386,12 @@ def rotation_pi_relation(family: WaveMatrixFamily, ps: list) -> dict:
                                          cmath.exp(1j * math.pi * mdl.s) * back)}
 
 
-def extract_statistics_phase(family: WaveMatrixFamily, grid: list,
-                             mismatch_tol: float = 1e-6) -> tuple:
+def extract_statistics_phase(family: WaveMatrixFamily, grid: list) -> tuple:
     """Least-squares scalar relating hat^* check to the conjugate product, and its mismatch.
 
     Solves for the single complex number multiplying Psi_1^c* Psi_2^c in the
     reflected two-point identity; the injected construction makes that
-    number the statistics phase.  A residual above mismatch_tol means no
+    number the statistics phase.  A residual above 1e-6 means no
     scalar works, which signals an inconsistent pipeline.
     """
     pa = holo.stack_momenta(grid)
@@ -419,10 +400,9 @@ def extract_statistics_phase(family: WaveMatrixFamily, grid: list,
     rhs = family.psi1_conj(pa).conj().swapaxes(-1, -2) @ family.psi2_conj(pa)
     omega_hat = complex(np.vdot(rhs, lhs)) / float(np.vdot(rhs, rhs).real)
     mismatch = float(np.max(_rel(lhs, omega_hat * rhs)))
-    if mismatch > mismatch_tol:
-        raise NonScalarMismatch(
-            f"no scalar reduces the reflected identity below {mismatch_tol}"
-            f" (best {mismatch:.3e})")
+    if mismatch > 1e-6:
+        raise NonScalarMismatch("no scalar reduces the reflected identity below 1e-06"
+                                f" (best {mismatch:.3e})")
     return omega_hat, mismatch
 
 
@@ -532,6 +512,8 @@ def run_pipeline(s: float, m: float = 1.0, n: int = 2, seed: int = 0,
     spot = abs(holo.continue_robust(spot_expr, [0.0, 1j * math.pi])
                - holo.continue_robust(spot_expr, [0.0, 0.4, 0.4 + 0.6j * math.pi,
                                                   1j * math.pi]))
+    q = _reflected_anchor(grid[2])
+    kernel = family.pref2bar_expr(q) * family.pref1_expr(q)  # the scalar part of M
 
     residuals = {
         "d_constancy": d_res,
@@ -542,7 +524,8 @@ def run_pipeline(s: float, m: float = 1.0, n: int = 2, seed: int = 0,
         "pi_rotation": float(np.max([*rot.values()])),
         "transformation_law": float(np.max([*tl.values()])),
         "wigner_cancellation": wigner_cancellation(family, grid[3]),
-        "kernel_morera": TwoPointKernel(family).morera(_reflected_anchor(grid[2])),
+        "kernel_morera": holo.morera_residual(
+            kernel, holo.StripPath.rectangle(-0.4, 0.4, 0.15, math.pi - 0.15)),
         "ode_vs_engine": ode_vs_engine(family, grid[1]),
         "dstar_d_min_eig": min_eig,
     }

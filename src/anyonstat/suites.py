@@ -427,18 +427,15 @@ def cones_suite(config: SuiteConfig) -> list:
 
     p1, p2 = cgm.antipodal_pair()
     wound = cgm.ConePath(p1.sector, p1.accumulated_angle + 2.0 * math.pi)
-    both = 0
-    for _ in range(100):
-        d1 = cgm.ConePath(p1.sector, p1.accumulated_angle
-                          + 2.0 * math.pi * rng.integers(-2, 3))
-        d2 = cgm.ConePath(p2.sector, p2.accumulated_angle
-                          + 2.0 * math.pi * rng.integers(-2, 3))
-        if cgm.exchange_hypothesis(d1, d2) and cgm.exchange_hypothesis(d2, d1):
-            both += 1
-    ok = (cgm.exchange_hypothesis(p1, p2)
-          and not cgm.exchange_hypothesis(p2, p1)
-          and not cgm.exchange_hypothesis(wound, p2)
-          and both == 0)
+    # per pair one winding of each path: the first path's, then the second's
+    turns = 2.0 * math.pi * rng.integers(-2, 3, size=(100, 2))
+    d1 = cgm.ConePath(p1.sector, p1.accumulated_angle + turns[:, 0])
+    d2 = cgm.ConePath(p2.sector, p2.accumulated_angle + turns[:, 1])
+    both = cgm.exchange_hypothesis(d1, d2) & cgm.exchange_hypothesis(d2, d1)
+    ok = bool(cgm.exchange_hypothesis(p1, p2)
+              and not cgm.exchange_hypothesis(p2, p1)
+              and not cgm.exchange_hypothesis(wound, p2)
+              and not both.any())
     records.append(Record("cones", "exchange-hypothesis",
                           {"configuration": "antipodal pair", "asymmetry_samples": 100},
                           {"violations": 0.0 if ok else 1.0}, ok))
@@ -471,15 +468,15 @@ def cones_suite(config: SuiteConfig) -> list:
                                          margin=-1e-6).all()
         if pred != oracle:
             mismatches += 1
-    trans_bad = 0
-    for _ in range(50):
-        a = rng.uniform(-math.pi, math.pi)
-        sec1 = cgm.SpatialSector(a, a + 1.0)
-        sec2 = cgm.SpatialSector(a, a + 1.0, mk.Vec3(*rng.uniform(-3.0, 3.0, 3)))
-        e = cgm.SpacelikeDirection.from_angles(rng.uniform(a - 0.3, a + 1.3),
-                                               rng.uniform(-1.0, 1.0))
-        if cgm.contains_direction(sec1, e) != cgm.contains_direction(sec2, e):
-            trans_bad += 1
+    # per translated copy six uniforms, each mapped as lo + (hi - lo) u: a, the
+    # apex, the direction's lifted angle in (a - 0.3, a + 1.3) and its tilt
+    u = rng.uniform(size=(50, 6))
+    a = -math.pi + 2.0 * math.pi * u[:, 0]
+    sec1 = cgm.SpatialSector(a, a + 1.0)
+    sec2 = cgm.SpatialSector(a, a + 1.0, mk.Vec3.from_array(-3.0 + 6.0 * u[:, 1:4]))
+    e = cgm.SpacelikeDirection.from_angles(a - 0.3 + ((a + 1.3) - (a - 0.3)) * u[:, 4],
+                                           -1.0 + 2.0 * u[:, 5])
+    trans_bad = np.sum(cgm.contains_direction(sec1, e) != cgm.contains_direction(sec2, e))
     records.append(_record("cones", "direction-containment-oracle",
                            {"samples": 200, "margin": 1e-6},
                            {"mismatches": float(mismatches),
@@ -501,9 +498,8 @@ def cones_suite(config: SuiteConfig) -> list:
     deck = cgm.poincare_act_path(
         cg.PoincareElement.pure_lorentz(cg.lift_rotation(2.0 * math.pi)), base)
     worst_deck = abs(deck.accumulated_angle - base.accumulated_angle - 2.0 * math.pi)
-    wedge_ok = (cgm.in_wedge_class(cg.lift_rotation(math.pi / 2.0))
-                and not cgm.in_wedge_class(cg.identity())
-                and not cgm.in_wedge_class(cg.lift_rotation(math.pi / 2.0 + 2.0 * math.pi)))
+    quarters = cg.lift_rotation(np.array([math.pi / 2.0, 0.0, math.pi / 2.0 + 2.0 * math.pi]))
+    wedge_ok = cgm.in_wedge_class(quarters).tolist() == [True, False, False]
     records.append(Record("cones", "path-action-equivariance",
                           {"samples": 500},
                           {"composition": worst, "deck_shift": worst_deck,

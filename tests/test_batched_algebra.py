@@ -274,6 +274,100 @@ def test_batched_path_action_equivariance_keeps_the_scalar_draws(seed, monkeypat
     assert np.array_equal(elements, ref_elements)
 
 
+def _scalar_exchange(rng, p1, p2):
+    """The per-pair loop the exchange record replaced: the drawn lifted
+    angles of both paths and the count of pairs that exchange both ways."""
+    angles, both = [], 0
+    for _ in range(100):
+        d1 = cgm.ConePath(p1.sector, p1.accumulated_angle
+                          + 2.0 * math.pi * rng.integers(-2, 3))
+        d2 = cgm.ConePath(p2.sector, p2.accumulated_angle
+                          + 2.0 * math.pi * rng.integers(-2, 3))
+        angles.append((d1.accumulated_angle, d2.accumulated_angle))
+        if cgm.exchange_hypothesis(d1, d2) and cgm.exchange_hypothesis(d2, d1):
+            both += 1
+    return np.array(angles), both
+
+
+def _scalar_translation(rng):
+    """The per-copy loop the translation check replaced: per copy its
+    (a, apex, lifted angle, tilt), and the count of changed verdicts."""
+    rows, bad = [], 0
+    for _ in range(50):
+        a = rng.uniform(-math.pi, math.pi)
+        sec1 = cgm.SpatialSector(a, a + 1.0)
+        sec2 = cgm.SpatialSector(a, a + 1.0, mk.Vec3(*rng.uniform(-3.0, 3.0, 3)))
+        e = cgm.SpacelikeDirection.from_angles(rng.uniform(a - 0.3, a + 1.3),
+                                               rng.uniform(-1.0, 1.0))
+        rows.append((a, *sec2.apex.as_array(), e.lifted_angle, e.e.x0))
+        if cgm.contains_direction(sec1, e) != cgm.contains_direction(sec2, e):
+            bad += 1
+    return np.array(rows), bad
+
+
+class _Tape:
+    """A generator that logs the size and a copy of its state before each draw."""
+
+    def __init__(self, rng):
+        self.rng, self.log = rng, []
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def logged(*args, **kwargs):
+            self.log.append((kwargs.get("size"), copy.deepcopy(self.rng)))
+            return draw(*args, **kwargs)
+
+        return logged
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_stacked_cone_records_keep_the_scalar_draws(seed, monkeypatch):
+    tapes, exchanges, containments = [], [], []
+    rng_for, exchange, contains = suites._rng, cgm.exchange_hypothesis, cgm.contains_direction
+
+    def taped(config, salt):
+        tapes.append(_Tape(rng_for(config, salt)))
+        return tapes[-1]
+
+    def stacked(fn, seen):
+        def spy(*args):
+            out = fn(*args)
+            if np.ndim(out):
+                seen.append((*args, out))
+            return out
+        return spy
+
+    monkeypatch.setattr(suites, "_rng", taped)
+    monkeypatch.setattr(cgm, "exchange_hypothesis", stacked(exchange, exchanges))
+    monkeypatch.setattr(cgm, "contains_direction", stacked(contains, containments))
+    records = {r.anchor: r for r in suites.cones_suite(suites.SuiteConfig(seed=seed))}
+    assert all(r.passed for r in records.values())
+    (tape,) = tapes
+    sizes = [size for size, _ in tape.log]
+
+    # the exchange record: its block of windings is the loop's draws, and the
+    # generator ends where the loop left it
+    i = sizes.index((100, 2))
+    rng = tape.log[i][1]
+    angles, both = _scalar_exchange(rng, *cgm.antipodal_pair())
+    assert rng.bit_generator.state == tape.log[i + 1][1].bit_generator.state
+    (d1, d2, forward), (_, _, backward) = exchanges
+    assert np.array_equal(np.column_stack([d1.accumulated_angle, d2.accumulated_angle]), angles)
+    assert int(np.sum(forward & backward)) == both == 0
+
+    # the translation check of the containment record, likewise
+    j = sizes.index((50, 6))
+    rng = tape.log[j][1]
+    rows, bad = _scalar_translation(rng)
+    assert rng.bit_generator.state == tape.log[j + 1][1].bit_generator.state
+    (sec1, e, in1), (sec2, _, in2) = containments
+    drawn = np.column_stack([sec2.alpha, sec2.apex.as_array(), e.lifted_angle, e.e.x0])
+    assert np.array_equal(drawn, rows) and np.array_equal(sec1.alpha, sec2.alpha)
+    assert int(np.sum(in1 != in2)) == bad
+    assert records["direction-containment-oracle"].residuals["translation_violations"] == bad
+
+
 def test_degenerate_rows_are_masked_and_skipped(monkeypatch):
     # an image is declared degenerate for every draw whose first translation
     # component is negative; the batch must skip exactly those draws, as the

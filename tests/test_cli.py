@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from dataclasses import fields
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,12 +15,19 @@ from anyonstat.suites import Report, SuiteConfig, run_suite
 
 
 def run_cli(*args, env=None):
-    import os
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run([sys.executable, "-m", "anyonstat", *args],
-                          capture_output=True, text=True, env=full_env)
+    """cli.main in this interpreter, with env added to os.environ and the
+    streams captured; returns what a run of `python -m anyonstat` would."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env or {}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_entry_point(*args, env=None):
+    """A real `python -m anyonstat` process."""
+    return subprocess.run([sys.executable, "-m", "anyonstat", *args], capture_output=True,
+                          text=True, env={**os.environ, **(env or {})})
 
 
 def test_json_determinism(tmp_path):
@@ -56,13 +65,43 @@ def test_config_file_and_flag_override(tmp_path):
 
 
 def test_json_config_file(tmp_path):
+    # a real process: the entry point reads ANYONSTAT_CONFIG from its environment
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 5, "spins": [0.5]}))
-    r = run_cli("--suite", "pauli-lubanski", "--format", "json",
-                env={"ANYONSTAT_CONFIG": str(cfg)})
+    r = run_entry_point("--suite", "pauli-lubanski", "--format", "json",
+                        env={"ANYONSTAT_CONFIG": str(cfg)})
     assert r.returncode == 0
     data = json.loads(r.stdout)
     assert data["config"]["seed"] == 5
+
+
+@pytest.mark.parametrize("data", [{"seed": 3.7}, {"grid": 2.9}, {"spins": [True]},
+                                  {"seed": True}, {"tol_engine": False},
+                                  {"multiplicities": [2.5]}, {"out": 5},
+                                  {"format": None}, {"masses": ["1.0", None]},
+                                  {"masses": [10 ** 400]}, {"seed": float("inf")}])
+def test_json_config_value_of_the_wrong_type_is_a_config_error(data, tmp_path):
+    # {"seed": 3.7, "grid": 2.9, "spins": [true]} ran as seed 3, grid 2 and
+    # spin 1.0: a bool is no number, and an int field takes no fraction; a
+    # number too large for a float ended in an OverflowError traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    r = run_cli("--suite", "pauli-lubanski", env={"ANYONSTAT_CONFIG": str(cfg)})
+    assert r.returncode == 2
+    assert "config error" in r.stderr and r.stdout == ""
+
+
+def test_json_config_null_out_writes_no_file(tmp_path, monkeypatch):
+    # "out": null wrote the report to a file named None; it is the default
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": None, "seed": 3.0, "multiplicities": [2.0],
+                               "spins": [1, "0.5"]}))
+    r = run_cli("--suite", "pauli-lubanski", "--format", "json",
+                env={"ANYONSTAT_CONFIG": str(cfg)})
+    assert r.returncode == 0 and sorted(os.listdir(tmp_path)) == ["cfg.json"]
+    config = json.loads(r.stdout)["config"]
+    assert (config["seed"], config["multiplicities"], config["spins"]) == (3, [2], [1.0, 0.5])
 
 
 def test_json_roundtrip_and_schema():

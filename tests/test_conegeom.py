@@ -283,6 +283,77 @@ def test_in_wedge_class():
     assert cgm.in_wedge_class(cg.compose(g, cg.lift_rotation(math.pi / 2)))
 
 
+def test_contains_direction_on_stacks_equals_the_scalar_calls():
+    rng = np.random.default_rng(11)
+    a = rng.uniform(-math.pi, math.pi, 200)
+    b = a + rng.uniform(0.2, 2.8, 200)
+    lift, tilt = rng.uniform(a - 0.5, b + 0.5), rng.uniform(-1.2, 1.2, 200)
+    # edge cases: untilted directions on an edge, on an edge one turn on,
+    # and on the bisector with more tilt than depth
+    lift[:4], tilt[:4] = (a[0], b[1], a[2] + TWO_PI, (a[3] + b[3]) / 2), (0, 0, 0, 3)
+    sectors = cgm.SpatialSector(a, b)
+    dirs = cgm.SpacelikeDirection.from_angles(lift, tilt)
+    scalar = [cgm.contains_direction(cgm.SpatialSector(a[i], b[i]),
+                                     cgm.SpacelikeDirection.from_angles(lift[i], tilt[i]))
+              for i in range(200)]
+    stacked = cgm.contains_direction(sectors, dirs)
+    assert stacked.shape == (200,) and np.array_equal(stacked, scalar)
+    assert 0 < stacked.sum() < 200 and not stacked[3]
+    assert np.array_equal(cgm.contains_direction(sectors, dirs.e.as_array()), scalar)
+    # one sector against a stack of directions
+    one = cgm.SpatialSector(a[0], b[0])
+    assert np.array_equal(cgm.contains_direction(one, dirs),
+                          [cgm.contains_direction(one, dirs.e.as_array()[i])
+                           for i in range(200)])
+
+
+def test_exchange_hypothesis_on_stacks_equals_the_scalar_calls(monkeypatch):
+    rng = np.random.default_rng(13)
+    p1, p2 = cgm.antipodal_pair()
+    k, off = rng.integers(-3, 4, size=(200, 2)), rng.uniform(-0.14, 0.14, size=(200, 2))
+    a1 = p1.accumulated_angle + TWO_PI * k[:, 0] + off[:, 0]
+    a2 = p2.accumulated_angle + TWO_PI * k[:, 1] + off[:, 1]
+    # edge cases: the figure's pair, and its first path wound once more
+    a1[:2], a2[:2] = (p1.accumulated_angle, p1.accumulated_angle + TWO_PI), p2.accumulated_angle
+    d1, d2 = cgm.ConePath(p1.sector, a1), cgm.ConePath(p2.sector, a2)
+    separated, calls = cgm.causally_separated, []
+    monkeypatch.setattr(cgm, "causally_separated",
+                        lambda c1, c2: calls.append(1) or separated(c1, c2))
+    for q1, q2 in ((d1, d2), (d2, d1)):
+        stacked = cgm.exchange_hypothesis(q1, q2)
+        assert np.array_equal(stacked, [
+            cgm.exchange_hypothesis(cgm.ConePath(q1.sector, x), cgm.ConePath(q2.sector, y))
+            for x, y in zip(q1.accumulated_angle, q2.accumulated_angle)])
+        assert 0 < stacked.sum() < 200
+    assert calls == [1] * 402  # once per call, whatever the stack
+    assert cgm.exchange_hypothesis(d1, d2)[:2].tolist() == [True, False]
+    # cones that overlap never exchange
+    overlap = cgm.ConePath(cgm.SpatialSector(-0.3, 0.3), np.linspace(-0.2, 0.2, 5))
+    assert not cgm.exchange_hypothesis(overlap, cgm.ConePath(cgm.SpatialSector(0.0, 0.5),
+                                                             np.full(5, 0.25))).any()
+
+
+def test_in_wedge_class_on_a_stack_equals_the_scalar_calls(monkeypatch):
+    rng = np.random.default_rng(12)
+    near = cg.compose(cg.element_from_draws(rng.uniform(size=(196, 3)), 0.6, 2.0),
+                      cg.lift_rotation(math.pi / 2))
+    # edge cases: the identity, the quarter rotation, and it wound either way
+    edges = np.array([0.0, math.pi / 2, math.pi / 2 + TWO_PI, math.pi / 2 - TWO_PI])
+    stack = cg.CoverElement(np.concatenate([near.gamma, np.zeros(4)]),
+                            np.concatenate([near.omega, edges]))
+    stacked = cgm.in_wedge_class(stack)
+    assert np.array_equal(stacked, [cgm.in_wedge_class(stack[i]) for i in range(200)])
+    assert 0 < stacked[:196].sum() < 196
+    assert stacked[196:].tolist() == [False, True, False, False]
+    # an element outside the wedge is never lifted, alone or in a stack
+    def no_lift(*args):
+        raise AssertionError("lifted an element outside the wedge")
+
+    monkeypatch.setattr(cgm, "_lifted_circle_action", no_lift)
+    assert not cgm.in_wedge_class(cg.identity())
+    assert not cgm.in_wedge_class(cg.lift_rotation(np.array([0.0, math.pi, -0.5]))).any()
+
+
 def test_direction_validation():
     with pytest.raises(ValueError):
         cgm.SpacelikeDirection(Vec3(0.0, 1.0, 1.0), 0.0)  # not unit space-like
