@@ -10,10 +10,8 @@ from .covergroup import (CoverElement, PoincareElement, compose, identity,
                          lift_rotation, project)
 from .wigner import (cocycle, little_group_phase, standard_boost, u_pihalf,
                      u_plain, wigner_angle)
-from .holo import (GammaRegion, Gamma0Decomposition, NotInGamma0,
-                   PowerBaseVanishes, RefinementLimit, SingularDeterminant,
+from .holo import (PowerBaseVanishes, RefinementLimit, SingularDeterminant,
                    StripPath, continue_along, continue_robust,
-                   gamma_contains, gamma_region, gamma0_decompose,
                    morera_residual, ode_continue)
 from .conegeom import (ConePath, SpacelikeDirection, SpatialSector,
                        contains_direction, dual_sector, exchange_hypothesis,

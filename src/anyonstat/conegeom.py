@@ -178,7 +178,11 @@ def difference_salient(c1: SpatialSector, c2: SpatialSector) -> bool:
 
 
 def c12_negative_axis(c1: SpatialSector, c2: SpatialSector) -> bool:
-    """Whether the dual of the difference sector contains the negative x-axis."""
+    """Whether the dual of the difference sector contains the negative x-axis:
+    the analyticity-tube hypothesis for every x1-boost walk.  A walk point
+    boost1(-t - i theta) q, 0 < theta < pi, has spatial imaginary part
+    (-sin theta (boost1(-t) q)_0, 0) on -x, and the tube holds the complex
+    shell points whose spatial imaginary part lies in this dual sector."""
     d = difference_sector(c1, c2)
     if d is None:
         return False
@@ -193,15 +197,16 @@ _ORACLE_TIMES = (-1.0, -0.95, -0.5, 0.0, 0.5, 0.95, 1.0)
 
 
 def _cone_samples(sector: SpatialSector) -> np.ndarray:
-    """A deterministic spread of points inside the cone, boundary-heavy.
-
-    Radius-major, then fraction, then time: shape (radii * fracs * times, 3).
-    """
-    ang = sector.alpha + np.array(_ORACLE_FRACS) * sector.opening
-    v = np.array(_ORACLE_RADII)[:, None, None] * np.stack([np.cos(ang), np.sin(ang)], -1)
-    t = np.array(_ORACLE_TIMES) * sector_depth(sector, v)[..., None]
-    v = np.broadcast_to(v[:, :, None, :], t.shape + (2,))
-    return (np.concatenate([t[..., None], v], -1) + sector.apex.as_array()).reshape(-1, 3)
+    """A deterministic spread of points inside the cone, boundary-heavy, of
+    shape (radii * fracs * times, *batch, 3) for sectors of shape batch:
+    radius-major, then fraction, then time."""
+    batch = np.shape(sector.alpha)
+    lead = (-1,) + (1,) * len(batch)  # the sample axes go before the batch axes
+    ang = sector.alpha + np.reshape(_ORACLE_FRACS, lead) * sector.opening
+    v = np.reshape(_ORACLE_RADII, lead + (1, 1)) * np.stack([np.cos(ang), np.sin(ang)], -1)
+    t = np.reshape(_ORACLE_TIMES, lead) * sector_depth(sector, v)[:, :, None]
+    v = np.broadcast_to(v[:, :, None], t.shape + (2,))
+    return (np.concatenate([t[..., None], v], -1) + sector.apex.as_array()).reshape(-1, *batch, 3)
 
 
 def causally_separated(c1: SpatialSector, c2: SpatialSector) -> bool:

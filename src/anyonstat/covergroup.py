@@ -196,10 +196,6 @@ class PoincareElement:
         return cls(Vec3(0.0, 0.0, 0.0), IDENTITY)
 
     @classmethod
-    def pure_translation(cls, a: Vec3) -> "PoincareElement":
-        return cls(a, IDENTITY)
-
-    @classmethod
     def pure_lorentz(cls, g: CoverElement) -> "PoincareElement":
         return cls(Vec3(0.0, 0.0, 0.0), g)
 

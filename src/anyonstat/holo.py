@@ -1,6 +1,6 @@
 """Branch-tracked analytic continuation of power products along paths in the
-strip R + i(0, pi), with Morera certificates, the tube regions of two-point
-kernels, and a log-derivative ODE continuation as an independent cross check.
+strip R + i(0, pi), with Morera certificates and a log-derivative ODE
+continuation as an independent cross check.
 
 Every family continued here has one shape, a `PowerProduct`:
 
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import covergroup as cg
 from . import wigner as wg
-from .minkowski import MomentumPoint, boost1, rotation, minkowski_product
+from .minkowski import MomentumPoint
 
 _HALF_PI = math.pi / 2.0
 # a base below this fraction of its running maximum modulus (at least 1)
@@ -54,10 +54,6 @@ class RefinementLimit(ArithmeticError):
 
 class SingularDeterminant(ArithmeticError):
     """det h stayed below tolerance even after the shifted-argument detour."""
-
-
-class NotInGamma0(ValueError):
-    """The complexified shell point admits no rotated-imaginary-boost form."""
 
 
 # ---------------------------------------------------------------------------
@@ -304,82 +300,6 @@ def morera_residual(expr: PowerProduct, contour, order: int = 8, panels: int = 4
     # Python's abs per row: np.abs can differ from it in the last bit
     integrals = np.sum((weights * half[..., None]).ravel() * f, axis=-1)
     return float(max(map(abs, np.atleast_1d(integrals))))
-
-
-# ---------------------------------------------------------------------------
-# tube region of the two-point kernels, and its polar decomposition
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GammaRegion:
-    """Shell points whose spatial imaginary part lies in an open dual sector."""
-
-    dual_lo: float
-    dual_hi: float
-    m: float
-
-
-def gamma_region(c1, c2, m: float) -> GammaRegion:
-    """The analyticity tube determined by two localization sectors.
-
-    Built from the dual of the difference sector c2 - c1; raises when the
-    difference is not salient, in which case no tube exists.
-    """
-    from . import conegeom as cgm
-    diff = cgm.difference_sector(c1, c2)
-    if diff is None:
-        raise ValueError("difference of the two sectors is not salient")
-    dual = cgm.dual_sector(diff)
-    return GammaRegion(dual.alpha, dual.beta, float(m))
-
-
-def gamma_contains(k, region: GammaRegion, shell_tol: float = 1e-10) -> bool:
-    a = np.asarray(k.as_array() if hasattr(k, "as_array") else k, dtype=complex)
-    if abs(minkowski_product(a, a) - region.m ** 2) > shell_tol:
-        return False
-    y = np.array([a[1].imag, a[2].imag])
-    r = float(np.hypot(y[0], y[1]))
-    if r <= 0.0:
-        return False
-    ang = math.atan2(y[1], y[0])
-    width = region.dual_hi - region.dual_lo
-    rel = (ang - region.dual_lo) % (2.0 * math.pi)
-    return 1e-12 < rel < width - 1e-12
-
-
-@dataclass(frozen=True)
-class Gamma0Decomposition:
-    """k = R(r) boost1(i theta) R(r)^{-1} q with theta in (0, pi), q on the shell."""
-
-    r: float
-    theta: float
-    q: MomentumPoint
-
-    def recompose(self) -> np.ndarray:
-        return rotation(self.r) @ boost1(1j * self.theta) @ rotation(-self.r) @ self.q.as_array()
-
-
-def gamma0_decompose(k, m: float, tol: float = 1e-10) -> Gamma0Decomposition:
-    """Invert the rotated-imaginary-boost form of a complexified shell point."""
-    a = np.asarray(k.as_array() if hasattr(k, "as_array") else k, dtype=complex)
-    if abs(minkowski_product(a, a) - m * m) > 1e-8:
-        raise NotInGamma0(f"point is off the complex shell by {abs(minkowski_product(a, a) - m*m):.2e}")
-    x, y = a.real, a.imag
-    yr = float(np.hypot(y[1], y[2]))
-    if yr < 1e-12:
-        raise NotInGamma0("imaginary part vanishes; theta would degenerate to 0")
-    r = math.atan2(y[2], y[1])
-    theta = math.atan2(yr, x[0])           # in (0, pi) because yr > 0
-    if not (1e-12 < theta < math.pi - 1e-12):
-        raise NotInGamma0(f"no boost angle in (0, pi), got {theta}")
-    cr, sr = math.cos(r), math.sin(r)
-    q1p = y[0] / math.sin(theta)
-    q2p = -sr * x[1] + cr * x[2]
-    q = MomentumPoint(cr * q1p - sr * q2p, sr * q1p + cr * q2p, m)
-    dec = Gamma0Decomposition(r, theta, q)
-    if np.max(np.abs(dec.recompose() - a)) > tol * max(1.0, float(np.max(np.abs(a)))):
-        raise NotInGamma0("recomposition residual exceeds tolerance")
-    return dec
 
 
 # ---------------------------------------------------------------------------

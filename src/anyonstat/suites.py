@@ -279,19 +279,18 @@ def wigner_suite(config: SuiteConfig) -> list:
 # continuation suite
 # ---------------------------------------------------------------------------
 
-def _hypothesis_element(rng) -> cg.CoverElement:
-    g0 = cg.lift_rotation(math.pi / 2.0)
-    while True:
-        g = cg.compose(cg.lift_rotation(rng.uniform(-0.3, 0.3)),
-                       cg.lift_boost(rng.uniform(0.0, 2.0 * math.pi),
-                                     rng.uniform(0.0, 0.35)))
-        if cgm.in_wedge_class(cg.compose(g, g0)):
-            return g
-
-
-def _stack_elements(gs) -> cg.CoverElement:
-    return cg.CoverElement(np.array([g.gamma for g in gs], dtype=complex),
-                           np.array([g.omega for g in gs]))
+def _hypothesis_elements(u) -> cg.CoverElement:
+    """rotation(angle) boost(direction, rapidity) made of uniform draws u (..., 3)
+    as lo + (hi - lo) * u.  These bounds keep g * quarter turn in the wedge
+    class; a row that leaves it raises HypothesisViolation naming that row."""
+    lo, hi = np.array([-0.3, 0.0, 0.0]), np.array([0.3, 2.0 * math.pi, 0.35])
+    angle, direction, rapidity = np.moveaxis(lo + (hi - lo) * np.asarray(u), -1, 0)
+    g = cg.compose(cg.lift_rotation(angle), cg.lift_boost(direction, rapidity))
+    gg0 = cg.compose(g, cg.lift_rotation(math.pi / 2.0))
+    outside = np.flatnonzero(~np.atleast_1d(cgm.in_wedge_class(gg0)))
+    if outside.size:
+        raise ss.HypothesisViolation(f"element {outside[0]} leaves the wedge class")
+    return g
 
 
 def continuation_suite(config: SuiteConfig) -> list:
@@ -300,12 +299,11 @@ def continuation_suite(config: SuiteConfig) -> list:
     s = 1.0 / 3.0
     g0 = cg.lift_rotation(math.pi / 2.0)
 
-    # draws one element and momentum at a time, in the order of a scalar loop;
-    # the 50 pairs are then continued as the rows of one family
-    gs, ps = zip(*((_hypothesis_element(rng),
-                    mk.shell_point(rng.uniform(0.1, 0.8) * rng.choice((-1.0, 1.0)),
-                                   rng.uniform(-0.8, 0.8), 1.0)) for _ in range(50)))
-    g, p = _stack_elements(gs), holo.stack_momenta(ps)
+    # rng.choice draws an integer, so each pair's doubles are drawn on their own
+    u = np.array([(*rng.uniform(size=4), rng.choice((-1.0, 1.0)), rng.uniform())
+                  for _ in range(50)])
+    g = _hypothesis_elements(u[:, :3])
+    p = mk.MomentumPoint((0.1 + (0.8 - 0.1) * u[:, 3]) * u[:, 4], -0.8 + 1.6 * u[:, 5], 1.0)
     f = holo.compensated_family_expr(g, p, s)
     cont = holo.continue_robust(f, holo.StripPath.vertical(0.0))
     gg0 = cg.compose(g, g0)
@@ -317,8 +315,9 @@ def continuation_suite(config: SuiteConfig) -> list:
                            {"samples": 50, "spin": s}, {"value": _worst(cont - closed)},
                            config.tol_boundary))
 
-    gs, us = zip(*((_hypothesis_element(rng), rng.uniform(size=2)) for _ in range(6)))
-    f = holo.compensated_family_expr(_stack_elements(gs), _shell(np.array(us), spread=0.7), s)
+    u = rng.uniform(size=(6, 5))
+    f = holo.compensated_family_expr(_hypothesis_elements(u[:, :3]),
+                                     _shell(u[:, 3:], spread=0.7), s)
     worst = holo.morera_residual(f, holo.StripPath.rectangle(-0.4, 0.4, 0.15, math.pi - 0.15))
     ent = holo.exp_mink_dot((0.4, 0.0, 0.0), np.eye(3),
                             _shell(rng.uniform(size=2)).as_array())
@@ -352,8 +351,8 @@ def continuation_suite(config: SuiteConfig) -> list:
                           bool(r_box > 1e-3 and vdiff > 1e-3 and broken > 1e-3
                                and cdiff < config.tol_engine)))
 
-    g = _hypothesis_element(rng)
-    p = _shell(rng.uniform(size=2), spread=0.6)
+    u = rng.uniform(size=5)
+    g, p = _hypothesis_elements(u[:3]), _shell(u[3:], spread=0.6)
     f = holo.compensated_family_expr(g, p, s)
     v0 = holo.continue_robust(f, [0.0, 1j * math.pi])
     v5 = holo.continue_robust(f, [0.0, 0.5, 0.5 + 1j * math.pi, 1j * math.pi])
@@ -468,15 +467,16 @@ def cones_suite(config: SuiteConfig) -> list:
                                          margin=-1e-6).all()
         if pred != oracle:
             mismatches += 1
-    # per translated copy six uniforms, each mapped as lo + (hi - lo) u: a, the
-    # apex, the direction's lifted angle in (a - 0.3, a + 1.3) and its tilt
+    # per translated copy six uniforms as lo + (hi - lo) u: a, the apex, the direction's
+    # lifted angle in (a - 0.3, a + 1.3) and tilt; its moved samples must stay in the copy
     u = rng.uniform(size=(50, 6))
     a = -math.pi + 2.0 * math.pi * u[:, 0]
-    sec1 = cgm.SpatialSector(a, a + 1.0)
-    sec2 = cgm.SpatialSector(a, a + 1.0, mk.Vec3.from_array(-3.0 + 6.0 * u[:, 1:4]))
+    sec = cgm.SpatialSector(a, a + 1.0, mk.Vec3.from_array(-3.0 + 6.0 * u[:, 1:4]))
     e = cgm.SpacelikeDirection.from_angles(a - 0.3 + ((a + 1.3) - (a - 0.3)) * u[:, 4],
                                            -1.0 + 2.0 * u[:, 5])
-    trans_bad = np.sum(cgm.contains_direction(sec1, e) != cgm.contains_direction(sec2, e))
+    oracle = cgm.cone_contains_point(sec, cgm._cone_samples(sec) + e.e.as_array(),
+                                     margin=-1e-6).all(0)
+    trans_bad = np.sum(cgm.contains_direction(sec, e) != oracle)
     records.append(_record("cones", "direction-containment-oracle",
                            {"samples": 200, "margin": 1e-6},
                            {"mismatches": float(mismatches),

@@ -290,17 +290,19 @@ def _scalar_exchange(rng, p1, p2):
 
 
 def _scalar_translation(rng):
-    """The per-copy loop the translation check replaced: per copy its
-    (a, apex, lifted angle, tilt), and the count of changed verdicts."""
+    """The translation check one copy at a time: per copy its (a, apex,
+    lifted angle, tilt), and the count of copies whose translated cone
+    samples disagree with contains_direction."""
     rows, bad = [], 0
     for _ in range(50):
         a = rng.uniform(-math.pi, math.pi)
-        sec1 = cgm.SpatialSector(a, a + 1.0)
-        sec2 = cgm.SpatialSector(a, a + 1.0, mk.Vec3(*rng.uniform(-3.0, 3.0, 3)))
+        sec = cgm.SpatialSector(a, a + 1.0, mk.Vec3(*rng.uniform(-3.0, 3.0, 3)))
         e = cgm.SpacelikeDirection.from_angles(rng.uniform(a - 0.3, a + 1.3),
                                                rng.uniform(-1.0, 1.0))
-        rows.append((a, *sec2.apex.as_array(), e.lifted_angle, e.e.x0))
-        if cgm.contains_direction(sec1, e) != cgm.contains_direction(sec2, e):
+        rows.append((a, *sec.apex.as_array(), e.lifted_angle, e.e.x0))
+        oracle = cgm.cone_contains_point(sec, cgm._cone_samples(sec) + e.e.as_array(),
+                                         margin=-1e-6).all()
+        if cgm.contains_direction(sec, e) != oracle:
             bad += 1
     return np.array(rows), bad
 
@@ -361,10 +363,9 @@ def test_stacked_cone_records_keep_the_scalar_draws(seed, monkeypatch):
     rng = tape.log[j][1]
     rows, bad = _scalar_translation(rng)
     assert rng.bit_generator.state == tape.log[j + 1][1].bit_generator.state
-    (sec1, e, in1), (sec2, _, in2) = containments
-    drawn = np.column_stack([sec2.alpha, sec2.apex.as_array(), e.lifted_angle, e.e.x0])
-    assert np.array_equal(drawn, rows) and np.array_equal(sec1.alpha, sec2.alpha)
-    assert int(np.sum(in1 != in2)) == bad
+    ((sec, e, _),) = containments
+    drawn = np.column_stack([sec.alpha, sec.apex.as_array(), e.lifted_angle, e.e.x0])
+    assert np.array_equal(drawn, rows)
     assert records["direction-containment-oracle"].residuals["translation_violations"] == bad
 
 

@@ -47,6 +47,7 @@ def test_difference_sector_predicates():
     p1, p2 = cgm.antipodal_pair()
     assert cgm.difference_salient(p1.sector, p2.sector)
     assert cgm.c12_negative_axis(p1.sector, p2.sector)
+    assert not cgm.c12_negative_axis(p2.sector, p1.sector)
     s = cgm.SpatialSector(-0.3, 0.4)
     assert not cgm.difference_salient(s, s)
     d = cgm.difference_sector(cgm.SpatialSector(-0.1, 0.1),
@@ -135,6 +136,29 @@ def test_containment_oracle_samples_the_lightlike_boundary():
     rel = cgm._cone_samples(sec) - sec.apex.as_array()
     depth = np.array([cgm.sector_depth(sec, x[1:]) for x in rel])
     assert np.any(np.isclose(rel[:, 0], depth)) and np.any(np.isclose(rel[:, 0], -depth))
+
+
+def test_cone_samples_of_a_stack_are_each_sectors_samples():
+    rng = np.random.default_rng(17)
+    a = rng.uniform(-math.pi, math.pi, 20)
+    b = a + rng.uniform(0.2, 2.8, 20)
+    apex = rng.uniform(-3, 3, (20, 3))
+    stacked = cgm._cone_samples(cgm.SpatialSector(a, b, Vec3.from_array(apex)))
+    assert stacked.shape == (140, 20, 3)
+    for i in range(20):
+        one = cgm._cone_samples(cgm.SpatialSector(a[i], b[i], Vec3(*apex[i])))
+        assert np.array_equal(stacked[:, i], one)
+
+
+def test_an_oracle_that_ignores_the_apex_fails_the_translation_check(monkeypatch):
+    def ignores_apex(sector, x, margin=0.0):
+        v = np.asarray(x, dtype=float)
+        return cgm.sector_depth(sector, v[..., 1:]) > np.abs(v[..., 0]) + margin
+
+    monkeypatch.setattr(cgm, "cone_contains_point", ignores_apex)
+    recs = suites.cones_suite(suites.SuiteConfig(seed=7))
+    rec = next(r for r in recs if r.anchor == "direction-containment-oracle")
+    assert not rec.passed and rec.residuals["translation_violations"] >= 1.0
 
 
 def test_cone_predicates_on_arrays_match_pointwise_calls():

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from anyonstat import conegeom as cgm
 from anyonstat import covergroup as cg
 from anyonstat import holo
 from anyonstat import minkowski as mk
@@ -17,13 +18,23 @@ S = 1.0 / 3.0
 QUARTER = cg.lift_rotation(math.pi / 2.0)
 
 
+def _hypothesis_element(rng):
+    """One element, rejection-sampled as the suite once drew them."""
+    while True:
+        g = cg.compose(cg.lift_rotation(rng.uniform(-0.3, 0.3)),
+                       cg.lift_boost(rng.uniform(0.0, 2.0 * math.pi),
+                                     rng.uniform(0.0, 0.35)))
+        if cgm.in_wedge_class(cg.compose(g, QUARTER)):
+            return g
+
+
 def _scalar_oracle(seed):
     """The first two records one element at a time: the draws of each loop
     and its worst residual."""
     rng = suites._rng(suites.SuiteConfig(seed=seed), 3)
     boundary, worst_boundary = [], 0.0
     for _ in range(50):
-        g = suites._hypothesis_element(rng)
+        g = _hypothesis_element(rng)
         p = mk.shell_point(rng.uniform(0.1, 0.8) * rng.choice((-1.0, 1.0)),
                            rng.uniform(-0.8, 0.8), 1.0)
         f = holo.compensated_family_expr(g, p, S)
@@ -37,7 +48,7 @@ def _scalar_oracle(seed):
         boundary.append((g, p))
     morera, worst_morera = [], 0.0
     for _ in range(6):
-        g = suites._hypothesis_element(rng)
+        g = _hypothesis_element(rng)
         p = suites._shell(rng.uniform(size=2), spread=0.7)
         f = holo.compensated_family_expr(g, p, S)
         worst_morera = max(worst_morera, holo.morera_residual(
@@ -73,6 +84,20 @@ def test_batched_records_match_the_scalar_loops(seed, monkeypatch):
     assert abs(recs["strip-morera"].residuals["compensated"] - worst_morera) < 1e-13
 
 
+def test_a_hypothesis_element_outside_the_wedge_is_a_fail_record(monkeypatch):
+    # the suite's bounds never leave the wedge, so force one row out
+    def second_row_outside(g, _check=cgm.in_wedge_class):
+        inside = np.array(_check(g))
+        if inside.ndim:
+            inside[1] = False
+        return inside
+
+    monkeypatch.setattr(cgm, "in_wedge_class", second_row_outside)
+    records = suites.run_suite("continuation", suites.SuiteConfig()).records
+    assert [(r.anchor, r.passed) for r in records] == [("suite-error", False)]
+    assert records[0].inputs["error"] == \
+        "HypothesisViolation: element 1 leaves the wedge class"
+
 COUNTED = ("compensated_family_expr", "continue_robust", "morera_residual", "evaluate_along")
 
 
@@ -92,8 +117,7 @@ def _count_calls(run) -> dict:
 @pytest.mark.parametrize("seed", [7, 26])
 def test_continuation_work_counts(seed):
     # one family for the 50 boundary values and one for the six Morera
-    # rectangles, whatever the number of rejection-sampled draws; one element
-    # or momentum at a time gives 59, 54, 9 and 131
+    # rectangles; one element or momentum at a time gives 59, 54, 9 and 131
     counts = _count_calls(lambda: suites.continuation_suite(suites.SuiteConfig(seed=seed)))
     assert counts == {"compensated_family_expr": 5, "continue_robust": 5,
                       "morera_residual": 4, "evaluate_along": 23}

@@ -449,50 +449,20 @@ def test_morera_contour_must_be_interior():
         holo.morera_residual(e, holo.StripPath.rectangle(-1, 1, 0.0, 1.0))
 
 
-# --- tube region and its polar decomposition --------------------------------
+# --- the tube: every x1-boost walk point lies over the negative x-axis ------
 
-def region():
-    from anyonstat import conegeom as cgm
-    p1, p2 = cgm.antipodal_pair()
-    return holo.gamma_region(p1.sector, p2.sector, 1.0)
-
-
-def test_gamma_region_requires_salient_difference():
-    from anyonstat import conegeom as cgm
-    s = cgm.SpatialSector(-0.3, 0.4)
-    with pytest.raises(ValueError):
-        holo.gamma_region(s, s, 1.0)
-
-
-def test_gamma_membership():
-    reg = region()
-    p = mk.shell_point(0.4, -0.3, 1.0)
-    assert not holo.gamma_contains(p.as_array().astype(complex), reg)
-    for z in (0.3 + 0.9j, -0.5 + 2.2j, 1.8j):
-        k = mk.boost1(-z) @ p.as_array()
-        assert holo.gamma_contains(k, reg)
-        assert not holo.gamma_contains(k.conjugate(), reg)
-    assert not holo.gamma_contains(np.array([1.0, 0.2, 0.3 + 0.1j]), reg)
-
-
-def test_gamma0_decomposition_roundtrip():
-    rng = np.random.default_rng(11)
-    p = mk.shell_point(0.4, -0.3, 1.0)
-    d = holo.gamma0_decompose(mk.boost1(-1.1j) @ p.as_array(), 1.0)
-    assert abs(d.r) < 1e-9 or abs(abs(d.r) - math.pi) < 1e-9
-    assert abs(d.theta - 1.1) < 1e-9
-    for _ in range(100):
-        r = rng.uniform(-math.pi, math.pi)
-        theta = rng.uniform(0.05, math.pi - 0.05)
-        q = mk.shell_point(rng.uniform(-1, 1), rng.uniform(-1, 1), 1.0)
-        k = mk.rotation(r) @ mk.boost1(1j * theta) @ mk.rotation(-r) @ q.as_array()
-        dec = holo.gamma0_decompose(k, 1.0)
-        assert np.max(np.abs(dec.recompose() - k)) < 1e-10
-        assert 0.0 < dec.theta < math.pi
-    with pytest.raises(holo.NotInGamma0):
-        holo.gamma0_decompose(p.as_array().astype(complex), 1.0)
-    with pytest.raises(holo.NotInGamma0):
-        holo.gamma0_decompose(np.array([1.0, 2.0, 3.0 + 1j]), 1.0)
+@pytest.mark.parametrize("m", [0.001, 1.0, 4.0, 8.0, 50.0])
+def test_walk_points_lie_on_the_complex_shell_over_the_negative_x_axis(m):
+    # the pipeline's anchors; conegeom.c12_negative_axis relies on this
+    from anyonstat import spinstat as ss
+    q = holo.stack_momenta([ss._reflected_anchor(p) for p in ss.momentum_grid(m, 5)])
+    t, theta = np.meshgrid(np.linspace(-2.0, 2.0, 9), np.linspace(0.05, math.pi - 0.05, 11))
+    z = (t + 1j * theta).ravel()
+    k0, k1, k2 = holo.momentum(np.eye(3), q.as_array(), z)
+    assert np.max(np.abs(k0 ** 2 - k1 ** 2 - k2 ** 2 - m * m)) < 1e-10 * max(1.0, m * m)
+    energy = (mk.boost1(-z.real) @ q.as_array().T)[:, 0, :].T     # (boost1(-t) q)_0
+    assert np.max(np.abs(k1.imag + np.sin(z.imag) * energy)) < 1e-12 * np.max(np.abs(k1))
+    assert np.all(k2.imag == 0.0) and np.all(k1.imag < 0.0)
 
 
 # --- log-derivative ODE ------------------------------------------------------

@@ -16,7 +16,7 @@ def test_identity_and_translation():
     p = mk.shell_point(0.3, -0.2, 1.0)
     assert np.allclose(repn.act(cg.PoincareElement.identity(), psi)(p), psi(p), atol=0)
     a = Vec3(0.4, -0.1, 0.7)
-    shifted = repn.act(cg.PoincareElement.pure_translation(a), psi)
+    shifted = repn.act(cg.PoincareElement(a, cg.identity()), psi)
     phase = cmath.exp(1j * mk.minkowski_product(a.as_array(), p.as_array()))
     assert np.allclose(shifted(p), phase * psi(p), atol=1e-15)
 
