@@ -191,9 +191,9 @@ def c12_negative_axis(c1: SpatialSector, c2: SpatialSector) -> bool:
     return 1e-12 < rel < dual.opening - 1e-12
 
 
-_ORACLE_RADII = (0.7, 1.4, 2.8, 5.6)
-_ORACLE_FRACS = (0.03, 0.25, 0.5, 0.75, 0.97)
-_ORACLE_TIMES = (-1.0, -0.95, -0.5, 0.0, 0.5, 0.95, 1.0)
+_ORACLE_RADII = np.array([0.7, 1.4, 2.8, 5.6])
+_ORACLE_FRACS = np.array([0.03, 0.25, 0.5, 0.75, 0.97])
+_ORACLE_TIMES = np.array([-1.0, -0.95, -0.5, 0.0, 0.5, 0.95, 1.0])
 
 
 def _cone_samples(sector: SpatialSector) -> np.ndarray:
@@ -202,9 +202,9 @@ def _cone_samples(sector: SpatialSector) -> np.ndarray:
     radius-major, then fraction, then time."""
     batch = np.shape(sector.alpha)
     lead = (-1,) + (1,) * len(batch)  # the sample axes go before the batch axes
-    ang = sector.alpha + np.reshape(_ORACLE_FRACS, lead) * sector.opening
-    v = np.reshape(_ORACLE_RADII, lead + (1, 1)) * np.stack([np.cos(ang), np.sin(ang)], -1)
-    t = np.reshape(_ORACLE_TIMES, lead) * sector_depth(sector, v)[:, :, None]
+    ang = sector.alpha + _ORACLE_FRACS.reshape(lead) * sector.opening
+    v = _ORACLE_RADII.reshape(lead + (1, 1)) * np.stack([np.cos(ang), np.sin(ang)], -1)
+    t = _ORACLE_TIMES.reshape(lead) * sector_depth(sector, v)[:, :, None]
     v = np.broadcast_to(v[:, :, None], t.shape + (2,))
     return (np.concatenate([t[..., None], v], -1) + sector.apex.as_array()).reshape(-1, *batch, 3)
 

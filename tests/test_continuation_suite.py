@@ -19,7 +19,8 @@ QUARTER = cg.lift_rotation(math.pi / 2.0)
 
 
 def _hypothesis_element(rng):
-    """One element, rejection-sampled as the suite once drew them."""
+    """One element at a time, rejection-sampled: the reference draws of
+    suites._hypothesis_elements."""
     while True:
         g = cg.compose(cg.lift_rotation(rng.uniform(-0.3, 0.3)),
                        cg.lift_boost(rng.uniform(0.0, 2.0 * math.pi),
@@ -97,6 +98,7 @@ def test_a_hypothesis_element_outside_the_wedge_is_a_fail_record(monkeypatch):
     assert [(r.anchor, r.passed) for r in records] == [("suite-error", False)]
     assert records[0].inputs["error"] == \
         "HypothesisViolation: element 1 leaves the wedge class"
+
 
 COUNTED = ("compensated_family_expr", "continue_robust", "morera_residual", "evaluate_along")
 
