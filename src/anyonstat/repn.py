@@ -21,7 +21,7 @@ import numpy as np
 
 from . import covergroup as cg
 from . import wigner as wg
-from .minkowski import MomentumPoint, minkowski_product, to_momentum
+from .minkowski import MomentumPoint, as_array, minkowski_product, to_momentum
 
 
 class QuadratureSupportError(ValueError):
@@ -138,18 +138,19 @@ def _group_value(psi: WaveFunction, kind: str, t: float, parr: np.ndarray) -> np
     g = _BOOST_KINDS[kind](t)
     p = to_momentum(parr, psi.config.m)
     phase = np.exp(1j * psi.config.s * wg.wigner_angle(g, p))
-    return phase * psi(cg.project(cg.inverse(g)) @ parr)
+    return phase[..., None] * psi((cg.project(cg.inverse(g)) @ parr[..., None])[..., 0])
 
 
 def generator(psi: WaveFunction, kind: str, p) -> np.ndarray:
     """-i d/dt U(g(t)) psi at t=0, by central differences plus Richardson.
 
     kind is one of L0 (rotation), L1, L2 (boosts along x1, x2) or P0, P1, P2
-    (multiplication by the momentum components).
+    (multiplication by the momentum components).  p is one momentum or a
+    stack of them (..., 3); the result is (..., n).
     """
     parr = p.as_array() if hasattr(p, "as_array") else np.asarray(p, dtype=float)
     if kind in ("P0", "P1", "P2"):
-        return parr[int(kind[1])] * psi(parr)
+        return parr[..., int(kind[1]), None] * psi(parr)
     if kind not in _BOOST_KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
 
@@ -165,25 +166,24 @@ def pauli_lubanski(psi: WaveFunction, p) -> np.ndarray:
     """The Casimir J.P applied to psi at p, multiplication acting first.
 
     J = (-L0, L2, -L1); on a mass-m spin-s representation the result equals
-    -m*s*psi(p) at every shell point.
+    -m*s*psi(p) at every shell point.  p is one momentum or a stack of them
+    (..., 3), and the result is (..., n).
     """
-    cfg = psi.config
-    out = np.zeros(cfg.n, dtype=complex)
-    for coeff, jkind, mu in ((-1.0, "L0", 0), (1.0, "L2", 1), (-1.0, "L1", 2)):
-        mult = WaveFunction(cfg, lambda parr, mu=mu: parr[..., mu, None] * psi(parr))
-        out += coeff * generator(mult, jkind, p)
-    return out
+    def times(mu):
+        return WaveFunction(psi.config, lambda parr: parr[..., mu, None] * psi(parr))
+
+    return sum(coeff * generator(times(mu), jkind, p)
+               for coeff, jkind, mu in ((-1.0, "L0", 0), (1.0, "L2", 1), (-1.0, "L1", 2)))
 
 
 def casimir_residual(psi: WaveFunction, points) -> float:
-    """max over points of ||J.P psi + m s psi|| / ||psi||."""
+    """max over points of ||J.P psi + m s psi|| / ||psi||, skipping points where
+    psi vanishes.  The points (momenta or 3-vectors) are evaluated as one
+    (k, 3) stack."""
     cfg = psi.config
-    worst = 0.0
-    for p in points:
-        w = pauli_lubanski(psi, p)
-        v = psi(p)
-        denom = float(np.linalg.norm(v))
-        if denom == 0.0:
-            continue
-        worst = max(worst, float(np.linalg.norm(w + cfg.m * cfg.s * v)) / denom)
-    return worst
+    parr = np.array([as_array(p) for p in points], dtype=float)
+    v = psi(parr)
+    denom = np.linalg.norm(v, axis=-1)
+    num = np.linalg.norm(pauli_lubanski(psi, parr) + cfg.m * cfg.s * v, axis=-1)
+    live = denom != 0.0
+    return float(np.max(num[live] / denom[live], initial=0.0))

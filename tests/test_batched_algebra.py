@@ -289,6 +289,28 @@ def _scalar_exchange(rng, p1, p2):
     return np.array(angles), both
 
 
+def _scalar_containment(rng):
+    """The containment oracle's per-draw rejection loop: per tested draw its
+    (a, b, apex, lifted angle, tilt), and the count of tested draws whose
+    translated cone samples disagree with contains_direction."""
+    rows, mismatches = [], 0
+    while len(rows) < 200:
+        a = rng.uniform(-math.pi, math.pi)
+        b = a + rng.uniform(0.2, 2.8)
+        sec = cgm.SpatialSector(a, b, mk.Vec3(*rng.uniform(-1.0, 1.0, 3)))
+        e = cgm.SpacelikeDirection.from_angles(rng.uniform(a - 0.5, b + 0.5),
+                                               rng.uniform(-1.2, 1.2))
+        earr = e.e.as_array()
+        if abs(cgm.sector_depth(sec, earr[1:]) - abs(earr[0])) < 1e-6:
+            continue
+        rows.append((a, b, *sec.apex.as_array(), e.lifted_angle, e.e.x0))
+        oracle = cgm.cone_contains_point(sec, cgm._cone_samples(sec) + earr,
+                                         margin=-1e-6).all()
+        if cgm.contains_direction(sec, e) != oracle:
+            mismatches += 1
+    return np.array(rows), mismatches
+
+
 def _scalar_translation(rng):
     """The translation check one copy at a time: per copy its (a, apex,
     lifted angle, tilt), and the count of copies whose translated cone
@@ -323,8 +345,10 @@ class _Tape:
         return logged
 
 
-@pytest.mark.parametrize("seed", [3, 7])
-def test_stacked_cone_records_keep_the_scalar_draws(seed, monkeypatch):
+def _taped_cones_suite(seed, monkeypatch):
+    """The cones battery run on a logging generator: its records by anchor,
+    the tape, and the stacked exchange_hypothesis and contains_direction
+    calls, each as its arguments followed by its result."""
     tapes, exchanges, containments = [], [], []
     rng_for, exchange, contains = suites._rng, cgm.exchange_hypothesis, cgm.contains_direction
 
@@ -344,8 +368,37 @@ def test_stacked_cone_records_keep_the_scalar_draws(seed, monkeypatch):
     monkeypatch.setattr(cgm, "exchange_hypothesis", stacked(exchange, exchanges))
     monkeypatch.setattr(cgm, "contains_direction", stacked(contains, containments))
     records = {r.anchor: r for r in suites.cones_suite(suites.SuiteConfig(seed=seed))}
-    assert all(r.passed for r in records.values())
     (tape,) = tapes
+    return records, tape, exchanges, containments
+
+
+def _replay_containment_blocks(records, tape, oracle_calls):
+    """Assert that the containment oracle's blocks of seven uniforms, less the
+    draws at the oracle margin, are the loop's tested draws, that the generator
+    ends where the loop left it and that the mismatch counts agree; return the
+    number of margin draws the blocks skipped."""
+    blocks = [k for k, (size, _) in enumerate(tape.log)
+              if size is not None and size[1:] == (7,)]
+    rng = tape.log[blocks[0]][1]
+    rows, mismatches = _scalar_containment(rng)
+    assert rng.bit_generator.state == tape.log[blocks[-1] + 1][1].bit_generator.state
+    assert len(oracle_calls) == len(blocks)
+    kept = []
+    for sec, e, _ in oracle_calls:
+        earr = e.e.as_array()
+        at_margin = np.abs(cgm.sector_depth(sec, earr[:, 1:]) - np.abs(earr[:, 0])) < 1e-6
+        drawn = np.column_stack([sec.alpha, sec.beta, sec.apex.as_array(),
+                                 e.lifted_angle, e.e.x0])
+        kept.append(drawn[~at_margin])
+    assert np.array_equal(np.concatenate(kept), rows)
+    assert records["direction-containment-oracle"].residuals["mismatches"] == mismatches
+    return sum(len(sec.alpha) for sec, _, _ in oracle_calls) - len(rows)
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_stacked_cone_records_keep_the_scalar_draws(seed, monkeypatch):
+    records, tape, exchanges, containments = _taped_cones_suite(seed, monkeypatch)
+    assert all(r.passed for r in records.values())
     sizes = [size for size, _ in tape.log]
 
     # the exchange record: its block of windings is the loop's draws, and the
@@ -358,15 +411,32 @@ def test_stacked_cone_records_keep_the_scalar_draws(seed, monkeypatch):
     assert np.array_equal(np.column_stack([d1.accumulated_angle, d2.accumulated_angle]), angles)
     assert int(np.sum(forward & backward)) == both == 0
 
+    # the containment oracle's blocks, then its translation check, the last
+    # stacked contains_direction call
+    *oracle_calls, translation_call = containments
+    _replay_containment_blocks(records, tape, oracle_calls)
+
     # the translation check of the containment record, likewise
     j = sizes.index((50, 6))
     rng = tape.log[j][1]
     rows, bad = _scalar_translation(rng)
     assert rng.bit_generator.state == tape.log[j + 1][1].bit_generator.state
-    ((sec, e, _),) = containments
+    sec, e, _ = translation_call
     drawn = np.column_stack([sec.alpha, sec.apex.as_array(), e.lifted_angle, e.e.x0])
     assert np.array_equal(drawn, rows)
     assert records["direction-containment-oracle"].residuals["translation_violations"] == bad
+
+
+def test_containment_blocks_replace_the_draws_at_the_margin(monkeypatch):
+    # no suite seed in 0..39 draws a direction at the oracle margin; zeroing
+    # every tilt below -1 (about one draw in twelve) puts each such direction
+    # that falls outside its sector there (depth 0 = |tilt|), and the blocks
+    # must skip and replace exactly the draws the loop skips
+    real = cgm.SpacelikeDirection.from_angles
+    monkeypatch.setattr(cgm.SpacelikeDirection, "from_angles",
+                        staticmethod(lambda angle, tilt=0.0: real(angle, tilt * (tilt >= -1.0))))
+    records, tape, _, containments = _taped_cones_suite(7, monkeypatch)
+    assert _replay_containment_blocks(records, tape, containments[:-1]) > 0
 
 
 def test_degenerate_rows_are_masked_and_skipped(monkeypatch):

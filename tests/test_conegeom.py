@@ -97,15 +97,34 @@ def test_contains_direction_examples():
     assert not cgm.contains_direction(sec, steep)
 
 
-def test_contains_direction_translation_invariance():
+def _ignores_apex(sector, x, margin=0.0):
+    """cone_contains_point with the defect of reading every cone at the origin."""
+    v = np.asarray(x, dtype=float)
+    return cgm.sector_depth(sector, v[..., 1:]) > np.abs(v[..., 0]) + margin
+
+
+def _translation_mismatches(contains_point):
+    """Over 100 translated copies of a sector, the count whose
+    contains_direction disagrees with contains_point on the copy's own cone
+    samples moved along the direction."""
     rng = np.random.default_rng(1)
+    bad = 0
     for _ in range(100):
         a = rng.uniform(-math.pi, math.pi)
-        s1 = cgm.SpatialSector(a, a + 1.0)
-        s2 = cgm.SpatialSector(a, a + 1.0, Vec3(*rng.uniform(-3, 3, 3)))
+        sec = cgm.SpatialSector(a, a + 1.0, Vec3(*rng.uniform(-3, 3, 3)))
         e = cgm.SpacelikeDirection.from_angles(rng.uniform(a - 0.3, a + 1.3),
                                                rng.uniform(-1, 1))
-        assert cgm.contains_direction(s1, e) == cgm.contains_direction(s2, e)
+        moved = cgm._cone_samples(sec) + e.e.as_array()
+        bad += bool(cgm.contains_direction(sec, e)
+                    != contains_point(sec, moved, margin=-1e-6).all())
+    return bad
+
+
+def test_contains_direction_translation_invariance():
+    # wherever its apex lies, a cone holds its samples moved along e exactly
+    # when contains_direction says so; an oracle blind to the apex disagrees
+    assert _translation_mismatches(cgm.cone_contains_point) == 0
+    assert _translation_mismatches(_ignores_apex) > 0
 
 
 def test_contains_direction_against_sampling_oracle():
@@ -151,11 +170,7 @@ def test_cone_samples_of_a_stack_are_each_sectors_samples():
 
 
 def test_an_oracle_that_ignores_the_apex_fails_the_translation_check(monkeypatch):
-    def ignores_apex(sector, x, margin=0.0):
-        v = np.asarray(x, dtype=float)
-        return cgm.sector_depth(sector, v[..., 1:]) > np.abs(v[..., 0]) + margin
-
-    monkeypatch.setattr(cgm, "cone_contains_point", ignores_apex)
+    monkeypatch.setattr(cgm, "cone_contains_point", _ignores_apex)
     recs = suites.cones_suite(suites.SuiteConfig(seed=7))
     rec = next(r for r in recs if r.anchor == "direction-containment-oracle")
     assert not rec.passed and rec.residuals["translation_violations"] >= 1.0

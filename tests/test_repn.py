@@ -185,13 +185,30 @@ def test_operator_ordering_documented_cross_check():
     psi = repn.WaveFunction.gaussian(cfg, center=(0.2, 0.1), width=1.0)
     p = mk.shell_point(0.4, 0.2, 1.0)
     mult_first = repn.generator(
-        repn.WaveFunction(cfg, lambda a: a[0] * psi(a)), "L2", p)
+        repn.WaveFunction(cfg, lambda a: a[..., 0, None] * psi(a)), "L2", p)
     gen_first = p.p0 * repn.generator(psi, "L2", p)
     assert np.max(np.abs(mult_first - gen_first)) > 1e-3
     # while a boost along x2 commutes with multiplication by p1 exactly
     mult_p1 = repn.generator(
-        repn.WaveFunction(cfg, lambda a: a[1] * psi(a)), "L2", p)
+        repn.WaveFunction(cfg, lambda a: a[..., 1, None] * psi(a)), "L2", p)
     assert np.max(np.abs(mult_p1 - p.p1 * repn.generator(psi, "L2", p))) < 1e-9
+
+
+def test_casimir_and_generators_on_a_stack_match_the_pointwise_calls():
+    # the residual is already relative to ||psi||; stacked and single-point
+    # arithmetic may differ in its last bits only
+    for m, s in ((1.0, 0.0), (1.0, 0.5), (1.7, 0.137)):
+        cfg = repn.RepConfig(m, s, 2)
+        psi = repn.WaveFunction.gaussian(cfg, center=(0.25, -0.15), width=1.0,
+                                         vector=(1.0, 0.5 - 0.25j))
+        points = [mk.shell_point(a, b, m) for a, b in
+                  ((0.0, 0.0), (0.3, 0.1), (-0.2, 0.4), (0.5, -0.3), (0.1, 0.6), (0.45, 0.25))]
+        pointwise = max(np.linalg.norm(repn.pauli_lubanski(psi, p) + m * s * psi(p))
+                        / np.linalg.norm(psi(p)) for p in points)
+        assert abs(repn.casimir_residual(psi, points) - pointwise) <= 1e-15
+        stack = np.array([p.as_array() for p in points])
+        assert np.array_equal(repn.generator(psi, "P1", stack),
+                              [repn.generator(psi, "P1", p) for p in points])
 
 
 def test_config_validation():
