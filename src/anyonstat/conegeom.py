@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import covergroup as cg
-from .minkowski import Vec3, any_set, as_array, minkowski_product
+from .minkowski import Vec3, as_array, minkowski_product
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,10 +44,10 @@ class SpacelikeDirection:
 
     def __post_init__(self):
         a = self.e.as_array()
-        if any_set(abs(minkowski_product(a, a) + 1.0) > 1e-12):
+        if np.asarray(abs(minkowski_product(a, a) + 1.0) > 1e-12).any():
             raise ValueError("direction must satisfy e.e = -1")
         ang = np.arctan2(a[..., 2], a[..., 1])
-        if any_set(abs(_wrap(self.lifted_angle - ang)) > 1e-9):
+        if np.asarray(abs(_wrap(self.lifted_angle - ang)) > 1e-9).any():
             raise ValueError("lifted_angle does not project to the spatial angle")
 
     @classmethod
@@ -84,14 +84,14 @@ class SpatialSector:
 
     def __post_init__(self):
         opening = self.beta - self.alpha
-        if any_set((opening <= 0.0) | (opening >= math.pi)):
+        if np.asarray((opening <= 0.0) | (opening >= math.pi)).any():
             raise ValueError(f"sector opening must lie in (0, pi), got {opening}")
         if self.edges is not None:
             for v, ang in zip(self.edges, (self.alpha, self.beta)):
                 a = as_array(v)
-                if any_set(abs(minkowski_product(a, a) + 1.0) > 1e-9):
+                if np.asarray(abs(minkowski_product(a, a) + 1.0) > 1e-9).any():
                     raise ValueError("sector edge directions must be unit space-like")
-                if any_set(abs(_wrap(np.arctan2(a[..., 2], a[..., 1]) - ang)) > 1e-9):
+                if np.asarray(abs(_wrap(np.arctan2(a[..., 2], a[..., 1]) - ang)) > 1e-9).any():
                     raise ValueError("edge direction does not project to its angle")
 
     @property
@@ -241,10 +241,10 @@ class ConePath:
 
     def __post_init__(self):
         rel = (self.accumulated_angle - self.sector.alpha) % TWO_PI
-        if any_set((rel < -1e-9) | (rel > self.sector.opening + 1e-9)):
+        if np.asarray((rel < -1e-9) | (rel > self.sector.opening + 1e-9)).any():
             raise ValueError("accumulated angle does not end inside the sector")
         if self.direction is not None:
-            if any_set(abs(self.direction.lifted_angle - self.accumulated_angle) > 1e-9):
+            if np.asarray(abs(self.direction.lifted_angle - self.accumulated_angle) > 1e-9).any():
                 raise ValueError("endpoint direction lift disagrees with the path")
 
     def endpoint_vector(self) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minkowski import Vec3, all_set, as_array
+from .minkowski import Vec3, as_array
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class CoverElement:
 
     def __post_init__(self):
         inside = abs(self.gamma) < 1.0
-        if not all_set(inside):
+        if not np.asarray(inside).all():
             row = tuple(int(i) for i in np.argwhere(~np.asarray(inside))[0])
             at = f" at index {row}" if row else ""
             raise ValueError(f"disk coordinate must satisfy |gamma| < 1, got "
@@ -96,7 +96,7 @@ def sl2_matrix(g: CoverElement) -> np.ndarray:
     """The real unimodular 2x2 matrices onto which g projects, shape (..., 2, 2)."""
     a, b, c, d = _sl2_entries(g.gamma, g.omega)
     mat = np.array([[a, b], [c, d]])
-    return mat if mat.ndim == 2 else np.moveaxis(mat, (0, 1), (-2, -1))
+    return mat.transpose(tuple(range(2, mat.ndim)) + (0, 1))
 
 
 def _lorentz_rows(a, b, c, d) -> list:

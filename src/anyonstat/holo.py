@@ -136,7 +136,7 @@ def eval_principal(expr: PowerProduct, z):
     zs = np.asarray(z, dtype=complex)
     bases = expr.bases(zs)
     out = expr.value(zs, bases, [np.angle(b) for b in bases])
-    return out if zs.ndim else complex(out)
+    return out[()]
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +202,7 @@ def _path_points(path) -> tuple:
 def continue_along(expr: PowerProduct, path):
     """The analytic continuation of expr along the path, anchored at its start
     with principal branches; one value per row for a batched family."""
-    end = evaluate_along(expr, _path_points(path))[..., -1]
-    return end if end.ndim else complex(end)
+    return evaluate_along(expr, _path_points(path))[..., -1][()]
 
 
 def evaluate_along(expr: PowerProduct, zs) -> np.ndarray:
@@ -233,7 +232,7 @@ def evaluate_along(expr: PowerProduct, zs) -> np.ndarray:
                     f"power base within {_VANISH_TOL} of zero near z={z[at[-1]]}{row}")
             turns.append(np.angle(b[..., 1:] / b[..., :-1]))
             big = np.abs(turns[-1]) > 0.999 * _HALF_PI
-            split |= big.any(axis=0) if big.ndim == 2 else big
+            split |= big.any(axis=tuple(range(big.ndim - 1)))
         if not split.any():
             break
         at = np.flatnonzero(split) + 1
@@ -509,7 +508,6 @@ def _with_midpoints(full: np.ndarray) -> np.ndarray:
 _FD_OFFSETS = (0.0, 1.0, -1.0, 0.5, -0.5)
 _FD_DELTA = 1e-3
 _STEPS = 120
-_DET_TOL = 1e-8
 _STEP_BUDGET = 0.01
 
 
@@ -530,10 +528,11 @@ def ode_continue(family, path, shift: float = 0.1, _allow_shift: bool = True) ->
     (see OdeFamily).  h_hat is the t0-derivative of h_{t0} at 0 by Richardson-
     refined central differences, all offsets _FD_DELTA * _FD_OFFSETS from one
     h_batch call; _rk4_walk integrates with the step length throttled so that
-    |dz| * ||h^{-1} h_hat|| stays below _STEP_BUDGET.  If det h vanishes along
-    the path, the whole problem is rerun at the shifted argument z + shift
-    (the zeros are isolated, so they move off the path) and mapped back
-    through f1(z) = f1(z+t0) h(z+t0)^{-1} h_{-t0}(z+t0).
+    |dz| * ||h^{-1} h_hat|| stays below _STEP_BUDGET.  If h is singular on the
+    path (condition number 1e12 or more at a coarse node), the whole problem
+    is rerun at the shifted argument z + shift (the zeros are isolated, so
+    they move off the path) and mapped back through
+    f1(z) = f1(z+t0) h(z+t0)^{-1} h_{-t0}(z+t0).
     """
     fam = family if isinstance(family, OdeFamily) else _family_from_callable(family)
 
@@ -541,8 +540,8 @@ def ode_continue(family, path, shift: float = 0.1, _allow_shift: bool = True) ->
     try:
         hc, A_scan = _log_derivative(fam, coarse)
         norms = np.linalg.norm(A_scan, axis=(1, 2))
-        dets = np.abs(np.linalg.det(hc))
-        singular = np.min(dets) < _DET_TOL * max(1.0, float(np.median(dets)))
+        # conditioning, not det, as in extract_D: det h scales with the mass
+        singular = not np.max(np.linalg.cond(hc)) < 1e12
     except np.linalg.LinAlgError:
         singular = True
     if singular:

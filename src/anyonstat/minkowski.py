@@ -4,12 +4,12 @@ Signature is (+, -, -) and natural units are used throughout. Every other
 module imports METRIC, J and boost1 from here, so the conventions are fixed
 exactly once.
 Vec3 and MomentumPoint hold one point or a stack (array fields, as_array()
-of shape (..., 3)); the vector helpers act on the last axis.
+of shape (..., 3)); the vector helpers act on the last axis, and one point
+and a stack share one code path.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,21 +19,6 @@ METRIC = np.diag([1.0, -1.0, -1.0])
 # Reflection of x0 and x1, leaving x2 unchanged. Proper but antichronous;
 # equals the x1-boost at imaginary rapidity +/- i*pi.
 J = np.diag([-1.0, -1.0, 1.0])
-
-
-# Single values keep fast paths.  any_set/all_set: most calls check one point,
-# element or sector in __post_init__ (925 of 1,655 in a default spinstat run),
-# where np.any costs 4.7 us and the fast path 0.2 us.  The Python numbers of
-# _components and MomentumPoint.p0 fix a single point's arithmetic: with numpy
-# scalars, report residuals move (ode_vs_engine by up to 3.3e-13 at suite seed 3).
-def any_set(mask) -> bool:
-    """np.any(mask), without numpy's call overhead on a single flag."""
-    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
-
-
-def all_set(mask) -> bool:
-    """np.all(mask), without numpy's call overhead on a single flag."""
-    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
 def as_array(x) -> np.ndarray:
@@ -47,15 +32,14 @@ def as_array(x) -> np.ndarray:
 
 
 def _components(a: np.ndarray) -> tuple:
-    """The three components of vectors (..., 3); a single vector gives Python
-    numbers, on which the scalar arithmetic downstream is fastest."""
-    return tuple(a.tolist() if a.ndim == 1 else np.moveaxis(a, -1, 0))
+    """The three components of vectors (..., 3)."""
+    return a[..., 0], a[..., 1], a[..., 2]
 
 
 def _stack3(a, b, c) -> np.ndarray:
     """Components of equal shape stacked on a new last axis, shape (..., 3)."""
     out = np.array([a, b, c], dtype=float)
-    return out if out.ndim == 1 else np.moveaxis(out, 0, -1)
+    return out.transpose(tuple(range(1, out.ndim)) + (0,))
 
 
 @dataclass(frozen=True)
@@ -91,14 +75,12 @@ class MomentumPoint:
     m: float
 
     def __post_init__(self):
-        if not all_set(self.m > 0.0):
+        if not np.asarray(self.m > 0.0).all():
             raise ValueError(f"mass must be strictly positive, got {self.m}")
 
     @property
     def p0(self) -> float:
-        e2 = self.p1 ** 2 + self.p2 ** 2 + self.m ** 2
-        # both roots are correctly rounded; a single point keeps a Python float
-        return np.sqrt(e2) if isinstance(e2, np.ndarray) else math.sqrt(e2)
+        return np.sqrt(self.p1 ** 2 + self.p2 ** 2 + self.m ** 2)
 
     def as_array(self) -> np.ndarray:
         return _stack3(self.p0, self.p1, self.p2)
@@ -117,14 +99,14 @@ def to_momentum(vec, m, tol: float = 1e-8) -> MomentumPoint:
     """
     a = as_array(vec)
     if a.dtype.kind == "c":
-        if any_set(np.abs(a.imag) > tol):
+        if (np.abs(a.imag) > tol).any():
             raise ValueError("momentum vector has a non-negligible imaginary part")
         a = a.real
     e0, p1, p2 = _components(a)
     p = MomentumPoint(p1, p2, m)
     p0 = p.p0
     drift = abs(e0 - p0)
-    if any_set((drift > tol) & (drift > tol * p0)):  # drift > tol * max(1, p0)
+    if np.asarray((drift > tol) & (drift > tol * p0)).any():  # drift > tol * max(1, p0)
         raise ValueError(f"vector is not on the m={m} shell: p0={e0} vs {p0}")
     return p
 

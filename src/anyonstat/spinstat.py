@@ -524,8 +524,10 @@ def run_pipeline(s: float, m: float = 1.0, n: int = 2, seed: int = 0,
         "pi_rotation": float(np.max([*rot.values()])),
         "transformation_law": float(np.max([*tl.values()])),
         "wigner_cancellation": wigner_cancellation(family, grid[3]),
+        # the kernel varies faster as the mass grows: more panels, still one walk
         "kernel_morera": holo.morera_residual(
-            kernel, holo.StripPath.rectangle(-0.4, 0.4, 0.15, math.pi - 0.15)),
+            kernel, holo.StripPath.rectangle(-0.4, 0.4, 0.15, math.pi - 0.15),
+            panels=4 * max(1, math.ceil(m))),
         "ode_vs_engine": ode_vs_engine(family, grid[1]),
         "dstar_d_min_eig": min_eig,
     }

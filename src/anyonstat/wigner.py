@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from . import covergroup as cg
-from .minkowski import MomentumPoint, Vec3, any_set, to_momentum
+from .minkowski import MomentumPoint, Vec3, to_momentum
 
 
 class BranchCutError(ValueError):
@@ -59,7 +59,7 @@ def little_group_element(g: cg.CoverElement, p: MomentumPoint) -> cg.CoverElemen
     """b(p)^{-1} g b(Lambda^{-1} p); projects into the rest-momentum stabiliser."""
     q = transport(g, p)
     w = cg.compose(cg.inverse(standard_boost(p)), cg.compose(g, standard_boost(q)))
-    if any_set(abs(w.gamma) > 1e-8):
+    if np.asarray(abs(w.gamma) > 1e-8).any():
         raise ArithmeticError(
             f"little-group element has |gamma| = {np.max(abs(w.gamma)):.3e}; "
             "standard-boost conventions are broken"
@@ -91,7 +91,7 @@ def little_group_phase(g: cg.CoverElement, p: MomentumPoint) -> complex:
 
 def _principal_power(bracket: complex, s: float) -> complex:
     on_cut = (bracket.imag == 0.0) & (bracket.real <= 0.0)
-    if any_set(on_cut):
+    if np.asarray(on_cut).any():
         bad = np.asarray(bracket)[np.asarray(on_cut)][0]
         raise BranchCutError(f"power base {bad} lies on the cut R^-_0")
     return bracket ** s

@@ -197,6 +197,63 @@ def test_cover_element_rejects_a_batch_and_names_the_row():
     assert cg.CoverElement(np.full(6, 0.3 + 0.1j), np.zeros(6)).gamma.shape == (6,)
 
 
+_ANG = np.linspace(-0.6, 0.6, 5)
+_P = mk.MomentumPoint(np.linspace(-1.0, 1.0, 5), np.full(5, 0.3), 1.0)
+
+
+def _with(x, delta, row=3):
+    """x with delta added to one row."""
+    delta = np.asarray(delta)
+    out = np.array(x, dtype=np.result_type(x, delta))
+    out[row] += delta
+    return out
+
+
+def _rays(a):
+    return np.stack([np.zeros_like(a), np.cos(a), np.sin(a)], axis=-1)
+
+
+# guard: (build a stack whose row 3 is moved by delta, delta, exception, message)
+_STACK_GUARDS = {
+    "momentum-mass": (lambda d: mk.MomentumPoint(_P.p1, _P.p2, _with(np.ones(5), d)),
+                      -2.0, ValueError, "strictly positive"),
+    "off-shell": (lambda d: mk.to_momentum(_with(_P.as_array(), [d, 0.0, 0.0]), 1.0),
+                  1e-3, ValueError, "not on the m=1.0 shell"),
+    "imaginary-part": (lambda d: mk.to_momentum(_with(_P.as_array() + 0j, [0.0, d, 0.0]), 1.0),
+                       1e-3j, ValueError, "imaginary part"),
+    "direction-norm": (lambda d: cgm.SpacelikeDirection(mk.Vec3.from_array(
+        _with(_rays(_ANG), [0.0, d, 0.0])), _ANG), 0.01, ValueError, "e.e = -1"),
+    "direction-lift": (lambda d: cgm.SpacelikeDirection(mk.Vec3.from_array(_rays(_ANG)),
+                                                        _with(_ANG, d)),
+                       0.1, ValueError, "does not project"),
+    "sector-opening": (lambda d: cgm.SpatialSector(_ANG, _with(_ANG + 1.0, d)),
+                       2.5, ValueError, "opening must lie in"),
+    "edge-norm": (lambda d: cgm.SpatialSector(_ANG, _ANG + 1.0, edges=(
+        _rays(_ANG), _with(_rays(_ANG + 1.0), [0.0, d, 0.0]))),
+                  0.01, ValueError, "unit space-like"),
+    "edge-angle": (lambda d: cgm.SpatialSector(_ANG, _ANG + 1.0, edges=(
+        _rays(_ANG), _rays(_with(_ANG + 1.0, d)))), 0.1, ValueError, "project to its angle"),
+    "cone-path": (lambda d: cgm.ConePath(cgm.SpatialSector(_ANG, _ANG + 1.0),
+                                         _with(_ANG + 0.5, d)),
+                  1.0, ValueError, "does not end inside"),
+    "cone-path-direction": (lambda d: cgm.ConePath(
+        cgm.SpatialSector(_ANG, _ANG + 1.0), _ANG + 0.5,
+        cgm.SpacelikeDirection.from_angles(_with(_ANG + 0.5, d), np.zeros(5))),
+                            0.1, ValueError, "lift disagrees"),
+    "principal-power": (lambda d: wg._principal_power(
+        _with(np.array([1 + 1j, 2.0, 3j, 1.5, -1j]), d), 0.25),
+                        -3.0, wg.BranchCutError, "lies on the cut"),
+}
+
+
+@pytest.mark.parametrize("guard", _STACK_GUARDS)
+def test_a_stack_with_one_bad_row_is_rejected(guard):
+    build, delta, error, message = _STACK_GUARDS[guard]
+    build(0.0)  # the valid stack passes
+    with pytest.raises(error, match=message):
+        build(delta)
+
+
 def test_blocks_of_draws_equal_the_scalar_draw_sequence():
     for seed in (3, 7, 26):
         for radius, windings in ((0.8, 2.0), (0.3, 1.0), (0.5, 2.0)):

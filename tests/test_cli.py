@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anyonstat import cli, suites
+from anyonstat import cli, holo, suites
 from anyonstat.suites import Report, SuiteConfig, run_suite
 
 
@@ -256,11 +256,24 @@ def test_every_config_field_from_file_and_flag(tmp_path):
         assert getattr(from_flag, key) == value
 
 
+def _singular_ode_after(monkeypatch, passing: int):
+    # the ODE route raises SingularDeterminant once `passing` calls have run
+    calls, real = [], holo.ode_continue
+
+    def ode_continue(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > passing:
+            raise holo.SingularDeterminant("det h vanishes along the shifted path too")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(holo, "ode_continue", ode_continue)
+
+
 @pytest.mark.parametrize("flags", [["--spin", "0.25", "--grid", "2", "--mass", "8"],
                                    ["--spin", "0.25", "--mass", "50"]])
-def test_numerical_failure_is_a_fail_record(flags):
-    # mass 8 raised SingularDeterminant as a traceback, and mass 50 tripped an
-    # absolute determinant guard that the CLI reported as a config error
+def test_numerical_failure_is_a_fail_record(flags, monkeypatch):
+    # a numerical exception in a pipeline is neither a traceback nor a config error
+    _singular_ode_after(monkeypatch, 0)
     r = run_cli("--suite", "spinstat", "--format", "json", *flags)
     assert r.returncode == 1
     assert "Traceback" not in r.stderr and "config error" not in r.stderr
@@ -269,7 +282,9 @@ def test_numerical_failure_is_a_fail_record(flags):
     assert rec["inputs"]["error"].startswith("SingularDeterminant: ")
 
 
-def test_a_failing_pipeline_leaves_the_other_records():
+def test_a_failing_pipeline_leaves_the_other_records(monkeypatch):
+    # the mass-1 pipeline walks its ODE route once, unshifted; the mass-8 one raises
+    _singular_ode_after(monkeypatch, 1)
     report = run_suite("spinstat", SuiteConfig(spins=(0.25,), masses=(1.0, 8.0), grid=2))
     ok, failed = report.records
     assert ok.passed and "error" not in ok.inputs

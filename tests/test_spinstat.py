@@ -9,6 +9,7 @@ from anyonstat import covergroup as cg
 from anyonstat import holo
 from anyonstat import minkowski as mk
 from anyonstat import spinstat as ss
+from anyonstat import suites
 
 P = mk.shell_point(0.4, -0.3, 1.0)
 
@@ -256,6 +257,16 @@ def test_pipeline_report_single_spin():
     assert rep.residuals["dual_route"] < 1e-8
     assert rep.residuals["transformation_law"] < 1e-8
     assert rep.residuals["dstar_d_min_eig"] > 1e-6
+
+
+def test_spinstat_passes_across_the_mass_band():
+    # the theorem assumes only a mass gap; at m = 4 and 8 the determinant guard
+    # of the ODE route and four Morera panels used to fail
+    report = suites.run_suite("spinstat", suites.SuiteConfig(
+        spins=(0.25,), masses=(0.001, 1.0, 4.0, 8.0), grid=2))
+    assert [r.inputs["mass"] for r in report.records] == [0.001, 1.0, 4.0, 8.0]
+    for r in report.records:
+        assert r.passed, (r.inputs, r.residuals)
 
 
 def test_build_rejects_bad_mass():
