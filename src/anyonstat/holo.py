@@ -509,6 +509,8 @@ _FD_OFFSETS = (0.0, 1.0, -1.0, 0.5, -0.5)
 _FD_DELTA = 1e-3
 _STEPS = 120
 _STEP_BUDGET = 0.01
+_MAX_STEPS = 100_000
+_COND_MAX = 1e12
 
 
 def _log_derivative(fam: "OdeFamily", zs):
@@ -529,24 +531,31 @@ def ode_continue(family, path, shift: float = 0.1, _allow_shift: bool = True) ->
     refined central differences, all offsets _FD_DELTA * _FD_OFFSETS from one
     h_batch call; _rk4_walk integrates with the step length throttled so that
     |dz| * ||h^{-1} h_hat|| stays below _STEP_BUDGET.  If h is singular on the
-    path (condition number 1e12 or more at a coarse node), the whole problem
-    is rerun at the shifted argument z + shift (the zeros are isolated, so
-    they move off the path) and mapped back through
-    f1(z) = f1(z+t0) h(z+t0)^{-1} h_{-t0}(z+t0).
+    path (condition number _COND_MAX or more at a coarse node, or a log-
+    derivative so large that the throttle would need more than _MAX_STEPS
+    steps, as at a zero of det h on a node), the whole problem is rerun at
+    the shifted argument z + shift (the zeros are isolated, so they move off
+    the path) and mapped back through f1(z) = f1(z+t0) h(z+t0)^{-1} h_{-t0}(z+t0).
     """
     fam = family if isinstance(family, OdeFamily) else _family_from_callable(family)
 
     coarse = _uniform_nodes(path, max(16, _STEPS // 3))
+    seg = np.abs(np.diff(coarse))
     try:
         hc, A_scan = _log_derivative(fam, coarse)
         norms = np.linalg.norm(A_scan, axis=(1, 2))
-        # conditioning, not det, as in extract_D: det h scales with the mass
-        singular = not np.max(np.linalg.cond(hc)) < 1e12
+        w = np.maximum(norms[:-1], norms[1:])
+        steps = np.maximum(1, np.ceil(seg * np.maximum(_STEPS / seg.sum(), w / _STEP_BUDGET)))
+        # conditioning, not det, as in extract_D: det h scales with the mass;
+        # the step count sees a zero of a 1x1 h, whose condition number is 1
+        singular = not (np.max(np.linalg.cond(hc)) < _COND_MAX and steps.sum() <= _MAX_STEPS)
     except np.linalg.LinAlgError:
         singular = True
     if singular:
         if not _allow_shift:
-            raise SingularDeterminant("det h vanishes along the shifted path too")
+            raise SingularDeterminant(
+                f"h is singular (condition number >= {_COND_MAX:g} or more than "
+                f"{_MAX_STEPS} steps) along the shifted path too")
         pts = _path_points(path)
         # g(z) := f1(z + shift) obeys the same ODE with data read at z + shift,
         # i.e. the original family walked along the shifted path.
@@ -555,13 +564,8 @@ def ode_continue(family, path, shift: float = 0.1, _allow_shift: bool = True) ->
         h_at, h_minus = fam.h_batch(np.array([0.0, -shift]), [pts[-1] + shift])[:, 0]
         return g_end @ np.linalg.inv(h_at) @ h_minus
 
-    total = sum(abs(b - a) for a, b in zip(coarse[:-1], coarse[1:]))
-    base_density = _STEPS / total
     full = [coarse[0]]
-    for j in range(len(coarse) - 1):
-        a, b = coarse[j], coarse[j + 1]
-        w = max(norms[j], norms[j + 1])
-        n = max(1, math.ceil(abs(b - a) * max(base_density, w / _STEP_BUDGET)))
+    for a, b, n in zip(coarse[:-1], coarse[1:], steps.astype(int).tolist()):
         full.extend(a + (b - a) * (k + 1) / n for k in range(n))
     zs = _with_midpoints(np.array(full))
 

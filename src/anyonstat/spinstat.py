@@ -338,11 +338,11 @@ def extract_D(family: WaveMatrixFamily, grid: list) -> tuple:
     hat_v, _ = family.boundary_pair(pa)
     c1 = family.psi1_conj(pa)
     # conditioning, not det: det scales like e^{-2 p0} with the mass
-    if not np.all(np.linalg.cond(c1) < 1e12):
+    if not np.all(np.linalg.cond(c1) < holo._COND_MAX):
         raise np.linalg.LinAlgError("conjugate family is singular on the grid")
     ds = hat_v @ np.linalg.inv(c1)
     mean = np.mean(ds, axis=0)
-    if not np.linalg.cond(mean) < 1e12:
+    if not np.linalg.cond(mean) < holo._COND_MAX:
         raise np.linalg.LinAlgError("extracted proportionality matrix is singular")
     return mean, float(np.max(_rel(ds, mean)))
 

@@ -263,7 +263,7 @@ def _singular_ode_after(monkeypatch, passing: int):
     def ode_continue(*args, **kwargs):
         calls.append(None)
         if len(calls) > passing:
-            raise holo.SingularDeterminant("det h vanishes along the shifted path too")
+            raise holo.SingularDeterminant("h is singular along the shifted path too")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(holo, "ode_continue", ode_continue)

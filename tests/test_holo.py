@@ -474,11 +474,58 @@ def test_ode_scalar_exponential():
     assert abs(val[0, 0] - cmath.exp(1j * a * 1j * math.pi / 2)) < 1e-8
 
 
-def test_ode_singular_determinant_detour():
-    # f1 = cosh has a zero exactly on the path; the shifted detour recovers it
-    val = holo.ode_continue(lambda z, t0: np.cosh(z + t0),
-                            holo.StripPath.vertical(0.0, height=2.2))
-    assert abs(val[0, 0] - cmath.cosh(2.2j)) < 1e-5
+def _counting_ode(monkeypatch):
+    # the shifted reruns of ode_continue call it through the module, so each
+    # call, the first one included, lands in `calls`
+    calls, real = [], holo.ode_continue
+
+    def ode_continue(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(holo, "ode_continue", ode_continue)
+    return calls
+
+
+def _diag_family(f, g):
+    def h(z, t0):
+        out = np.zeros(np.shape(z) + (2, 2), dtype=complex)
+        out[..., 0, 0], out[..., 1, 1] = f(z + t0), g(z + t0)
+        return out
+    return h
+
+
+def test_ode_singular_determinant_detour(monkeypatch):
+    # f1 = cosh vanishes at i pi/2, a coarse node of the default path; a 1x1 h
+    # has condition number 1 wherever it is nonzero, so the step count of the
+    # pole of A = tanh sends it round the shifted path, which gives cosh(i pi)
+    calls = _counting_ode(monkeypatch)
+    val = holo.ode_continue(lambda z, t0: np.cosh(z + t0), holo.StripPath.vertical())
+    assert len(calls) == 2
+    assert abs(val[0, 0] - cmath.cosh(1j * math.pi)) < 1e-5
+
+
+@pytest.mark.parametrize("h, height, calls", [
+    # the zero i pi/2 is no coarse node: the throttle walks through the pole
+    (lambda z, t0: np.cosh(z + t0), 2.2, 1),
+    # diag(exp, cosh) loses rank on the node i pi/2 of the default path
+    (_diag_family(np.exp, np.cosh), math.pi, 2)], ids=["between-nodes", "matrix-on-node"])
+def test_ode_detours_only_for_a_zero_on_a_coarse_node(h, height, calls, monkeypatch):
+    counted = _counting_ode(monkeypatch)
+    val = holo.ode_continue(h, holo.StripPath.vertical(0.0, height=height))
+    assert len(counted) == calls
+    want = np.reshape(h(np.array([1j * height]), 0.0), val.shape)
+    assert np.max(np.abs(val - want)) < 1e-5
+
+
+def test_ode_ill_conditioned_family_fails_on_every_shift(monkeypatch):
+    # condition number 1e13 on every path while A = I stays small, so only the
+    # condition test sees it: the shifts 0.1 * 1.7^k run out and it raises
+    calls = _counting_ode(monkeypatch)
+    with pytest.raises(holo.SingularDeterminant, match="shifted path too"):
+        holo.ode_continue(_diag_family(np.exp, lambda z: 1e-13 * np.exp(z)),
+                          holo.StripPath.vertical())
+    assert len(calls) == 6
 
 
 def _stepwise_rk4(f, A, zs):
