@@ -2,6 +2,8 @@
 """The quadratic Casimir J.P of the massive representation acts as the
 scalar -m*s; generators are recovered by Richardson-refined differences."""
 
+import numpy as np
+
 from anyonstat import minkowski as mk
 from anyonstat import repn
 
@@ -9,20 +11,19 @@ print("=" * 70)
 print("Casimir check: J.P = -m*s on the spin-s mass-m representation")
 print("=" * 70)
 
-points = [mk.shell_point(a, b, 1.0) for a, b in
-          ((0.0, 0.0), (0.3, 0.1), (-0.2, 0.4), (0.5, -0.3))]
+p1, p2 = np.array([(0.0, 0.0), (0.3, 0.1), (-0.2, 0.4), (0.5, -0.3)]).T
 
 for m, s in ((1.0, 0.0), (1.0, 0.5), (1.7, 0.137)):
     cfg = repn.RepConfig(m, s, 1)
     psi = repn.WaveFunction.gaussian(cfg, center=(0.25, -0.15), width=1.0)
-    pts = [mk.shell_point(p.p1, p.p2, m) for p in points]
+    pts = mk.MomentumPoint(p1, p2, m)
     res = repn.casimir_residual(psi, pts)
     p = pts[1]
     ratio = repn.pauli_lubanski(psi, p)[0] / psi(p)[0]
     print(f"\n  m = {m}, s = {s}:")
     print(f"    (J.P psi)/psi at a sample point = {ratio:.8f}")
     print(f"    expected -m*s                   = {-m * s:.8f}")
-    print(f"    relative residual over {len(pts)} points: {res:.2e}")
+    print(f"    relative residual over {len(p1)} points: {res:.2e}")
 
 print("\nThe operator ordering is multiplication first, then the boost or")
 print("rotation derivative; reversing it changes the value by a commutator,")

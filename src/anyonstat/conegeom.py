@@ -58,7 +58,8 @@ class SpacelikeDirection:
         the vector on the unit space-like hyperboloid.
         """
         r = np.sqrt(1.0 + tilt * tilt)
-        return cls(Vec3(tilt, r * np.cos(lifted_angle), r * np.sin(lifted_angle)),
+        return cls(Vec3(tilt + 0.0 * lifted_angle, r * np.cos(lifted_angle),
+                        r * np.sin(lifted_angle)),
                    lifted_angle)
 
 
@@ -133,8 +134,7 @@ def sector_depth(sector: SpatialSector, v):
 
 def cone_contains_point(sector: SpatialSector, x, margin: float = 0.0):
     """Membership of spacetime points (..., 3) in the causal completion of the sector."""
-    v = np.asarray(x.as_array() if hasattr(x, "as_array") else x, dtype=float)
-    v = v - sector.apex.as_array()
+    v = np.asarray(as_array(x), dtype=float) - sector.apex.as_array()
     return sector_depth(sector, v[..., 1:]) > np.abs(v[..., 0]) + margin
 
 

@@ -305,14 +305,6 @@ def morera_residual(expr: PowerProduct, contour, order: int = 8, panels: int = 4
 # builders of the compensated families
 # ---------------------------------------------------------------------------
 
-def stack_momenta(q) -> MomentumPoint:
-    """One momentum as it is, or a batch (a sequence) of momenta as one
-    MomentumPoint stack; stack_momenta(q).as_array() is a family's anchor."""
-    if isinstance(q, MomentumPoint):
-        return q
-    return MomentumPoint(*(np.array([getattr(p, k) for p in q]) for k in ("p1", "p2", "m")))
-
-
 def normalize_at(expr: PowerProduct, z0: complex, target: complex) -> PowerProduct:
     """Scale expr so that its value at z0 equals the closed-form target.
 
@@ -375,11 +367,10 @@ def boost_family_phase_raw(g: cg.CoverElement, q: MomentumPoint, s: float,
     Built from the 2x2 little-group matrix b(q)^-1 B1(eps z) A_g (K'(z) + m),
     with K'(z) the spinor of k'(z) = project(g^-1) boost1(-eps z) q: the
     numerator is entire and the two square-root normalizations appear as
-    ledgered powers; a sequence of momenta q, a stack of elements g, or both
+    ledgered powers; a MomentumPoint stack q, a stack of elements g, or both
     give one batched family.  The caller anchors the phase with normalize_at.
     """
-    qs = stack_momenta(q)
-    qa, m = qs.as_array(), _per_row(qs.m)
+    qa, m = q.as_array(), _per_row(q.m)
     a00, a01, a10, a11 = (_per_row(e) for e in cg._sl2_entries(g.gamma, g.omega))
     lam_inv = cg.project(cg.inverse(g))
     # b(q)^-1 = (adj(Q) + m) / c_q, constant along the family
@@ -424,13 +415,12 @@ def compensated_family_expr(g: cg.CoverElement, q: MomentumPoint, s: float) -> P
     This is the quarter-rotation-compensated Wigner factor.  It extends
     analytically into the strip whenever g * quarter-rotation carries the
     reference approach path into the standard wedge class; the family is
-    anchored at z = 0 against the exact shell functions.  For a sequence of
-    momenta q the family is batched, and each row is anchored at its own one.
+    anchored at z = 0 against the exact shell functions.  For a MomentumPoint
+    stack q the family is batched, and each row is anchored at its own momentum.
     """
-    qs = stack_momenta(q)
-    raw = (boost_family_phase_raw(g, qs, s)
-           * u_power_raw(cg.project(cg.inverse(g)), qs.as_array(), s, qs.m, "pihalf"))
-    target = np.exp(1j * s * wg.wigner_angle(g, qs)) * wg.u_pihalf(wg.transport(g, qs), s)
+    raw = (boost_family_phase_raw(g, q, s)
+           * u_power_raw(cg.project(cg.inverse(g)), q.as_array(), s, q.m, "pihalf"))
+    target = np.exp(1j * s * wg.wigner_angle(g, q)) * wg.u_pihalf(wg.transport(g, q), s)
     return normalize_at(raw, 0.0, target)
 
 
@@ -440,9 +430,8 @@ def uncompensated_phase_expr(g: cg.CoverElement, q: MomentumPoint, s: float) -> 
     For non-integer s this has genuine branch points inside the strip (at the
     zeros of the boosted energy factor); it exists as the negative control.
     """
-    qs = stack_momenta(q)
-    return normalize_at(boost_family_phase_raw(g, qs, s), 0.0,
-                        np.exp(1j * s * wg.wigner_angle(g, qs)))
+    return normalize_at(boost_family_phase_raw(g, q, s), 0.0,
+                        np.exp(1j * s * wg.wigner_angle(g, q)))
 
 
 def boost_energy_branch_point(p: MomentumPoint) -> complex:

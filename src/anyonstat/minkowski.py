@@ -68,6 +68,7 @@ class MomentumPoint:
     Only the spatial components and the mass are stored; the energy is
     recomputed on every access so the on-shell identity cannot drift.  A
     stack keeps its exact masses: m is a scalar or an array like p1 and p2.
+    p[index] picks rows of a stack, and p[None] makes one point a stack of one.
     """
 
     p1: float
@@ -77,6 +78,10 @@ class MomentumPoint:
     def __post_init__(self):
         if not np.asarray(self.m > 0.0).all():
             raise ValueError(f"mass must be strictly positive, got {self.m}")
+
+    def __getitem__(self, index) -> "MomentumPoint":
+        return MomentumPoint(np.asarray(self.p1)[index], np.asarray(self.p2)[index],
+                             np.broadcast_to(self.m, np.shape(self.p1))[index])
 
     @property
     def p0(self) -> float:

@@ -54,8 +54,7 @@ class WaveFunction:
         self._fn = fn
 
     def __call__(self, p) -> np.ndarray:
-        arr = p.as_array() if hasattr(p, "as_array") else np.asarray(p, dtype=float)
-        return np.asarray(self._fn(arr), dtype=complex)
+        return np.asarray(self._fn(np.asarray(as_array(p), dtype=float)), dtype=complex)
 
     @classmethod
     def gaussian(cls, config: RepConfig, center=(0.0, 0.0), width: float = 0.6,
@@ -148,7 +147,7 @@ def generator(psi: WaveFunction, kind: str, p) -> np.ndarray:
     (multiplication by the momentum components).  p is one momentum or a
     stack of them (..., 3); the result is (..., n).
     """
-    parr = p.as_array() if hasattr(p, "as_array") else np.asarray(p, dtype=float)
+    parr = np.asarray(as_array(p), dtype=float)
     if kind in ("P0", "P1", "P2"):
         return parr[..., int(kind[1]), None] * psi(parr)
     if kind not in _BOOST_KINDS:
@@ -178,10 +177,10 @@ def pauli_lubanski(psi: WaveFunction, p) -> np.ndarray:
 
 def casimir_residual(psi: WaveFunction, points) -> float:
     """max over points of ||J.P psi + m s psi|| / ||psi||, skipping points where
-    psi vanishes.  The points (momenta or 3-vectors) are evaluated as one
-    (k, 3) stack."""
+    psi vanishes.  The points (a MomentumPoint stack or on-shell 3-vectors
+    (k, 3)) are evaluated as one stack."""
     cfg = psi.config
-    parr = np.array([as_array(p) for p in points], dtype=float)
+    parr = np.asarray(as_array(points), dtype=float)
     v = psi(parr)
     denom = np.linalg.norm(v, axis=-1)
     num = np.linalg.norm(pauli_lubanski(psi, parr) + cfg.m * cfg.s * v, axis=-1)

@@ -13,7 +13,8 @@ engine and compared against the independent closed forms, whole-product
 continuations are compared against factor-wise ones, and the statistics
 phase is recovered by least squares from the reflected two-point identity.
 Closed forms take one momentum or a MomentumPoint stack; each check takes a
-list of momenta, continues once for all of them, and returns an array per residual.
+1-D stack of momenta, continues once for all of them, and returns an array per
+residual.
 
 Construction of the families:
 
@@ -188,24 +189,22 @@ class WaveMatrixFamily:
 
     # -- engine boundary values --------------------------------------------
 
-    def fill(self, ps) -> list:
-        """Cache the boundary pairs of all new momenta in ps (a list or a
-        stack), one batched walk per family; returns the memo keys of ps."""
-        pa = holo.stack_momenta(ps)
-        keys = list(zip(pa.p1.tolist(), pa.p2.tolist()))
+    def fill(self, ps: MomentumPoint) -> list:
+        """Cache the boundary pairs of all new momenta in the 1-D stack ps, one
+        batched walk per family; returns the memo keys of ps."""
+        keys = list(zip(ps.p1.tolist(), ps.p2.tolist()))
         rows = {k: i for i, k in enumerate(keys) if k not in self._cache}
         if rows:
-            idx = list(rows.values())
-            qs = _reflected_anchor(MomentumPoint(pa.p1[idx], pa.p2[idx], self.model.m))
+            qs = _reflected_anchor(ps[list(rows.values())])
             path = holo.StripPath.vertical(0.0)
             v1 = holo.continue_robust(self.pref1_expr(qs), path)
             v2 = holo.continue_robust(self.pref2bar_expr(qs), path)
             self._cache.update(zip(rows, zip(v1.tolist(), v2.tolist())))
         return keys
 
-    def boundary_pair(self, ps) -> tuple:
-        """Engine-continued (hat Psi_1, check Psi_2) at the momenta ps (a list
-        or a stack), as two stacks (len(ps), n, n); memoized per momentum."""
+    def boundary_pair(self, ps: MomentumPoint) -> tuple:
+        """Engine-continued (hat Psi_1, check Psi_2) at the momenta of the 1-D
+        stack ps, as two stacks (len(ps.p1), n, n); memoized per momentum."""
         v1, v2 = np.array([self._cache[k] for k in self.fill(ps)]).T
         return (_times(np.conj(v1), self.model.a1.conjugate()),
                 _times(v2, self.model.a2.conjugate()))
@@ -237,16 +236,16 @@ def build_toy_model(s: float, m: float, n: int = 2, seed: int = 0,
     return model, WaveMatrixFamily(model)
 
 
-def momentum_grid(m: float, size: int = 5) -> list:
-    """Deterministic shell grid plus two boosted points; p1 stays away from 0
-    so the straight vertical continuation paths keep clear of power-base zeros."""
-    pts = [MomentumPoint(p1, p2, m)
-           for p1 in np.linspace(0.15, 0.75, size)
-           for p2 in np.linspace(-0.6, 0.6, size)]
-    for k in range(2):
-        src = pts[(k * 7) % len(pts)]
-        pts.append(to_momentum(boost1(0.4 + 0.2 * k) @ src.as_array(), m))
-    return pts
+def momentum_grid(m: float, size: int = 5) -> MomentumPoint:
+    """Deterministic shell grid plus two boosted points, as one 1-D stack; p1
+    stays away from 0 so the straight vertical continuation paths keep clear
+    of power-base zeros."""
+    p1, p2 = np.meshgrid(np.linspace(0.15, 0.75, size), np.linspace(-0.6, 0.6, size),
+                         indexing="ij")
+    square = MomentumPoint(p1.ravel(), p2.ravel(), m).as_array()
+    # 0.4 + 0.2 * k, not [0.4, 0.6]: the two differ by one ulp at k = 1
+    boosted = boost1(0.4 + 0.2 * np.arange(2)) @ square[[0, 7 % (size * size + 1)], :, None]
+    return to_momentum(np.concatenate([square, boosted[..., 0]]), m)
 
 
 def dressed_family(family: WaveMatrixFamily, i: int, t, p: MomentumPoint) -> np.ndarray:
@@ -271,7 +270,7 @@ def dressed_family(family: WaveMatrixFamily, i: int, t, p: MomentumPoint) -> np.
     raise ValueError("family index must be 1 or 2")
 
 
-def two_point_boundary_check(family: WaveMatrixFamily, ps: list) -> dict:
+def two_point_boundary_check(family: WaveMatrixFamily, ps: MomentumPoint) -> dict:
     """Boundary identity of the two-point kernel at -p, three ways.
 
     Returns the relative residuals between the whole-product continuation,
@@ -279,21 +278,21 @@ def two_point_boundary_check(family: WaveMatrixFamily, ps: list) -> dict:
     plus the no-transpose control which must fail for generic data, each as
     an array with one row per momentum of ps.
     """
-    pa = holo.stack_momenta(ps)
-    hat_v, check_v = family.boundary_pair(pa)
-    q, mdl = _reflected_anchor(pa), family.model
+    hat_v, check_v = family.boundary_pair(ps)
+    q, mdl = _reflected_anchor(ps), family.model
     # the kernel M = Psi_2^* Psi_1: one scalar power product times a2^H a1
     whole = _times(holo.continue_robust(family.pref2bar_expr(q) * family.pref1_expr(q),
                                         holo.StripPath.vertical(0.0)),
                    mdl.a2.conj().T @ mdl.a1)
-    wrong = family.model.omega_target * (family.psi1_conj(pa).conj().swapaxes(-1, -2)
-                                         @ family.psi2_conj(pa))
+    wrong = family.model.omega_target * (family.psi1_conj(ps).conj().swapaxes(-1, -2)
+                                         @ family.psi2_conj(ps))
     return {"whole_vs_closed": _rel(whole, wrong.swapaxes(-1, -2)),
             "whole_vs_factor": _rel(whole, check_v.swapaxes(-1, -2) @ hat_v.conj()),
             "transpose_control": _rel(whole, wrong)}
 
 
-def verify_transformation_law(g: cg.CoverElement, ps: list, family: WaveMatrixFamily) -> dict:
+def verify_transformation_law(g: cg.CoverElement, ps: MomentumPoint,
+                              family: WaveMatrixFamily) -> dict:
     """Both sides of the reflected covariance law, by independent continuations.
 
     The left side dresses the transformed family, the right side transforms
@@ -302,9 +301,8 @@ def verify_transformation_law(g: cg.CoverElement, ps: list, family: WaveMatrixFa
     element or one per momentum of ps; each residual has a row per momentum.
     """
     mdl = family.model
-    pa = holo.stack_momenta(ps)
-    p_arr = pa.as_array()
-    g = cg.CoverElement(*(np.broadcast_to(x, pa.p1.shape) for x in (g.gamma, g.omega)))
+    p_arr = ps.as_array()
+    g = cg.CoverElement(*(np.broadcast_to(x, ps.p1.shape) for x in (g.gamma, g.omega)))
     gg0 = cg.compose(g, cg.lift_rotation(math.pi / 2.0))
     outside = np.flatnonzero(~cgm.in_wedge_class(gg0))
     if outside.size:
@@ -313,10 +311,10 @@ def verify_transformation_law(g: cg.CoverElement, ps: list, family: WaveMatrixFa
 
     lp_j = cg.act_on_vector(cg.inverse(g), p_arr) @ J  # J is diagonal: x J = J x
 
-    lhs_f1 = holo.compensated_family_expr(g, _reflected_anchor(pa), mdl.s)
+    lhs_f1 = holo.compensated_family_expr(g, _reflected_anchor(ps), mdl.s)
     lhs = lhs_f1 * holo.exp_mink_dot(mdl.b1, -cg.project(cg.inverse(g)), p_arr @ J)
     rhs_f1 = (holo.compensated_family_expr(cg.identity(), to_momentum(-lp_j, mdl.m), mdl.s)
-              * np.exp(-1j * mdl.s * wg.wigner_angle(g, pa)))
+              * np.exp(-1j * mdl.s * wg.wigner_angle(g, ps)))
     rhs = rhs_f1 * holo.exp_mink_dot(mdl.b1, -np.eye(3), lp_j)
 
     side_l, side_r, f1_l, f1_r = (holo.continue_robust(f, holo.StripPath.vertical(0.0))
@@ -324,19 +322,18 @@ def verify_transformation_law(g: cg.CoverElement, ps: list, family: WaveMatrixFa
 
     bv_vec = to_momentum(-(cg.act_on_vector(cg.inverse(gg0), p_arr) @ J), mdl.m)
     bv = (cmath.exp(1j * math.pi * mdl.s)
-          * np.exp(-1j * mdl.s * wg.wigner_angle(gg0, pa))
+          * np.exp(-1j * mdl.s * wg.wigner_angle(gg0, ps))
           * wg.u_plain(bv_vec, mdl.s))
     return {"sides": _rel(_times(side_l, mdl.a1), _times(side_r, mdl.a1)),
             "factor_lhs_vs_closed": np.abs(f1_l - bv) / np.maximum(1.0, np.abs(bv)),
             "factor_rhs_vs_closed": np.abs(f1_r - bv) / np.maximum(1.0, np.abs(bv))}
 
 
-def extract_D(family: WaveMatrixFamily, grid: list) -> tuple:
+def extract_D(family: WaveMatrixFamily, grid: MomentumPoint) -> tuple:
     """Recover the proportionality matrix between the engine boundary route
     and the conjugate family, and its constancy defect over the grid."""
-    pa = holo.stack_momenta(grid)
-    hat_v, _ = family.boundary_pair(pa)
-    c1 = family.psi1_conj(pa)
+    hat_v, _ = family.boundary_pair(grid)
+    c1 = family.psi1_conj(grid)
     # conditioning, not det: det scales like e^{-2 p0} with the mass
     if not np.all(np.linalg.cond(c1) < holo._COND_MAX):
         raise np.linalg.LinAlgError("conjugate family is singular on the grid")
@@ -347,7 +344,7 @@ def extract_D(family: WaveMatrixFamily, grid: list) -> tuple:
     return mean, float(np.max(_rel(ds, mean)))
 
 
-def rotation_pi_relation(family: WaveMatrixFamily, ps: list) -> dict:
+def rotation_pi_relation(family: WaveMatrixFamily, ps: MomentumPoint) -> dict:
     """The half-turn relations linking the two boundary routes.
 
     Checks that (i) the boundary route of the half-turn-rotated second family
@@ -367,18 +364,17 @@ def rotation_pi_relation(family: WaveMatrixFamily, ps: list) -> dict:
     if not cgm.path_equivalent(rot_path, path1, path1.sector):
         raise HypothesisViolation("half-turn image is not the first cone path")
 
-    pa = holo.stack_momenta(ps)
-    p_arr = pa.as_array()
+    p_arr = ps.as_array()
     # the momenta and their half turns, read in one boundary_pair call
     both = np.concatenate([p_arr, p_arr @ rotation(math.pi).T])
     _, checks = family.boundary_pair(to_momentum(both, mdl.m))
     check_v, check_rot = np.split(checks, 2)
-    v_pi = holo.continue_robust(family.pref2_pi_expr(_reflected_anchor(pa)),
+    v_pi = holo.continue_robust(family.pref2_pi_expr(_reflected_anchor(ps)),
                                 holo.StripPath.vertical(0.0))
-    turns = wg.wigner_angle(cg.lift_rotation(math.pi), pa)
+    turns = wg.wigner_angle(cg.lift_rotation(math.pi), ps)
     hat_pi = _times(np.conj(v_pi), mdl.a2.conjugate())
     rhs1 = cmath.exp(-1j * math.pi * mdl.s) * check_rot
-    rhs2 = cmath.exp(2j * math.pi * mdl.s) * (mdl.d @ family.psi2_conj(pa))
+    rhs2 = cmath.exp(2j * math.pi * mdl.s) * (mdl.d @ family.psi2_conj(ps))
     back = family.psi2_conj(to_momentum(p_arr @ rotation(-math.pi).T, mdl.m))
     return {"half_turn_boundary": _rel(hat_pi, rhs1),
             "check_vs_conjugate": _rel(check_v, rhs2),
@@ -386,7 +382,7 @@ def rotation_pi_relation(family: WaveMatrixFamily, ps: list) -> dict:
                                          cmath.exp(1j * math.pi * mdl.s) * back)}
 
 
-def extract_statistics_phase(family: WaveMatrixFamily, grid: list) -> tuple:
+def extract_statistics_phase(family: WaveMatrixFamily, grid: MomentumPoint) -> tuple:
     """Least-squares scalar relating hat^* check to the conjugate product, and its mismatch.
 
     Solves for the single complex number multiplying Psi_1^c* Psi_2^c in the
@@ -394,10 +390,9 @@ def extract_statistics_phase(family: WaveMatrixFamily, grid: list) -> tuple:
     number the statistics phase.  A residual above 1e-6 means no
     scalar works, which signals an inconsistent pipeline.
     """
-    pa = holo.stack_momenta(grid)
-    hat_v, check_v = family.boundary_pair(pa)
+    hat_v, check_v = family.boundary_pair(grid)
     lhs = hat_v.conj().swapaxes(-1, -2) @ check_v
-    rhs = family.psi1_conj(pa).conj().swapaxes(-1, -2) @ family.psi2_conj(pa)
+    rhs = family.psi1_conj(grid).conj().swapaxes(-1, -2) @ family.psi2_conj(grid)
     omega_hat = complex(np.vdot(rhs, lhs)) / float(np.vdot(rhs, rhs).real)
     mismatch = float(np.max(_rel(lhs, omega_hat * rhs)))
     if mismatch > 1e-6:
@@ -489,10 +484,10 @@ def run_pipeline(s: float, m: float = 1.0, n: int = 2, seed: int = 0,
     if not cgm.c12_negative_axis(*(p.sector for p in cgm.antipodal_pair())):
         raise HypothesisViolation("cone configuration lost the dual-axis property")
 
-    sub = grid[:: max(1, len(grid) // 4)][:4]
+    sub = grid[::max(1, len(grid.p1) // 4)][:4]
     # the grid, and the half-turned momenta that rotation_pi_relation reads
-    turned = holo.stack_momenta(sub).as_array() @ rotation(math.pi).T
-    family.fill(to_momentum(np.concatenate([holo.stack_momenta(grid).as_array(), turned]), m))
+    turned = sub.as_array() @ rotation(math.pi).T
+    family.fill(to_momentum(np.concatenate([grid.as_array(), turned]), m))
     dmat, d_res = extract_D(family, grid)
     dstar_d = dmat.conj().T @ dmat
     min_eig = float(np.min(np.linalg.eigvalsh((dstar_d + dstar_d.conj().T) / 2.0)))
@@ -505,7 +500,7 @@ def run_pipeline(s: float, m: float = 1.0, n: int = 2, seed: int = 0,
     draws = np.array([(rng.uniform(-0.2, 0.2), rng.uniform(0, 2 * math.pi),
                        rng.uniform(0.0, 0.25)) for _ in range(4)])
     g = cg.compose(cg.lift_rotation(draws[:, 0]), cg.lift_boost(draws[:, 1], draws[:, 2]))
-    tl = verify_transformation_law(g, [p for p in sub[:2] for _ in range(2)], family)
+    tl = verify_transformation_law(g, sub[[0, 0, 1, 1]], family)
 
     # spot check: the same boundary value along two path shapes
     spot_expr = family.pref1_expr(_reflected_anchor(grid[0]))

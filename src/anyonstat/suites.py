@@ -519,11 +519,11 @@ def pauli_lubanski_suite(config: SuiteConfig) -> list:
     for m, s in ((1.0, 0.0), (1.0, 0.5), (1.7, 0.137)):
         cfg = repn.RepConfig(m, s, 1)
         psi = repn.WaveFunction.gaussian(cfg, center=(0.25, -0.15), width=1.0)
-        pts = [mk.shell_point(a, b, m) for a, b in
-               ((0.0, 0.0), (0.3, 0.1), (-0.2, 0.4), (0.5, -0.3), (0.1, 0.6), (0.45, 0.25))]
+        pts = mk.MomentumPoint(*np.array([(0.0, 0.0), (0.3, 0.1), (-0.2, 0.4), (0.5, -0.3),
+                                          (0.1, 0.6), (0.45, 0.25)]).T, m)
         r = repn.casimir_residual(psi, pts)
         records.append(_record("pauli-lubanski", "casimir-eigenvalue",
-                               {"mass": m, "spin": s, "points": len(pts)},
+                               {"mass": m, "spin": s, "points": len(pts.p1)},
                                {"relative": r}, 1e-6))
     return records
 

@@ -346,6 +346,14 @@ def test_contains_direction_on_stacks_equals_the_scalar_calls():
                            for i in range(200)])
 
 
+def test_from_angles_on_a_stack_with_the_default_tilt_equals_the_scalar_calls():
+    lift = np.linspace(-7.0, 7.0, 9)
+    dirs = cgm.SpacelikeDirection.from_angles(lift)
+    singles = [cgm.SpacelikeDirection.from_angles(a) for a in lift]
+    assert np.array_equal(dirs.e.as_array(), [d.e.as_array() for d in singles])
+    assert np.array_equal(dirs.lifted_angle, lift)
+
+
 def test_exchange_hypothesis_on_stacks_equals_the_scalar_calls(monkeypatch):
     rng = np.random.default_rng(13)
     p1, p2 = cgm.antipodal_pair()

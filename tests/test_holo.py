@@ -75,8 +75,7 @@ def test_two_point_walk_bisects_each_large_turn():
     assert abs(holo.eval_principal(expr, z) - cmath.exp(-0.5j * math.pi * S)) < 1e-13
 
 
-BATCH = [mk.shell_point(0.4, -0.3, 1.0), mk.shell_point(0.02, 0.99, 1.0),
-         mk.shell_point(1.5, 0.2, 1.0), mk.shell_point(-0.7, 0.6, 1.0)]
+BATCH = mk.MomentumPoint(*np.array([(0.4, -0.3), (0.02, 0.99), (1.5, 0.2), (-0.7, 0.6)]).T, 1.0)
 
 
 def _final_samples(expr, zs):
@@ -98,7 +97,7 @@ def test_batched_walk_matches_per_row_scalar_walks():
     zs = holo.StripPath.vertical(0.0, samples=5).points
     anchors = np.array([p.as_array() for p in BATCH])
     batched = holo.evaluate_along(_energy_factor(anchors), zs)
-    assert batched.shape == (len(BATCH), len(zs))
+    assert batched.shape == (len(BATCH.p1), len(zs))
     counts = []
     for a, row in zip(anchors, batched):
         scalar = holo.evaluate_along(_energy_factor(a), zs)
@@ -110,7 +109,7 @@ def test_batched_walk_matches_per_row_scalar_walks():
 
     family = holo.compensated_family_expr(cg.identity(), BATCH, S)
     values = holo.continue_along(family, holo.StripPath.vertical(0.0))
-    assert values.shape == (len(BATCH),)
+    assert values.shape == (len(BATCH.p1),)
     for p, v in zip(BATCH, values):
         scalar = holo.continue_along(holo.compensated_family_expr(cg.identity(), p, S),
                                      holo.StripPath.vertical(0.0))
@@ -129,13 +128,13 @@ def test_product_of_families_matches_its_factors():
               * holo.exp_mink_dot((0.2, -0.1j, 0.3), np.eye(3), p.as_array()))
     f, g = holo.evaluate_along(batched, zs), holo.evaluate_along(single, zs)
     both = holo.evaluate_along(batched * single, zs)
-    assert both.shape == (len(BATCH), len(zs))
+    assert both.shape == (len(BATCH.p1), len(zs))
     assert np.max(np.abs(both - f * g)) < 1e-13 * np.max(np.abs(f * g))
     assert np.max(np.abs(holo.evaluate_along(single * batched, zs) - both)) < 1e-13
     # a number, or an array with one number per row, scales the family
     assert np.max(np.abs(holo.evaluate_along(single * (2 - 1j), zs) - (2 - 1j) * g)) < 1e-14
     assert np.max(np.abs(holo.evaluate_along(0.5j * batched, zs) - 0.5j * f)) < 1e-14
-    rows = np.arange(1.0, len(BATCH) + 1.0)
+    rows = np.arange(1.0, len(BATCH.p1) + 1.0)
     scaled = rows * batched
     assert isinstance(scaled, holo.PowerProduct)
     assert np.max(np.abs(holo.evaluate_along(scaled, zs) - rows[:, None] * f)) < 1e-13
@@ -182,7 +181,7 @@ def test_builders_take_a_stack_of_elements_through_the_scalar_code():
                             np.array([g.omega for g in ELEMENTS]))
     zs = [0.0, 0.3 + 1.0j, -0.2 + 2.0j, 0.1 + 1j * math.pi]
     q = mk.shell_point(0.4, -0.3, 1.0)
-    qs = [BATCH[i % len(BATCH)] for i in range(len(ELEMENTS))]
+    qs = BATCH[np.arange(len(ELEMENTS)) % len(BATCH.p1)]
     pre = cg.project(cg.lift_rotation(0.7))
     anchor = mk.shell_point(0.2, 0.5, 1.3).as_array()
     builders = [
@@ -227,7 +226,7 @@ def test_vanishing_base_in_one_row_names_its_z():
 def test_normalize_at_checks_every_row():
     raw = holo.boost_family_phase_raw(cg.identity(), BATCH, S)
     values = holo.evaluate_along(raw, [0.0])[:, 0]
-    phases = np.exp(1j * np.arange(len(BATCH)))
+    phases = np.exp(1j * np.arange(len(BATCH.p1)))
     fixed = holo.normalize_at(raw, 0.0, phases * np.abs(values))
     assert np.max(np.abs(holo.evaluate_along(fixed, [0.0])[:, 0]
                          - phases * np.abs(values))) < 1e-14
@@ -336,7 +335,7 @@ def test_morera_residual_of_a_batch_is_its_worst_row():
     rect = holo.StripPath.rectangle(-0.4, 0.4, 0.15, math.pi - 0.15)
     stack = cg.CoverElement(np.array([g.gamma for g in ELEMENTS], dtype=complex),
                             np.array([g.omega for g in ELEMENTS]))
-    qs = [BATCH[i % len(BATCH)] for i in range(len(ELEMENTS))]
+    qs = BATCH[np.arange(len(ELEMENTS)) % len(BATCH.p1)]
     hit = mk.shell_point(0.5, 1.0, 1.0)
     zstar = holo.boost_energy_branch_point(hit)
     box = holo.StripPath.rectangle(zstar.real - 0.3, zstar.real + 0.3,
@@ -344,7 +343,7 @@ def test_morera_residual_of_a_batch_is_its_worst_row():
     cases = [(lambda i: holo.compensated_family_expr(stack if i is None else ELEMENTS[i],
                                                      qs if i is None else qs[i], S),
               len(ELEMENTS), rect, False)]
-    bare_qs = [BATCH[0], hit, BATCH[2]]
+    bare_qs = mk.MomentumPoint(*np.array([(0.4, -0.3), (0.5, 1.0), (1.5, 0.2)]).T, 1.0)
     for principal in (False, True):
         cases.append((lambda i: holo.uncompensated_phase_expr(
             cg.identity(), bare_qs if i is None else bare_qs[i], S), 3, box, principal))
@@ -418,7 +417,7 @@ def test_vanishing_base_raises_and_robust_detour_succeeds():
 def test_robust_detour_on_a_batch():
     # one row collides with a compensator zero, so the whole batch detours;
     # each row's two detours must agree
-    ps = [BATCH[0], mk.shell_point(0.0, 0.5, 1.0), BATCH[2]]
+    ps = mk.MomentumPoint(*np.array([(0.4, -0.3), (0.0, 0.5), (1.5, 0.2)]).T, 1.0)
     path = holo.StripPath.vertical(0.0, samples=129)
     family = holo.compensated_family_expr(cg.identity(), ps, S)
     with pytest.raises(holo.PowerBaseVanishes):
@@ -427,7 +426,7 @@ def test_robust_detour_on_a_batch():
     for p, v in zip(ps, values):
         assert abs(v - closed_boundary(cg.identity(), p, S)) < 1e-9
     # the bare phase of a row with its branch point on the path cannot agree
-    ps = [BATCH[0], mk.shell_point(0.0, 1.0, 1.0)]
+    ps = mk.MomentumPoint(*np.array([(0.4, -0.3), (0.0, 1.0)]).T, 1.0)
     bare = holo.uncompensated_phase_expr(cg.identity(), ps, S)
     with pytest.raises((holo.RefinementLimit, holo.PowerBaseVanishes)):
         holo.continue_robust(bare, holo.StripPath.vertical(0.0, samples=65))
@@ -455,7 +454,7 @@ def test_morera_contour_must_be_interior():
 def test_walk_points_lie_on_the_complex_shell_over_the_negative_x_axis(m):
     # the pipeline's anchors; conegeom.c12_negative_axis relies on this
     from anyonstat import spinstat as ss
-    q = holo.stack_momenta([ss._reflected_anchor(p) for p in ss.momentum_grid(m, 5)])
+    q = ss._reflected_anchor(ss.momentum_grid(m, 5))
     t, theta = np.meshgrid(np.linspace(-2.0, 2.0, 9), np.linspace(0.05, math.pi - 0.05, 11))
     z = (t + 1j * theta).ravel()
     k0, k1, k2 = holo.momentum(np.eye(3), q.as_array(), z)

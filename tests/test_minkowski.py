@@ -37,6 +37,28 @@ def test_shell_point():
     assert p.p0 == pytest.approx(math.sqrt(3.0))
 
 
+def test_indexing_a_momentum_stack_gives_its_shell_points():
+    p1, p2 = np.array([0.4, -0.2, 1.5, 0.0]), np.array([-0.3, 0.7, 0.2, 0.9])
+    for m in (1.3, np.array([0.5, 1.0, 2.0, 3.0])):
+        stack, ms = mk.MomentumPoint(p1, p2, m), np.broadcast_to(m, p1.shape)
+
+        def assert_rows(got, rows):
+            assert got.p1.shape == got.p2.shape == np.shape(got.m) == (len(rows),)
+            for i, r in enumerate(rows):
+                assert got[i] == mk.shell_point(p1[r], p2[r], ms[r])
+
+        assert np.ndim(stack[2].p1) == np.ndim(stack[2].m) == 0
+        assert stack[2] == mk.shell_point(1.5, 0.2, ms[2])
+        assert stack[-1] == mk.shell_point(0.0, 0.9, ms[3])
+        assert_rows(stack[1:3], [1, 2])
+        assert_rows(stack[[3, 0, 3, 3]], [3, 0, 3, 3])
+        assert_rows(stack[None][0], [0, 1, 2, 3])
+    one = mk.shell_point(0.7, -1.3, 2.0)
+    assert one[None].p1.shape == np.shape(one[None].m) == (1,)
+    assert one[None][0] == one
+    assert np.array_equal(one[None].as_array(), [one.as_array()])
+
+
 def test_to_momentum_guards_off_shell():
     with pytest.raises(ValueError):
         mk.to_momentum([5.0, 0.1, 0.2], 1.0)

@@ -149,7 +149,7 @@ def test_casimir_eigenvalue():
     for m, s, tol in cases:
         cfg = repn.RepConfig(m, s, 1)
         psi = repn.WaveFunction.gaussian(cfg, center=(0.25, -0.15), width=1.0)
-        points = [mk.shell_point(a, b, m) for a, b in pts]
+        points = mk.MomentumPoint(*np.array(pts).T, m)
         assert repn.casimir_residual(psi, points) < tol
     # the eigenvalue -m*s for the generic pair, to the printed precision
     m, s = 1.7, 0.137
@@ -201,12 +201,14 @@ def test_casimir_and_generators_on_a_stack_match_the_pointwise_calls():
         cfg = repn.RepConfig(m, s, 2)
         psi = repn.WaveFunction.gaussian(cfg, center=(0.25, -0.15), width=1.0,
                                          vector=(1.0, 0.5 - 0.25j))
-        points = [mk.shell_point(a, b, m) for a, b in
-                  ((0.0, 0.0), (0.3, 0.1), (-0.2, 0.4), (0.5, -0.3), (0.1, 0.6), (0.45, 0.25))]
+        points = mk.MomentumPoint(*np.array([(0.0, 0.0), (0.3, 0.1), (-0.2, 0.4), (0.5, -0.3),
+                                             (0.1, 0.6), (0.45, 0.25)]).T, m)
         pointwise = max(np.linalg.norm(repn.pauli_lubanski(psi, p) + m * s * psi(p))
                         / np.linalg.norm(psi(p)) for p in points)
         assert abs(repn.casimir_residual(psi, points) - pointwise) <= 1e-15
         stack = np.array([p.as_array() for p in points])
+        # a MomentumPoint stack and its (k, 3) array are one input
+        assert repn.casimir_residual(psi, points) == repn.casimir_residual(psi, stack)
         assert np.array_equal(repn.generator(psi, "P1", stack),
                               [repn.generator(psi, "P1", p) for p in points])
 

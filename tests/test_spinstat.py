@@ -66,7 +66,7 @@ def test_dressed_factors_are_analytic(family_third):
 
 def test_tomita_routes_match_closed_forms(family_third):
     fam = family_third
-    (hat,), (check,) = fam.boundary_pair([P])
+    (hat,), (check,) = fam.boundary_pair(P[None])
     assert ss._rel(hat, fam.hat_closed(P)) < 1e-12
     assert ss._rel(check, fam.check_closed(P)) < 1e-12
 
@@ -74,7 +74,7 @@ def test_tomita_routes_match_closed_forms(family_third):
 def test_tomita_scalar_bosonic_reduction():
     # s = 0: the hat route is plainly the conjugated reflected evaluation
     model, fam = ss.build_toy_model(0.0, 1.0, 1, seed=3)
-    (hat,), _ = fam.boundary_pair([P])
+    (hat,), _ = fam.boundary_pair(P[None])
     expected = (cmath.exp(1j * mk.minkowski_product(model.b1, -P.as_array()))
                 * model.a1[0, 0]).conjugate()
     assert abs(hat[0, 0] - expected) < 1e-12
@@ -82,14 +82,14 @@ def test_tomita_scalar_bosonic_reduction():
 
 def test_full_reflected_two_point_relation(family_third):
     fam = family_third
-    (hat,), (check,) = fam.boundary_pair([P])
+    (hat,), (check,) = fam.boundary_pair(P[None])
     lhs = hat.conj().T @ check
     rhs = fam.model.omega_target * (fam.psi1_conj(P).conj().T @ fam.psi2_conj(P))
     assert ss._rel(lhs, rhs) < 1e-8
 
 
 def test_two_point_boundary_and_controls(family_third):
-    out = ss.two_point_boundary_check(family_third, [P])
+    out = ss.two_point_boundary_check(family_third, P[None])
     assert out["whole_vs_closed"][0] < 1e-8
     assert out["whole_vs_factor"][0] < 1e-8
     assert out["transpose_control"][0] > 1e-3
@@ -97,7 +97,7 @@ def test_two_point_boundary_and_controls(family_third):
 
 def test_two_point_bosonic_reflection():
     _, fam = ss.build_toy_model(0.0, 1.0, 1, seed=2)
-    out = ss.two_point_boundary_check(fam, [P])
+    out = ss.two_point_boundary_check(fam, P[None])
     assert out["whole_vs_closed"][0] < 1e-9
 
 
@@ -110,10 +110,10 @@ def test_kernel_morera(family_third):
 
 
 def test_transformation_law(family_third):
-    ident = ss.verify_transformation_law(cg.identity(), [P], family_third)
+    ident = ss.verify_transformation_law(cg.identity(), P[None], family_third)
     assert ident["sides"][0] < 1e-10
     g = cg.lift_rotation(0.1)
-    out = ss.verify_transformation_law(g, [P], family_third)
+    out = ss.verify_transformation_law(g, P[None], family_third)
     assert out["sides"][0] < 1e-8
     assert out["factor_lhs_vs_closed"][0] < 1e-8
     assert out["factor_rhs_vs_closed"][0] < 1e-8
@@ -121,7 +121,28 @@ def test_transformation_law(family_third):
 
 def test_transformation_law_hypothesis_gate(family_third):
     with pytest.raises(ss.HypothesisViolation):
-        ss.verify_transformation_law(cg.lift_rotation(2.5), [P], family_third)
+        ss.verify_transformation_law(cg.lift_rotation(2.5), P[None], family_third)
+
+
+def _pointwise_grid(m, size):
+    """The grid as the list of scalar points it once was; the oracle of the stack."""
+    pts = [mk.MomentumPoint(p1, p2, m)
+           for p1 in np.linspace(0.15, 0.75, size)
+           for p2 in np.linspace(-0.6, 0.6, size)]
+    for k in range(2):
+        src = pts[(k * 7) % len(pts)]
+        pts.append(mk.to_momentum(mk.boost1(0.4 + 0.2 * k) @ src.as_array(), m))
+    return pts
+
+
+@pytest.mark.parametrize("m", [0.001, 1.0, 50.0])
+@pytest.mark.parametrize("size", [2, 3, 5, 13])
+def test_momentum_grid_is_the_pointwise_grid_to_the_bit(size, m):
+    grid, want = ss.momentum_grid(m, size), _pointwise_grid(m, size)
+    assert grid.p1.shape == (size * size + 2,) and grid.m == m
+    for k in ("p1", "p2"):
+        assert np.array_equal(getattr(grid, k), [getattr(p, k) for p in want]), k
+    assert np.array_equal(grid.as_array(), [p.as_array() for p in want])
 
 
 def test_extract_d_roundtrip():
@@ -136,17 +157,17 @@ def test_extract_d_roundtrip():
 def _assert_fill_matches_scalar_walks(s, n, seed, grid, injected_d=None):
     _, fam = ss.build_toy_model(s, 1.0, n, seed=seed, injected_d=injected_d)
     fam.fill(grid)
-    assert len(fam._cache) == len(grid)
+    assert len(fam._cache) == len(grid.p1)
     path = holo.StripPath.vertical(0.0)
     for p in grid:
         # the scalar trees of p, walked on their own, are the oracle
         q = ss._reflected_anchor(p)
         hat = holo.continue_robust(fam.pref1_expr(q), path).conjugate() * fam.model.a1.conj()
         check = holo.continue_robust(fam.pref2bar_expr(q), path) * fam.model.a2.conj()
-        (got_hat,), (got_check,) = fam.boundary_pair([p])
+        (got_hat,), (got_check,) = fam.boundary_pair(p[None])
         assert np.max(np.abs(got_hat - hat)) < 1e-14
         assert np.max(np.abs(got_check - check)) < 1e-14
-    assert len(fam._cache) == len(grid)
+    assert len(fam._cache) == len(grid.p1)
 
 
 def test_batched_fill_matches_scalar_boundary_pairs():
@@ -199,19 +220,19 @@ def test_extract_d_scalar_case():
 
 
 def test_rotation_pi_relation(family_third):
-    out = ss.rotation_pi_relation(family_third, [P])
+    out = ss.rotation_pi_relation(family_third, P[None])
     assert np.max([*out.values()]) < 1e-8
 
 
 def test_rotation_pi_bosonic():
     _, fam = ss.build_toy_model(0.0, 1.0, 1, seed=6)
-    out = ss.rotation_pi_relation(fam, [P])
+    out = ss.rotation_pi_relation(fam, P[None])
     assert np.max([*out.values()]) < 1e-10
 
 
 def test_rotation_pi_half_spin():
     _, fam = ss.build_toy_model(0.5, 1.0, 2, seed=6)
-    out = ss.rotation_pi_relation(fam, [P])
+    out = ss.rotation_pi_relation(fam, P[None])
     assert np.max([*out.values()]) < 1e-8
 
 
@@ -336,22 +357,22 @@ def _assert_rows_match(batched, singles):
             assert abs(got - want[k][0]) < 1e-14, k
 
 
-def test_pipeline_checks_on_a_list_match_each_momentum(family_third):
+def test_pipeline_checks_on_a_stack_match_each_momentum(family_third):
     ps = GRID[:4]
     _assert_rows_match(ss.two_point_boundary_check(family_third, ps),
-                       [ss.two_point_boundary_check(family_third, [p]) for p in ps])
+                       [ss.two_point_boundary_check(family_third, p[None]) for p in ps])
     _assert_rows_match(ss.rotation_pi_relation(family_third, ps),
-                       [ss.rotation_pi_relation(family_third, [p]) for p in ps])
+                       [ss.rotation_pi_relation(family_third, p[None]) for p in ps])
     gs = [cg.compose(cg.lift_rotation(w), cg.lift_boost(d, r))
           for w, d, r in ((0.1, 0.3, 0.2), (-0.15, 2.0, 0.1), (0.0, 4.0, 0.25), (0.05, 5.5, 0.0))]
     stack = cg.CoverElement(np.array([g.gamma for g in gs], dtype=complex),
                             np.array([g.omega for g in gs]))
     _assert_rows_match(ss.verify_transformation_law(stack, ps, family_third),
-                       [ss.verify_transformation_law(g, [p], family_third)
+                       [ss.verify_transformation_law(g, p[None], family_third)
                         for g, p in zip(gs, ps)])
-    # one element serves every momentum of the list
+    # one element serves every momentum of the stack
     _assert_rows_match(ss.verify_transformation_law(gs[1], ps, family_third),
-                       [ss.verify_transformation_law(gs[1], [p], family_third) for p in ps])
+                       [ss.verify_transformation_law(gs[1], p[None], family_third) for p in ps])
 
 
 _CLOSED_FORMS = ("psi1", "psi2", "two_point", "hat_closed", "check_closed",
@@ -361,8 +382,8 @@ _CLOSED_FORMS = ("psi1", "psi2", "two_point", "hat_closed", "check_closed",
 @pytest.mark.parametrize("form", _CLOSED_FORMS)
 def test_closed_forms_on_a_stack_match_each_momentum(family_third, form):
     grid = ss.momentum_grid(1.0, 3)
-    rows = getattr(family_third, form)(holo.stack_momenta(grid))
-    assert rows.shape == (len(grid), 2, 2)
+    rows = getattr(family_third, form)(grid)
+    assert rows.shape == (len(grid.p1), 2, 2)
     for p, row in zip(grid, rows):
         want = getattr(family_third, form)(p)
         assert want.shape == (2, 2)
@@ -388,7 +409,7 @@ def test_rel_on_stacks_is_rel_pair_by_pair():
 def test_transformation_law_gate_checks_every_row(family_third):
     stack = cg.CoverElement(np.zeros(3, dtype=complex), np.array([0.1, 2.5, -0.1]))
     with pytest.raises(ss.HypothesisViolation, match="element 1 "):
-        ss.verify_transformation_law(stack, [P, P, P], family_third)
+        ss.verify_transformation_law(stack, P[None][[0, 0, 0]], family_third)
 
 
 def _count_walks(run) -> dict:
