@@ -283,55 +283,37 @@ def exchange_hypothesis(p1: ConePath, p2: ConePath):
 
 
 def _lifted_circle_action(g: cg.CoverElement, vecs, lift_start) -> np.ndarray:
-    """The lifted angles of the directions vecs transported by g.
+    """The lifted angles of the directions vecs transported by g, in closed form.
 
-    The group element is connected to the identity along the canonical path
-    sigma -> (sigma * gamma, sigma * omega) and the retracted angle of each
-    moving image is tracked continuously over a sigma grid: every step
-    between neighbouring grid images must turn by at most one radian, else
-    the grid is doubled.  Any path to g in the cover gives the same lift,
-    which is what makes repeated transports compose exactly; deck elements
-    shift the result by full turns.
+    g = lift_rotation(omega) * (gamma, 0) exactly, and (gamma, 0) is a pure
+    boost.  A pure boost keeps the spatial component orthogonal to its own
+    direction, so it moves a space-like direction's spatial part within one
+    open half-plane (or along one ray) and turns it by less than pi: the
+    principal angle from the spatial part of e to that of boost @ e is the
+    turn.  The rotation then adds omega, so deck elements shift the result by
+    full turns, and any path to g in the cover gives the same lift, which is
+    what makes repeated transports compose exactly.
 
-    A stack g of shape G takes vecs of shape G + (..., 3); each row has its
-    grid doubled only while its own steps are too large, and a row that
-    cannot be tracked is NaN (a single g raises DegenerateImage).
+    A stack g of shape G takes vecs of shape G + (..., 3).
     """
-    rows = np.shape(g.omega)
     e = np.asarray(vecs, dtype=float)
-    shape = e.shape[:-1]
-    e = e.reshape((math.prod(rows), -1, 3))
-    gamma, omega = np.asarray(g.gamma).reshape(-1), np.asarray(g.omega).reshape(-1)
-    turn, todo = np.empty(e.shape[:-1]), np.arange(len(e))
-    n = max(16, int(8 * (1.0 + np.abs(omega).max(initial=0.0) / math.pi)))
-    for _ in range(6):
-        lam = cg.project_path(cg.CoverElement(gamma[todo], omega[todo]),
-                              np.arange(1, n + 1) / n)
-        ee = e[todo]
-        images = np.einsum("rkij,rvj->rvki", lam[:, :, 1:], ee)
-        pts = np.concatenate([ee[:, :, None, 1:], images], axis=2)
-        prev, cur = pts[..., :-1, :], pts[..., 1:, :]
-        steps = np.arctan2(prev[..., 0] * cur[..., 1] - prev[..., 1] * cur[..., 0],
-                           prev[..., 0] * cur[..., 0] + prev[..., 1] * cur[..., 1])
-        fine = ~(np.abs(steps) > 1.0).any(axis=(1, 2))
-        turn[todo[fine]] = np.cumsum(steps[fine], axis=-1)[..., -1]
-        todo, n = todo[~fine], 2 * n
-        if not todo.size:
-            return (lift_start + turn.reshape(shape))[()]
-    if not rows:
-        raise DegenerateImage("direction transport could not be tracked continuously")
-    turn[todo] = np.nan
-    return (lift_start + turn.reshape(shape))[()]
+    lead = np.shape(g.omega) + (1,) * (e.ndim - 1 - np.ndim(g.omega))
+    boost = cg.project(cg.CoverElement(g.gamma, 0.0 * g.omega)).reshape(lead + (3, 3))
+    moved = (boost @ e[..., None])[..., 0]
+    turn = np.arctan2(e[..., 1] * moved[..., 2] - e[..., 2] * moved[..., 1],
+                      e[..., 1] * moved[..., 1] + e[..., 2] * moved[..., 2])
+    return (lift_start + np.reshape(g.omega, lead) + turn)[()]
 
 
 def poincare_act_path(g: cg.PoincareElement, path: ConePath) -> ConePath:
     """The natural action on paths of cones.
 
     The cone's edge directions and the path's endpoint direction are moved by
-    the projected matrix (exact), while their lifted angles are transported
-    by the lifted circle action, so deck elements act by full-turn shifts.
-    g may be a stack of elements and path a stack of paths, acting row by
-    row; a row whose image degenerates is NaN (a single path raises).
+    the projected matrix, while their lifted angles are transported by the
+    closed-form lifted circle action, so deck elements act by full-turn
+    shifts.  g may be a stack of elements and path a stack of paths, acting
+    row by row; a row whose transformed direction interval is not an opening
+    in (0, pi) is NaN (a single path raises DegenerateImage).
     """
     sec = path.sector
     starts = np.stack(np.broadcast_arrays(sec.alpha, sec.beta, path.accumulated_angle), -1)
@@ -361,13 +343,11 @@ def in_wedge_class(g: cg.CoverElement):
     The endpoint direction must lie strictly inside the wedge x1 > |x0| and
     the lifted angle must land on the wedge's own copy of (-pi/2, pi/2): a
     2*pi winding disqualifies even though the endpoint direction is
-    unchanged.  Nothing is lifted when no endpoint lies inside the wedge.
+    unchanged.
     """
     e0 = np.array([0.0, 0.0, -1.0])
     e = cg.project(g) @ e0
     inside = e[..., 1] - np.abs(e[..., 0]) > 1e-12
-    if not inside.any():
-        return inside[()]
     acc = _lifted_circle_action(g, np.broadcast_to(e0, e.shape), REFERENCE_ANGLE)
     return (inside & (-math.pi / 2.0 < acc) & (acc < math.pi / 2.0))[()]
 

@@ -125,15 +125,6 @@ def project(g: CoverElement) -> np.ndarray:
     return _lorentz(g.gamma, g.omega)
 
 
-def project_path(g: CoverElement, sigma) -> np.ndarray:
-    """Lorentz matrices along the canonical path sigma -> (sigma gamma, sigma omega).
-
-    Returns shape g's shape + (len(sigma), 3, 3); at sigma = 1 this is project(g).
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    return _lorentz(np.multiply.outer(g.gamma, sigma), np.multiply.outer(g.omega, sigma))
-
-
 def act_on_vector(g: CoverElement, x) -> np.ndarray:
     """project(g) applied to vectors (..., 3), the stacks broadcast."""
     return (project(g) @ as_array(x)[..., None])[..., 0]

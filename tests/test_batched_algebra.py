@@ -544,26 +544,3 @@ def test_stacked_paths_degenerate_rows_are_nan_and_a_single_path_raises(monkeypa
         cgm.poincare_act_path(cg.PoincareElement.pure_lorentz(cg.lift_rotation(0.2)), base)
     assert abs(cgm.poincare_act_path(cg.PoincareElement.pure_lorentz(cg.lift_rotation(0.3)),
                                      base).accumulated_angle - 0.3) < 1e-12
-
-
-def test_only_the_rows_with_large_steps_have_their_grid_doubled(monkeypatch):
-    # a rapidity-7 boost swings a direction almost orthogonal to it by more
-    # than a radian per step of the starting grid; a mild boost beside it in
-    # the stack is tracked once, on the starting grid, as it is on its own
-    grids = []
-    sl2_entries = cg._sl2_entries
-
-    def record(gamma, omega):
-        grids.append(np.shape(omega))  # (rows tracked, grid points)
-        return sl2_entries(gamma, omega)
-
-    monkeypatch.setattr(cg, "_sl2_entries", record)
-    g = cg.lift_boost(0.0, np.array([0.3, 7.0]))
-    vecs = np.array([[[0.0, 0.6, 0.8]], [[0.0, math.cos(1.56), math.sin(1.56)]]])
-    starts = np.array([[math.atan2(0.8, 0.6)], [1.56]])
-    both = cgm._lifted_circle_action(g, vecs, starts)
-    assert both.shape == (2, 1)
-    assert grids[0] == (2, 16) and len(grids) > 1 and all(rows == 1 for rows, _ in grids[1:])
-    assert [n for _, n in grids] == [16 * 2 ** k for k in range(len(grids))]
-    for i in range(2):
-        assert both[i, 0] == cgm._lifted_circle_action(g[i], vecs[i], starts[i])

@@ -176,6 +176,49 @@ def test_an_oracle_that_ignores_the_apex_fails_the_translation_check(monkeypatch
     assert not rec.passed and rec.residuals["translation_violations"] >= 1.0
 
 
+def _omega_mod_two_pi(real, g, vecs, lift_start):
+    return real(cg.CoverElement(g.gamma, g.omega % TWO_PI), vecs, lift_start)
+
+
+def _boost_turn(real, g, vecs):
+    return real(cg.CoverElement(g.gamma, 0.0 * g.omega), vecs, 0.0)
+
+
+def _boost_turn_the_other_way(real, g, vecs, lift_start):
+    # the same endpoint reached round the other side of the circle
+    return real(g, vecs, lift_start) - TWO_PI * np.sign(_boost_turn(real, g, vecs))
+
+
+def _boost_turn_flipped(real, g, vecs, lift_start):
+    return real(g, vecs, lift_start) - 2.0 * _boost_turn(real, g, vecs)
+
+
+def _patch_lift(monkeypatch, mutant):
+    real = cgm._lifted_circle_action
+    monkeypatch.setattr(cgm, "_lifted_circle_action",
+                        lambda g, vecs, lift_start: mutant(real, g, vecs, lift_start))
+
+
+@pytest.mark.parametrize("mutant, key", [(_omega_mod_two_pi, "deck_shift"),
+                                         (_boost_turn_the_other_way, "composition")],
+                         ids=["omega-mod-2pi", "boost-turn-the-other-way"])
+def test_a_lift_off_by_full_turns_fails_the_path_action_check(monkeypatch, mutant, key):
+    _patch_lift(monkeypatch, mutant)
+    recs = suites.cones_suite(suites.SuiteConfig(seed=7))
+    rec = next(r for r in recs if r.anchor == "path-action-equivariance")
+    assert not rec.passed and rec.residuals[key] > 1.0
+    assert all(r.passed for r in recs if r is not rec)
+
+
+def test_a_lift_that_misses_its_direction_ends_the_cones_suite_in_a_fail(monkeypatch):
+    # a flipped boost turn no longer projects to the moved edge direction, so
+    # the transported sector refuses it before any record is made
+    _patch_lift(monkeypatch, _boost_turn_flipped)
+    (rec,) = suites.run_suite("cones", suites.SuiteConfig(seed=7)).records
+    assert rec.anchor == "suite-error" and not rec.passed
+    assert rec.inputs["error"].startswith("ValueError: edge direction does not project")
+
+
 def test_cone_predicates_on_arrays_match_pointwise_calls():
     sec = cgm.SpatialSector(-0.7, 1.9, Vec3(0.2, 0.4, -0.3))
     rng = np.random.default_rng(5)
@@ -215,13 +258,17 @@ def _tracked_lift(g, vec, lift_start):
 
 
 def test_lifted_circle_action_matches_the_scalar_tracker():
+    # the last pass draws tilts up to 30, which bring the unit space-like
+    # directions within about 3e-4 rad of the light cone
     rng = np.random.default_rng(11)
-    for _ in range(100):
-        g = cg.random_element(rng, disk_radius=rng.uniform(0.0, 0.8), windings=3.0)
-        lift = rng.uniform(-3 * math.pi, 3 * math.pi)
-        d = cgm.SpacelikeDirection.from_angles(lift, rng.uniform(-1.5, 1.5))
-        ref, _ = _tracked_lift(g, d.e.as_array(), lift)
-        assert abs(cgm._lifted_circle_action(g, d.e.as_array(), lift) - ref) < 1e-12
+    for disk_radius, tilt in ((0.8, 1.5), (0.95, 1.5), (0.8, 30.0)):
+        for _ in range(100):
+            g = cg.random_element(rng, disk_radius=rng.uniform(0.0, disk_radius),
+                                  windings=3.0)
+            lift = rng.uniform(-3 * math.pi, 3 * math.pi)
+            d = cgm.SpacelikeDirection.from_angles(lift, rng.uniform(-tilt, tilt))
+            ref, _ = _tracked_lift(g, d.e.as_array(), lift)
+            assert abs(cgm._lifted_circle_action(g, d.e.as_array(), lift) - ref) < 1e-12
 
 
 def test_poincare_act_path_transports_all_three_vectors_like_the_tracker():
@@ -240,6 +287,25 @@ def test_poincare_act_path_transports_all_three_vectors_like_the_tracker():
                                 (path.endpoint_vector(), path.accumulated_angle,
                                  out.accumulated_angle)):
             assert abs(got - _tracked_lift(g.lorentz, vec, start)[0]) < 1e-12
+
+
+def test_each_row_of_a_stack_lifts_as_it_does_alone_and_like_the_tracker():
+    # a rapidity-7 boost, a three-turn rotation and the identity in one stack,
+    # each moving the same two directions almost orthogonal to the boost
+    g = cg.CoverElement(np.array([math.tanh(3.5), 0.0, 0.0]) + 0j,
+                        np.array([0.0, 3 * TWO_PI, 0.0]))
+    vecs = np.array([[0.0, math.cos(1.56), math.sin(1.56)],
+                     [0.0, math.cos(-1.56), math.sin(-1.56)]])
+    starts = np.array([1.56, -1.56 - TWO_PI])
+    stack = cgm._lifted_circle_action(g, np.broadcast_to(vecs, (3, 2, 3)), starts)
+    assert stack.shape == (3, 2)
+    for i in range(3):
+        assert np.array_equal(stack[i], cgm._lifted_circle_action(g[i], vecs, starts))
+        for lift, vec, start in zip(stack[i], vecs, starts):
+            assert lift == cgm._lifted_circle_action(g[i], vec, start)
+            assert abs(lift - _tracked_lift(g[i], vec, start)[0]) < 1e-12
+    assert np.array_equal(stack[2], starts)
+    assert np.allclose(stack[1] - starts, 3 * TWO_PI, rtol=0.0, atol=1e-12)
 
 
 def test_lifted_circle_action_retry_matches_the_tracker():
@@ -380,7 +446,7 @@ def test_exchange_hypothesis_on_stacks_equals_the_scalar_calls(monkeypatch):
                                                              np.full(5, 0.25))).any()
 
 
-def test_in_wedge_class_on_a_stack_equals_the_scalar_calls(monkeypatch):
+def test_in_wedge_class_on_a_stack_equals_the_scalar_calls():
     rng = np.random.default_rng(12)
     near = cg.compose(cg.element_from_draws(rng.uniform(size=(196, 3)), 0.6, 2.0),
                       cg.lift_rotation(math.pi / 2))
@@ -392,11 +458,7 @@ def test_in_wedge_class_on_a_stack_equals_the_scalar_calls(monkeypatch):
     assert np.array_equal(stacked, [cgm.in_wedge_class(stack[i]) for i in range(200)])
     assert 0 < stacked[:196].sum() < 196
     assert stacked[196:].tolist() == [False, True, False, False]
-    # an element outside the wedge is never lifted, alone or in a stack
-    def no_lift(*args):
-        raise AssertionError("lifted an element outside the wedge")
-
-    monkeypatch.setattr(cgm, "_lifted_circle_action", no_lift)
+    # elements with no endpoint inside the wedge, alone or in a stack
     assert not cgm.in_wedge_class(cg.identity())
     assert not cgm.in_wedge_class(cg.lift_rotation(np.array([0.0, math.pi, -0.5]))).any()
 

@@ -68,14 +68,6 @@ def test_project_matches_the_defining_action():
     for _ in range(200):
         g = cg.random_element(rng, windings=3.0)
         assert np.max(np.abs(cg.project(g) - _project_reference(g))) < 1e-12
-    sigma = np.arange(33) / 32
-    for _ in range(10):
-        g = cg.random_element(rng, windings=3.0)
-        stack = cg.project_path(g, sigma)
-        assert stack.shape == (33, 3, 3)
-        ref = [_project_reference(cg.CoverElement(g.gamma * s, g.omega * s)) for s in sigma]
-        assert np.max(np.abs(stack - np.array(ref))) < 1e-12
-        assert np.max(np.abs(stack[-1] - cg.project(g))) < 1e-14
 
 
 def test_projection_is_proper_orthochronous():
