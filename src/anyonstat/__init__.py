@@ -2,7 +2,7 @@
 covering-group algebra, Wigner cocycles, branch-tracked continuation into
 the strip, cone-path homotopy, and the statistics-phase pipeline."""
 
-from .minkowski import (J, METRIC, MomentumPoint, Vec3, boost1,
+from .minkowski import (J, METRIC, MomentumPoint, boost1,
                         j_reflect, minkowski_product, rotation, shell_point,
                         to_momentum)
 from .covergroup import (CoverElement, PoincareElement, compose, identity,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import covergroup as cg
-from .minkowski import Vec3, as_array, minkowski_product
+from .minkowski import _stack3, as_array, minkowski_product
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,11 +39,11 @@ class DegenerateImage(ValueError):
 class SpacelikeDirection:
     """A unit space-like vector together with a lift of its spatial angle."""
 
-    e: Vec3
+    e: np.ndarray
     lifted_angle: float
 
     def __post_init__(self):
-        a = self.e.as_array()
+        a = as_array(self.e)
         if np.asarray(abs(minkowski_product(a, a) + 1.0) > 1e-12).any():
             raise ValueError("direction must satisfy e.e = -1")
         ang = np.arctan2(a[..., 2], a[..., 1])
@@ -58,8 +58,8 @@ class SpacelikeDirection:
         the vector on the unit space-like hyperboloid.
         """
         r = np.sqrt(1.0 + tilt * tilt)
-        return cls(Vec3(tilt + 0.0 * lifted_angle, r * np.cos(lifted_angle),
-                        r * np.sin(lifted_angle)),
+        return cls(_stack3(tilt + 0.0 * lifted_angle, r * np.cos(lifted_angle),
+                           r * np.sin(lifted_angle)),
                    lifted_angle)
 
 
@@ -80,10 +80,11 @@ class SpatialSector:
 
     alpha: float
     beta: float
-    apex: Vec3 = field(default_factory=lambda: Vec3(0.0, 0.0, 0.0))
+    apex: np.ndarray = field(default_factory=lambda: np.zeros(3))
     edges: tuple | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "apex", np.asarray(as_array(self.apex), dtype=float))
         opening = self.beta - self.alpha
         if np.asarray((opening <= 0.0) | (opening >= math.pi)).any():
             raise ValueError(f"sector opening must lie in (0, pi), got {opening}")
@@ -110,7 +111,7 @@ class SpatialSector:
 
 def _rest_direction(angle) -> np.ndarray:
     """The unit spatial directions (0, cos, sin) at the given angles, (..., 3)."""
-    return Vec3(0.0 * angle, np.cos(angle), np.sin(angle)).as_array()
+    return _stack3(0.0 * angle, np.cos(angle), np.sin(angle))
 
 
 def _ray_distance(v, angle):
@@ -134,7 +135,7 @@ def sector_depth(sector: SpatialSector, v):
 
 def cone_contains_point(sector: SpatialSector, x, margin: float = 0.0):
     """Membership of spacetime points (..., 3) in the causal completion of the sector."""
-    v = np.asarray(as_array(x), dtype=float) - sector.apex.as_array()
+    v = np.asarray(as_array(x), dtype=float) - sector.apex
     return sector_depth(sector, v[..., 1:]) > np.abs(v[..., 0]) + margin
 
 
@@ -206,7 +207,7 @@ def _cone_samples(sector: SpatialSector) -> np.ndarray:
     v = _ORACLE_RADII.reshape(lead + (1, 1)) * np.stack([np.cos(ang), np.sin(ang)], -1)
     t = _ORACLE_TIMES.reshape(lead) * sector_depth(sector, v)[:, :, None]
     v = np.broadcast_to(v[:, :, None], t.shape + (2,))
-    return (np.concatenate([t[..., None], v], -1) + sector.apex.as_array()).reshape(-1, *batch, 3)
+    return (np.concatenate([t[..., None], v], -1) + sector.apex).reshape(-1, *batch, 3)
 
 
 def causally_separated(c1: SpatialSector, c2: SpatialSector) -> bool:
@@ -249,7 +250,7 @@ class ConePath:
 
     def endpoint_vector(self) -> np.ndarray:
         if self.direction is not None:
-            return self.direction.e.as_array()
+            return as_array(self.direction.e)
         return _rest_direction(self.accumulated_angle)
 
 
@@ -329,12 +330,12 @@ def poincare_act_path(g: cg.PoincareElement, path: ConePath) -> ConePath:
     lam = cg.project(lor)
     moved = (lam[..., None, :, :] @ vecs[..., None])[..., 0]
     ea, eb, d = moved[..., 0, :], moved[..., 1, :], moved[..., 2, :]
-    apex = (lam @ sec.apex.as_array()[..., None])[..., 0] + g.translation.as_array()
+    apex = (lam @ sec.apex[..., None])[..., 0] + g.translation
     nan = np.where(bad, np.nan, 0.0)[()]  # NaN on the degenerate rows
     a2, b2, acc = a2 + nan, b2 + nan, acc + nan
     ea, eb, d, apex = (x + nan[..., None] for x in (ea, eb, d, apex))
-    sector = SpatialSector(a2, b2, Vec3.from_array(apex), edges=(ea, eb))
-    return ConePath(sector, acc, direction=SpacelikeDirection(Vec3.from_array(d), acc))
+    sector = SpatialSector(a2, b2, apex, edges=(ea, eb))
+    return ConePath(sector, acc, direction=SpacelikeDirection(d, acc))
 
 
 def in_wedge_class(g: cg.CoverElement):
@@ -377,6 +378,6 @@ def antipodal_pair():
     contains the negative x-axis, which is the configuration the statistics
     pipeline requires.
     """
-    c1 = SpatialSector(-0.15, 0.15, Vec3(0.0, 1.0, 0.0))
-    c2 = SpatialSector(math.pi - 0.15, math.pi + 0.15, Vec3(0.0, -1.0, 0.0))
+    c1 = SpatialSector(-0.15, 0.15, (0.0, 1.0, 0.0))
+    c2 = SpatialSector(math.pi - 0.15, math.pi + 0.15, (0.0, -1.0, 0.0))
     return ConePath(c1, TWO_PI), ConePath(c2, math.pi)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minkowski import Vec3, as_array
+from .minkowski import as_array
 
 
 @dataclass(frozen=True)
@@ -177,22 +177,21 @@ def element_from_draws(u, disk_radius: float = 0.8, windings: float = 2.0) -> Co
 @dataclass(frozen=True)
 class PoincareElement:
     """A pair (translation, covering Lorentz element), or a stack of pairs:
-    a Vec3 of arrays with a CoverElement of the same shape."""
+    translations of shape (..., 3) with a CoverElement of shape (...)."""
 
-    translation: Vec3
+    translation: np.ndarray
     lorentz: CoverElement
 
-    @classmethod
-    def identity(cls) -> "PoincareElement":
-        return cls(Vec3(0.0, 0.0, 0.0), IDENTITY)
+    def __post_init__(self):
+        object.__setattr__(self, "translation", np.asarray(as_array(self.translation), float))
 
     @classmethod
     def pure_lorentz(cls, g: CoverElement) -> "PoincareElement":
-        return cls(Vec3(0.0, 0.0, 0.0), g)
+        return cls(np.zeros(3), g)
 
     def compose(self, other: "PoincareElement") -> "PoincareElement":
-        return PoincareElement(Vec3.from_array(self.act(other.translation)),
+        return PoincareElement(self.act(other.translation),
                                compose(self.lorentz, other.lorentz))
 
     def act(self, x) -> np.ndarray:
-        return act_on_vector(self.lorentz, x) + self.translation.as_array()
+        return act_on_vector(self.lorentz, x) + self.translation

@@ -305,14 +305,14 @@ def morera_residual(expr: PowerProduct, contour, order: int = 8, panels: int = 4
 # builders of the compensated families
 # ---------------------------------------------------------------------------
 
-def normalize_at(expr: PowerProduct, z0: complex, target: complex) -> PowerProduct:
-    """Scale expr so that its value at z0 equals the closed-form target.
+def normalize_at(expr: PowerProduct, target: complex) -> PowerProduct:
+    """Scale expr so that its value at the anchor z = 0 equals the closed-form target.
 
     The correction must be a pure phase (the builders produce the right
     modulus) in every row of a batched family; a modulus mismatch means the
     family's structure is wrong.
     """
-    ratio = target / evaluate_along(expr, [z0])[..., 0]
+    ratio = target / evaluate_along(expr, [0.0])[..., 0]
     if np.any(np.abs(np.abs(ratio) - 1.0) > 1e-6):
         raise ArithmeticError(
             f"anchor normalization has modulus {np.abs(ratio)}, expected 1")
@@ -421,7 +421,7 @@ def compensated_family_expr(g: cg.CoverElement, q: MomentumPoint, s: float) -> P
     raw = (boost_family_phase_raw(g, q, s)
            * u_power_raw(cg.project(cg.inverse(g)), q.as_array(), s, q.m, "pihalf"))
     target = np.exp(1j * s * wg.wigner_angle(g, q)) * wg.u_pihalf(wg.transport(g, q), s)
-    return normalize_at(raw, 0.0, target)
+    return normalize_at(raw, target)
 
 
 def uncompensated_phase_expr(g: cg.CoverElement, q: MomentumPoint, s: float) -> PowerProduct:
@@ -430,7 +430,7 @@ def uncompensated_phase_expr(g: cg.CoverElement, q: MomentumPoint, s: float) -> 
     For non-integer s this has genuine branch points inside the strip (at the
     zeros of the boosted energy factor); it exists as the negative control.
     """
-    return normalize_at(boost_family_phase_raw(g, q, s), 0.0,
+    return normalize_at(boost_family_phase_raw(g, q, s),
                         np.exp(1j * s * wg.wigner_angle(g, q)))
 
 

@@ -3,9 +3,9 @@
 Signature is (+, -, -) and natural units are used throughout. Every other
 module imports METRIC, J and boost1 from here, so the conventions are fixed
 exactly once.
-Vec3 and MomentumPoint hold one point or a stack (array fields, as_array()
-of shape (..., 3)); the vector helpers act on the last axis, and one point
-and a stack share one code path.
+Points, translations and directions are float arrays (..., 3), and a
+MomentumPoint holds one momentum or a stack; the vector helpers act on the
+last axis, and one point and a stack share one code path.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ J = np.diag([-1.0, -1.0, 1.0])
 
 
 def as_array(x) -> np.ndarray:
-    """Coerce Vec3 / MomentumPoint / any (..., 3) array-like to an ndarray."""
+    """Coerce a MomentumPoint or any (..., 3) array-like to an ndarray."""
     if hasattr(x, "as_array"):
         return x.as_array()
     a = np.asarray(x)
@@ -40,25 +40,6 @@ def _stack3(a, b, c) -> np.ndarray:
     """Components of equal shape stacked on a new last axis, shape (..., 3)."""
     out = np.array([a, b, c], dtype=float)
     return out.transpose(tuple(range(1, out.ndim)) + (0,))
-
-
-@dataclass(frozen=True)
-class Vec3:
-    """A real spacetime point or translation."""
-
-    x0: float
-    x1: float
-    x2: float
-
-    def as_array(self) -> np.ndarray:
-        return _stack3(self.x0, self.x1, self.x2)
-
-    @classmethod
-    def from_array(cls, a) -> "Vec3":
-        return cls(*_components(np.asarray(a, dtype=float)))
-
-    def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x0 + other.x0, self.x1 + other.x1, self.x2 + other.x2)
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,7 @@ class WaveFunction:
 def act(g: cg.PoincareElement, psi: WaveFunction) -> WaveFunction:
     """(U(a, g) psi)(p) = e^{i s Omega} e^{i a.p} psi(Lambda^{-1} p)."""
     cfg = psi.config
-    a = g.translation.as_array()
+    a = g.translation
 
     def fn(parr):
         p = to_momentum(parr, cfg.m)

@@ -11,7 +11,8 @@ The verification content is never a tautology: every boundary value that
 enters a pipeline identity is recomputed by the branch-tracked continuation
 engine and compared against the independent closed forms, whole-product
 continuations are compared against factor-wise ones, and the statistics
-phase is recovered by least squares from the reflected two-point identity.
+phase is recovered by least squares from the reflected two-point identity
+and then checked against the half-turn phase of the continued families.
 Closed forms take one momentum or a MomentumPoint stack; each check takes a
 1-D stack of momenta, continues once for all of them, and returns an array per
 residual.
@@ -185,7 +186,7 @@ class WaveMatrixFamily:
         target = cmath.exp(1j * math.pi * m.s) * (
             wg.u_pihalf(qp, -m.s)
             * np.exp(1j * minkowski_product(m.b2, qp_arr))).conjugate()
-        return holo.normalize_at(raw, 0.0, target)
+        return holo.normalize_at(raw, target)
 
     # -- engine boundary values --------------------------------------------
 
@@ -344,16 +345,17 @@ def extract_D(family: WaveMatrixFamily, grid: MomentumPoint) -> tuple:
     return mean, float(np.max(_rel(ds, mean)))
 
 
-def rotation_pi_relation(family: WaveMatrixFamily, ps: MomentumPoint) -> dict:
+def rotation_pi_relation(family: WaveMatrixFamily, ps: MomentumPoint, omega: complex) -> dict:
     """The half-turn relations linking the two boundary routes.
 
     Checks that (i) the boundary route of the half-turn-rotated second family
     equals a phase times the conjugated route at the rotated momentum,
     (ii) the conjugated route reproduces the conjugate family through D and
-    the squared phase, and (iii) the rotating phase on the conjugate side is
-    the expected half-turn value.  Each residual has a row per momentum of
-    ps; the cone hypotheses do not depend on the momentum and are checked
-    once per call.
+    the squared phase, (iii) the rotating phase on the conjugate side is
+    the expected half-turn value, and (iv) the statistics phase omega is c^-2,
+    with c the phase of (i) fitted per momentum from the continued families
+    alone.  Each residual has a row per momentum of ps; the cone hypotheses
+    do not depend on the momentum and are checked once per call.
     """
     mdl = family.model
     path1, path2 = cgm.antipodal_pair()
@@ -374,9 +376,11 @@ def rotation_pi_relation(family: WaveMatrixFamily, ps: MomentumPoint) -> dict:
     turns = wg.wigner_angle(cg.lift_rotation(math.pi), ps)
     hat_pi = _times(np.conj(v_pi), mdl.a2.conjugate())
     rhs1 = cmath.exp(-1j * math.pi * mdl.s) * check_rot
-    rhs2 = cmath.exp(2j * math.pi * mdl.s) * (mdl.d @ family.psi2_conj(ps))
+    rhs2 = mdl.omega_target * (mdl.d @ family.psi2_conj(ps))
     back = family.psi2_conj(to_momentum(p_arr @ rotation(-math.pi).T, mdl.m))
+    c = (check_rot.conj() * hat_pi).sum((-2, -1)) / (abs(check_rot) ** 2).sum((-2, -1))
     return {"half_turn_boundary": _rel(hat_pi, rhs1),
+            "half_turn_phase": np.abs(omega - c ** -2.0),
             "check_vs_conjugate": _rel(check_v, rhs2),
             "conjugate_side_phase": _rel(_times(np.exp(1j * mdl.s * turns), back),
                                          cmath.exp(1j * math.pi * mdl.s) * back)}
@@ -434,7 +438,7 @@ def _ode_family(family: WaveMatrixFamily, p: MomentumPoint) -> holo.OdeFamily:
                   * wg.u_pihalf(q0, -mdl.s) * wg.u_pihalf(wg.transport(g0, q0), mdl.s)
                   * cmath.exp(1j * minkowski_product(mdl.b2, p_arr))
                   * np.exp(1j * minkowski_product(mdl.b1, lam0_inv @ p_arr)))
-        return holo.normalize_at(expr, 0.0, target)
+        return holo.normalize_at(expr, target)
 
     def h_batch(t0s, zs):
         return (holo.evaluate_along(build(tuple(t0s)), zs)[..., None, None]
@@ -494,7 +498,7 @@ def run_pipeline(s: float, m: float = 1.0, n: int = 2, seed: int = 0,
     omega_hat, mismatch = extract_statistics_phase(family, grid)
 
     tp = two_point_boundary_check(family, sub)
-    rot = rotation_pi_relation(family, sub)
+    rot = rotation_pi_relation(family, sub, omega_hat)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x71)))
     # two elements for each of the first two momenta, drawn in that order
     draws = np.array([(rng.uniform(-0.2, 0.2), rng.uniform(0, 2 * math.pi),

@@ -406,7 +406,7 @@ def _equivariance_defects(rng, base: cgm.ConePath, count: int):
     rows, defects = [], []
     while sum(map(len, rows)) < count:
         u = rng.uniform(size=(block, 12))
-        g1, g2 = (cg.PoincareElement(mk.Vec3.from_array(-1.0 + 2.0 * u[:, i:i + 3]),
+        g1, g2 = (cg.PoincareElement(-1.0 + 2.0 * u[:, i:i + 3],
                                      cg.element_from_draws(u[:, i + 3:i + 6], 0.3, 1.0))
                   for i in (0, 6))
         lhs = cgm.poincare_act_path(g1.compose(g2), base)
@@ -414,7 +414,7 @@ def _equivariance_defects(rng, base: cgm.ConePath, count: int):
         diff = np.column_stack([lhs.accumulated_angle - rhs.accumulated_angle,
                                 lhs.sector.alpha - rhs.sector.alpha,
                                 lhs.sector.beta - rhs.sector.beta,
-                                lhs.sector.apex.as_array() - rhs.sector.apex.as_array()])
+                                lhs.sector.apex - rhs.sector.apex])
         ok = ~np.isnan(diff).any(axis=1)
         rows.append(block * len(rows) + np.flatnonzero(ok))
         defects.append(np.max(np.abs(diff[ok]), axis=1))
@@ -469,12 +469,11 @@ def cones_suite(config: SuiteConfig) -> list:
         u = rng.uniform(size=(min(50, 200 - tested), 7))
         a = -math.pi + 2.0 * math.pi * u[:, 0]
         b = a + (0.2 + (2.8 - 0.2) * u[:, 1])
-        sec = cgm.SpatialSector(a, b, mk.Vec3.from_array(-1.0 + 2.0 * u[:, 2:5]))
+        sec = cgm.SpatialSector(a, b, -1.0 + 2.0 * u[:, 2:5])
         e = cgm.SpacelikeDirection.from_angles(a - 0.5 + ((b + 0.5) - (a - 0.5)) * u[:, 5],
                                                -1.2 + 2.4 * u[:, 6])
-        earr = e.e.as_array()
-        kept = ~(np.abs(cgm.sector_depth(sec, earr[:, 1:]) - np.abs(earr[:, 0])) < 1e-6)
-        oracle = cgm.cone_contains_point(sec, cgm._cone_samples(sec) + earr,
+        kept = ~(np.abs(cgm.sector_depth(sec, e.e[:, 1:]) - np.abs(e.e[:, 0])) < 1e-6)
+        oracle = cgm.cone_contains_point(sec, cgm._cone_samples(sec) + e.e,
                                          margin=-1e-6).all(0)
         mismatches += int(np.sum(kept & (cgm.contains_direction(sec, e) != oracle)))
         tested += int(np.sum(kept))
@@ -482,10 +481,10 @@ def cones_suite(config: SuiteConfig) -> list:
     # lifted angle in (a - 0.3, a + 1.3) and tilt; its moved samples must stay in the copy
     u = rng.uniform(size=(50, 6))
     a = -math.pi + 2.0 * math.pi * u[:, 0]
-    sec = cgm.SpatialSector(a, a + 1.0, mk.Vec3.from_array(-3.0 + 6.0 * u[:, 1:4]))
+    sec = cgm.SpatialSector(a, a + 1.0, -3.0 + 6.0 * u[:, 1:4])
     e = cgm.SpacelikeDirection.from_angles(a - 0.3 + ((a + 1.3) - (a - 0.3)) * u[:, 4],
                                            -1.0 + 2.0 * u[:, 5])
-    oracle = cgm.cone_contains_point(sec, cgm._cone_samples(sec) + e.e.as_array(),
+    oracle = cgm.cone_contains_point(sec, cgm._cone_samples(sec) + e.e,
                                      margin=-1e-6).all(0)
     trans_bad = np.sum(cgm.contains_direction(sec, e) != oracle)
     records.append(_record("cones", "direction-containment-oracle",

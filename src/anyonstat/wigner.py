@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from . import covergroup as cg
-from .minkowski import MomentumPoint, Vec3, to_momentum
+from .minkowski import MomentumPoint, _stack3, to_momentum
 
 
 class BranchCutError(ValueError):
@@ -52,7 +52,7 @@ def transport(g: cg.CoverElement, p: MomentumPoint) -> MomentumPoint:
     a, b, c, d = cg._sl2_entries(g.gamma, g.omega)
     p0 = p.p0
     q = (r[0] * p0 + r[1] * p.p1 + r[2] * p.p2 for r in cg._lorentz_rows(d, -b, -c, a))
-    return to_momentum(Vec3(*q), p.m)
+    return to_momentum(_stack3(*q), p.m)
 
 
 def little_group_element(g: cg.CoverElement, p: MomentumPoint) -> cg.CoverElement:

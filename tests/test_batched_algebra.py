@@ -221,9 +221,9 @@ _STACK_GUARDS = {
                   1e-3, ValueError, "not on the m=1.0 shell"),
     "imaginary-part": (lambda d: mk.to_momentum(_with(_P.as_array() + 0j, [0.0, d, 0.0]), 1.0),
                        1e-3j, ValueError, "imaginary part"),
-    "direction-norm": (lambda d: cgm.SpacelikeDirection(mk.Vec3.from_array(
-        _with(_rays(_ANG), [0.0, d, 0.0])), _ANG), 0.01, ValueError, "e.e = -1"),
-    "direction-lift": (lambda d: cgm.SpacelikeDirection(mk.Vec3.from_array(_rays(_ANG)),
+    "direction-norm": (lambda d: cgm.SpacelikeDirection(
+        _with(_rays(_ANG), [0.0, d, 0.0]), _ANG), 0.01, ValueError, "e.e = -1"),
+    "direction-lift": (lambda d: cgm.SpacelikeDirection(_rays(_ANG),
                                                         _with(_ANG, d)),
                        0.1, ValueError, "does not project"),
     "sector-opening": (lambda d: cgm.SpatialSector(_ANG, _with(_ANG + 1.0, d)),
@@ -276,9 +276,9 @@ def _scalar_equivariance(rng, base, count):
     rows, defects, elements, i = [], [], [], -1
     while len(rows) < count:
         i += 1
-        g1 = cg.PoincareElement(mk.Vec3(*rng.uniform(-1, 1, 3)),
+        g1 = cg.PoincareElement(rng.uniform(-1, 1, 3),
                                 cg.random_element(rng, disk_radius=0.3, windings=1.0))
-        g2 = cg.PoincareElement(mk.Vec3(*rng.uniform(-1, 1, 3)),
+        g2 = cg.PoincareElement(rng.uniform(-1, 1, 3),
                                 cg.random_element(rng, disk_radius=0.3, windings=1.0))
         try:
             lhs = cgm.poincare_act_path(g1.compose(g2), base)
@@ -286,13 +286,12 @@ def _scalar_equivariance(rng, base, count):
         except cgm.DegenerateImage:
             continue
         rows.append(i)
-        elements.append([(g.lorentz.gamma, g.lorentz.omega, *g.translation.as_array())
+        elements.append([(g.lorentz.gamma, g.lorentz.omega, *g.translation)
                          for g in (g1, g2)])
         defects.append(max(abs(lhs.accumulated_angle - rhs.accumulated_angle),
                            abs(lhs.sector.alpha - rhs.sector.alpha),
                            abs(lhs.sector.beta - rhs.sector.beta),
-                           float(np.max(np.abs(lhs.sector.apex.as_array()
-                                               - rhs.sector.apex.as_array())))))
+                           float(np.max(np.abs(lhs.sector.apex - rhs.sector.apex)))))
     return np.array(rows), np.array(defects), np.array(elements)
 
 
@@ -325,7 +324,7 @@ def test_batched_path_action_equivariance_keeps_the_scalar_draws(seed, monkeypat
     # per block the record acts with g1 g2, then g2, then g1: the elements
     # of the kept draws are those the loop drew, bit for bit
     g1s, g2s = acted[2::3], acted[1::3]
-    elements = np.array([[(g.lorentz.gamma[j], g.lorentz.omega[j], *g.translation.as_array()[j])
+    elements = np.array([[(g.lorentz.gamma[j], g.lorentz.omega[j], *g.translation[j])
                           for g in (g1s[b], g2s[b])]
                          for b, j in (divmod(int(r), len(g1s[0].lorentz.omega)) for r in rows)])
     assert np.array_equal(elements, ref_elements)
@@ -354,13 +353,13 @@ def _scalar_containment(rng):
     while len(rows) < 200:
         a = rng.uniform(-math.pi, math.pi)
         b = a + rng.uniform(0.2, 2.8)
-        sec = cgm.SpatialSector(a, b, mk.Vec3(*rng.uniform(-1.0, 1.0, 3)))
+        sec = cgm.SpatialSector(a, b, rng.uniform(-1.0, 1.0, 3))
         e = cgm.SpacelikeDirection.from_angles(rng.uniform(a - 0.5, b + 0.5),
                                                rng.uniform(-1.2, 1.2))
-        earr = e.e.as_array()
+        earr = e.e
         if abs(cgm.sector_depth(sec, earr[1:]) - abs(earr[0])) < 1e-6:
             continue
-        rows.append((a, b, *sec.apex.as_array(), e.lifted_angle, e.e.x0))
+        rows.append((a, b, *sec.apex, e.lifted_angle, e.e[..., 0]))
         oracle = cgm.cone_contains_point(sec, cgm._cone_samples(sec) + earr,
                                          margin=-1e-6).all()
         if cgm.contains_direction(sec, e) != oracle:
@@ -375,11 +374,11 @@ def _scalar_translation(rng):
     rows, bad = [], 0
     for _ in range(50):
         a = rng.uniform(-math.pi, math.pi)
-        sec = cgm.SpatialSector(a, a + 1.0, mk.Vec3(*rng.uniform(-3.0, 3.0, 3)))
+        sec = cgm.SpatialSector(a, a + 1.0, rng.uniform(-3.0, 3.0, 3))
         e = cgm.SpacelikeDirection.from_angles(rng.uniform(a - 0.3, a + 1.3),
                                                rng.uniform(-1.0, 1.0))
-        rows.append((a, *sec.apex.as_array(), e.lifted_angle, e.e.x0))
-        oracle = cgm.cone_contains_point(sec, cgm._cone_samples(sec) + e.e.as_array(),
+        rows.append((a, *sec.apex, e.lifted_angle, e.e[..., 0]))
+        oracle = cgm.cone_contains_point(sec, cgm._cone_samples(sec) + e.e,
                                          margin=-1e-6).all()
         if cgm.contains_direction(sec, e) != oracle:
             bad += 1
@@ -442,10 +441,10 @@ def _replay_containment_blocks(records, tape, oracle_calls):
     assert len(oracle_calls) == len(blocks)
     kept = []
     for sec, e, _ in oracle_calls:
-        earr = e.e.as_array()
+        earr = e.e
         at_margin = np.abs(cgm.sector_depth(sec, earr[:, 1:]) - np.abs(earr[:, 0])) < 1e-6
-        drawn = np.column_stack([sec.alpha, sec.beta, sec.apex.as_array(),
-                                 e.lifted_angle, e.e.x0])
+        drawn = np.column_stack([sec.alpha, sec.beta, sec.apex,
+                                 e.lifted_angle, e.e[..., 0]])
         kept.append(drawn[~at_margin])
     assert np.array_equal(np.concatenate(kept), rows)
     assert records["direction-containment-oracle"].residuals["mismatches"] == mismatches
@@ -479,7 +478,7 @@ def test_stacked_cone_records_keep_the_scalar_draws(seed, monkeypatch):
     rows, bad = _scalar_translation(rng)
     assert rng.bit_generator.state == tape.log[j + 1][1].bit_generator.state
     sec, e, _ = translation_call
-    drawn = np.column_stack([sec.alpha, sec.apex.as_array(), e.lifted_angle, e.e.x0])
+    drawn = np.column_stack([sec.alpha, sec.apex, e.lifted_angle, e.e[..., 0]])
     assert np.array_equal(drawn, rows)
     assert records["direction-containment-oracle"].residuals["translation_violations"] == bad
 
@@ -504,7 +503,7 @@ def test_degenerate_rows_are_masked_and_skipped(monkeypatch):
 
     def flaky(g, path):
         out = real(g, path)
-        t = g.translation.as_array()[..., 0]
+        t = g.translation[..., 0]
         if np.ndim(t) == 0:
             if t < 0:
                 raise cgm.DegenerateImage("forced")
@@ -533,11 +532,11 @@ def test_stacked_paths_degenerate_rows_are_nan_and_a_single_path_raises(monkeypa
         return out
 
     monkeypatch.setattr(cgm, "_lifted_circle_action", swap_at_02)
-    g = cg.PoincareElement(mk.Vec3.from_array(np.zeros((3, 3))),
+    g = cg.PoincareElement(np.zeros((3, 3)),
                            cg.lift_rotation(np.array([0.1, 0.2, 0.3])))
     out = cgm.poincare_act_path(g, base)
     assert np.isnan(out.accumulated_angle).tolist() == [False, True, False]
-    assert np.isnan(out.sector.apex.as_array()[1]).all()
+    assert np.isnan(out.sector.apex[1]).all()
     assert np.isnan(out.sector.edges[0][1]).all() and not np.isnan(out.sector.edges[0][2]).any()
     assert abs(out.accumulated_angle[2] - base.accumulated_angle - 0.3) < 1e-12
     with pytest.raises(cgm.DegenerateImage):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from anyonstat import conegeom as cgm
 from anyonstat import covergroup as cg
 from anyonstat import suites
-from anyonstat.minkowski import Vec3
 
 TWO_PI = 2 * math.pi
 
@@ -111,10 +110,10 @@ def _translation_mismatches(contains_point):
     bad = 0
     for _ in range(100):
         a = rng.uniform(-math.pi, math.pi)
-        sec = cgm.SpatialSector(a, a + 1.0, Vec3(*rng.uniform(-3, 3, 3)))
+        sec = cgm.SpatialSector(a, a + 1.0, rng.uniform(-3, 3, 3))
         e = cgm.SpacelikeDirection.from_angles(rng.uniform(a - 0.3, a + 1.3),
                                                rng.uniform(-1, 1))
-        moved = cgm._cone_samples(sec) + e.e.as_array()
+        moved = cgm._cone_samples(sec) + e.e
         bad += bool(cgm.contains_direction(sec, e)
                     != contains_point(sec, moved, margin=-1e-6).all())
     return bad
@@ -133,10 +132,10 @@ def test_contains_direction_against_sampling_oracle():
     while tested < 200:
         a = rng.uniform(-math.pi, math.pi)
         b = a + rng.uniform(0.2, 2.8)
-        sec = cgm.SpatialSector(a, b, Vec3(*rng.uniform(-1, 1, 3)))
+        sec = cgm.SpatialSector(a, b, rng.uniform(-1, 1, 3))
         e = cgm.SpacelikeDirection.from_angles(rng.uniform(a - 0.5, b + 0.5),
                                                rng.uniform(-1.2, 1.2))
-        earr = e.e.as_array()
+        earr = e.e
         if abs(cgm.sector_depth(sec, earr[1:]) - abs(earr[0])) < 1e-6:
             continue  # boundary-ambiguous at the oracle margin
         tested += 1
@@ -151,8 +150,8 @@ def test_containment_oracle_samples_the_lightlike_boundary():
     recs = suites.cones_suite(suites.SuiteConfig(seed=3))
     rec = next(r for r in recs if r.anchor == "direction-containment-oracle")
     assert rec.passed and rec.residuals["mismatches"] == 0.0
-    sec = cgm.SpatialSector(0.2, 1.4, Vec3(0.3, -0.1, 0.5))
-    rel = cgm._cone_samples(sec) - sec.apex.as_array()
+    sec = cgm.SpatialSector(0.2, 1.4, (0.3, -0.1, 0.5))
+    rel = cgm._cone_samples(sec) - sec.apex
     depth = np.array([cgm.sector_depth(sec, x[1:]) for x in rel])
     assert np.any(np.isclose(rel[:, 0], depth)) and np.any(np.isclose(rel[:, 0], -depth))
 
@@ -162,10 +161,10 @@ def test_cone_samples_of_a_stack_are_each_sectors_samples():
     a = rng.uniform(-math.pi, math.pi, 20)
     b = a + rng.uniform(0.2, 2.8, 20)
     apex = rng.uniform(-3, 3, (20, 3))
-    stacked = cgm._cone_samples(cgm.SpatialSector(a, b, Vec3.from_array(apex)))
+    stacked = cgm._cone_samples(cgm.SpatialSector(a, b, apex))
     assert stacked.shape == (140, 20, 3)
     for i in range(20):
-        one = cgm._cone_samples(cgm.SpatialSector(a[i], b[i], Vec3(*apex[i])))
+        one = cgm._cone_samples(cgm.SpatialSector(a[i], b[i], apex[i]))
         assert np.array_equal(stacked[:, i], one)
 
 
@@ -220,7 +219,7 @@ def test_a_lift_that_misses_its_direction_ends_the_cones_suite_in_a_fail(monkeyp
 
 
 def test_cone_predicates_on_arrays_match_pointwise_calls():
-    sec = cgm.SpatialSector(-0.7, 1.9, Vec3(0.2, 0.4, -0.3))
+    sec = cgm.SpatialSector(-0.7, 1.9, (0.2, 0.4, -0.3))
     rng = np.random.default_rng(5)
     xs = rng.uniform(-3.0, 3.0, (6, 7, 3))
     inside = cgm.cone_contains_point(sec, xs, margin=0.1)
@@ -267,15 +266,15 @@ def test_lifted_circle_action_matches_the_scalar_tracker():
                                   windings=3.0)
             lift = rng.uniform(-3 * math.pi, 3 * math.pi)
             d = cgm.SpacelikeDirection.from_angles(lift, rng.uniform(-tilt, tilt))
-            ref, _ = _tracked_lift(g, d.e.as_array(), lift)
-            assert abs(cgm._lifted_circle_action(g, d.e.as_array(), lift) - ref) < 1e-12
+            ref, _ = _tracked_lift(g, d.e, lift)
+            assert abs(cgm._lifted_circle_action(g, d.e, lift) - ref) < 1e-12
 
 
 def test_poincare_act_path_transports_all_three_vectors_like_the_tracker():
     rng = np.random.default_rng(12)
-    path = cgm.ConePath(cgm.SpatialSector(0.3, 1.5, Vec3(0.1, 0.2, 0.3)), 0.9 + TWO_PI)
+    path = cgm.ConePath(cgm.SpatialSector(0.3, 1.5, (0.1, 0.2, 0.3)), 0.9 + TWO_PI)
     for _ in range(50):
-        g = cg.PoincareElement(Vec3(*rng.uniform(-1, 1, 3)),
+        g = cg.PoincareElement(rng.uniform(-1, 1, 3),
                                cg.random_element(rng, disk_radius=0.8, windings=3.0))
         try:
             out = cgm.poincare_act_path(g, path)
@@ -338,9 +337,9 @@ def test_poincare_action_deck_and_equivariance():
     rng = np.random.default_rng(3)
     count = 0
     while count < 200:
-        g1 = cg.PoincareElement(Vec3(*rng.uniform(-1, 1, 3)),
+        g1 = cg.PoincareElement(rng.uniform(-1, 1, 3),
                                 cg.random_element(rng, disk_radius=0.3, windings=1.0))
-        g2 = cg.PoincareElement(Vec3(*rng.uniform(-1, 1, 3)),
+        g2 = cg.PoincareElement(rng.uniform(-1, 1, 3),
                                 cg.random_element(rng, disk_radius=0.3, windings=1.0))
         try:
             lhs = cgm.poincare_act_path(g1.compose(g2), base)
@@ -350,13 +349,12 @@ def test_poincare_action_deck_and_equivariance():
         count += 1
         assert abs(lhs.accumulated_angle - rhs.accumulated_angle) < 1e-9
         assert abs(lhs.sector.alpha - rhs.sector.alpha) < 1e-9
-        assert np.max(np.abs(lhs.sector.apex.as_array()
-                             - rhs.sector.apex.as_array())) < 1e-9
+        assert np.max(np.abs(lhs.sector.apex - rhs.sector.apex)) < 1e-9
 
 
 def test_identity_action_is_trivial():
     _, base, *_ = cgm.single_cone_paths()
-    out = cgm.poincare_act_path(cg.PoincareElement.identity(), base)
+    out = cgm.poincare_act_path(cg.PoincareElement.pure_lorentz(cg.identity()), base)
     assert out.accumulated_angle == base.accumulated_angle
     assert out.sector.alpha == pytest.approx(base.sector.alpha, abs=1e-14)
 
@@ -404,11 +402,11 @@ def test_contains_direction_on_stacks_equals_the_scalar_calls():
     stacked = cgm.contains_direction(sectors, dirs)
     assert stacked.shape == (200,) and np.array_equal(stacked, scalar)
     assert 0 < stacked.sum() < 200 and not stacked[3]
-    assert np.array_equal(cgm.contains_direction(sectors, dirs.e.as_array()), scalar)
+    assert np.array_equal(cgm.contains_direction(sectors, dirs.e), scalar)
     # one sector against a stack of directions
     one = cgm.SpatialSector(a[0], b[0])
     assert np.array_equal(cgm.contains_direction(one, dirs),
-                          [cgm.contains_direction(one, dirs.e.as_array()[i])
+                          [cgm.contains_direction(one, dirs.e[i])
                            for i in range(200)])
 
 
@@ -416,7 +414,7 @@ def test_from_angles_on_a_stack_with_the_default_tilt_equals_the_scalar_calls():
     lift = np.linspace(-7.0, 7.0, 9)
     dirs = cgm.SpacelikeDirection.from_angles(lift)
     singles = [cgm.SpacelikeDirection.from_angles(a) for a in lift]
-    assert np.array_equal(dirs.e.as_array(), [d.e.as_array() for d in singles])
+    assert np.array_equal(dirs.e, [d.e for d in singles])
     assert np.array_equal(dirs.lifted_angle, lift)
 
 
@@ -465,24 +463,32 @@ def test_in_wedge_class_on_a_stack_equals_the_scalar_calls():
 
 def test_direction_validation():
     with pytest.raises(ValueError):
-        cgm.SpacelikeDirection(Vec3(0.0, 1.0, 1.0), 0.0)  # not unit space-like
+        cgm.SpacelikeDirection((0.0, 1.0, 1.0), 0.0)  # not unit space-like
     with pytest.raises(ValueError):
-        cgm.SpacelikeDirection(Vec3(0.0, 1.0, 0.0), 1.0)  # wrong lift
+        cgm.SpacelikeDirection((0.0, 1.0, 0.0), 1.0)  # wrong lift
     with pytest.raises(ValueError):
         cgm.SpatialSector(0.0, math.pi + 0.1)  # not salient
     with pytest.raises(ValueError):
         cgm.ConePath(cgm.SpatialSector(-0.2, 0.2), 2.0)  # ends outside
 
 
+@pytest.mark.parametrize("make", [lambda x: cgm.SpatialSector(0.3, 1.5, x),
+                                  lambda x: cg.PoincareElement(x, cg.identity())])
+@pytest.mark.parametrize("vec", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4), np.zeros((4, 2)), 0.5])
+def test_apex_and_translation_must_be_3_vectors(make, vec):
+    with pytest.raises(ValueError, match="expected 3-vectors"):
+        make(vec)
+
+
 def test_poincare_act_path_moves_the_apex_like_act():
     rng = np.random.default_rng(4)
-    path = cgm.ConePath(cgm.SpatialSector(0.3, 1.5, Vec3(0.1, 0.2, 0.3)), 0.9)
+    path = cgm.ConePath(cgm.SpatialSector(0.3, 1.5, (0.1, 0.2, 0.3)), 0.9)
     for _ in range(20):
-        g = cg.PoincareElement(Vec3(*rng.uniform(-1, 1, 3)),
+        g = cg.PoincareElement(rng.uniform(-1, 1, 3),
                                cg.random_element(rng, disk_radius=0.5, windings=1.0))
         try:
             out = cgm.poincare_act_path(g, path)
         except cgm.DegenerateImage:
             continue
-        want = g.act(path.sector.apex.as_array())
-        assert np.max(np.abs(out.sector.apex.as_array() - want)) < 1e-14
+        want = g.act(path.sector.apex)
+        assert np.max(np.abs(out.sector.apex - want)) < 1e-14

@@ -165,8 +165,8 @@ def test_act_on_vector():
 def test_poincare_composition():
     rng = np.random.default_rng(9)
     for _ in range(100):
-        g1 = cg.PoincareElement(mk.Vec3(*rng.uniform(-1, 1, 3)), cg.random_element(rng))
-        g2 = cg.PoincareElement(mk.Vec3(*rng.uniform(-1, 1, 3)), cg.random_element(rng))
+        g1 = cg.PoincareElement(rng.uniform(-1, 1, 3), cg.random_element(rng))
+        g2 = cg.PoincareElement(rng.uniform(-1, 1, 3), cg.random_element(rng))
         x = rng.normal(size=3)
         assert np.max(np.abs(g1.compose(g2).act(x) - g1.act(g2.act(x)))) < 1e-11
 

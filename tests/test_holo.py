@@ -148,7 +148,7 @@ def test_phase_builders_match_wigner_angle_on_the_real_line(s):
     ts = np.linspace(-1.0, 1.0, 21)
     q = mk.shell_point(0.4, -0.3, 1.0)
     for eps in (1.0, -1.0):
-        fam = holo.normalize_at(holo.boost_family_phase_raw(g, q, s, eps), 0.0,
+        fam = holo.normalize_at(holo.boost_family_phase_raw(g, q, s, eps),
                                 cmath.exp(1j * s * wg.wigner_angle(g, q)))
         vals = holo.evaluate_along(fam, np.concatenate(([0.0], ts)))[1:]
         want = [cmath.exp(1j * s * wg.wigner_angle(cg.compose(cg.lift_boost1(eps * t), g), q))
@@ -160,7 +160,7 @@ def test_phase_builders_match_wigner_angle_on_the_real_line(s):
     def k(t):
         return mk.to_momentum(pre @ mk.boost1(-t) @ anchor, 1.3)
 
-    fam = holo.normalize_at(holo.fixed_element_phase_raw(g, pre, anchor, s, 1.3), 0.0,
+    fam = holo.normalize_at(holo.fixed_element_phase_raw(g, pre, anchor, s, 1.3),
                             cmath.exp(1j * s * wg.wigner_angle(g, k(0.0))))
     vals = holo.evaluate_along(fam, np.concatenate(([0.0], ts)))[1:]
     want = [cmath.exp(1j * s * wg.wigner_angle(g, k(t))) for t in ts]
@@ -227,13 +227,13 @@ def test_normalize_at_checks_every_row():
     raw = holo.boost_family_phase_raw(cg.identity(), BATCH, S)
     values = holo.evaluate_along(raw, [0.0])[:, 0]
     phases = np.exp(1j * np.arange(len(BATCH.p1)))
-    fixed = holo.normalize_at(raw, 0.0, phases * np.abs(values))
+    fixed = holo.normalize_at(raw, phases * np.abs(values))
     assert np.max(np.abs(holo.evaluate_along(fixed, [0.0])[:, 0]
                          - phases * np.abs(values))) < 1e-14
     wrong = phases * np.abs(values)
     wrong[2] *= 1.1
     with pytest.raises(ArithmeticError):
-        holo.normalize_at(raw, 0.0, wrong)
+        holo.normalize_at(raw, wrong)
 
 
 def test_eval_principal_on_array_matches_pointwise():

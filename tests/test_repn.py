@@ -7,17 +7,17 @@ import pytest
 from anyonstat import covergroup as cg
 from anyonstat import minkowski as mk
 from anyonstat import repn
-from anyonstat.minkowski import Vec3
 
 
 def test_identity_and_translation():
     cfg = repn.RepConfig(1.0, 0.25, 2)
     psi = repn.WaveFunction.gaussian(cfg, vector=[1.0, -0.5j])
     p = mk.shell_point(0.3, -0.2, 1.0)
-    assert np.allclose(repn.act(cg.PoincareElement.identity(), psi)(p), psi(p), atol=0)
-    a = Vec3(0.4, -0.1, 0.7)
+    unit = cg.PoincareElement.pure_lorentz(cg.identity())
+    assert np.allclose(repn.act(unit, psi)(p), psi(p), atol=0)
+    a = np.array([0.4, -0.1, 0.7])
     shifted = repn.act(cg.PoincareElement(a, cg.identity()), psi)
-    phase = cmath.exp(1j * mk.minkowski_product(a.as_array(), p.as_array()))
+    phase = cmath.exp(1j * mk.minkowski_product(a, p.as_array()))
     assert np.allclose(shifted(p), phase * psi(p), atol=1e-15)
 
 
@@ -37,9 +37,9 @@ def test_representation_law():
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(200):
-        g1 = cg.PoincareElement(Vec3(*rng.uniform(-1, 1, 3)),
+        g1 = cg.PoincareElement(rng.uniform(-1, 1, 3),
                                 cg.random_element(rng, disk_radius=0.5))
-        g2 = cg.PoincareElement(Vec3(*rng.uniform(-1, 1, 3)),
+        g2 = cg.PoincareElement(rng.uniform(-1, 1, 3),
                                 cg.random_element(rng, disk_radius=0.5))
         p = mk.shell_point(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8), 1.0)
         lhs = repn.act(g1, repn.act(g2, psi))(p)
@@ -60,7 +60,7 @@ def test_inner_product_properties():
     ip0 = repn.inner_product(phi, psi, wide)
     ip1 = repn.inner_product(repn.act(gb, phi), repn.act(gb, psi), wide)
     assert abs(ip0 - ip1) < 1e-8
-    gt = cg.PoincareElement(Vec3(0.3, -0.2, 0.5), cg.lift_rotation(0.4))
+    gt = cg.PoincareElement((0.3, -0.2, 0.5), cg.lift_rotation(0.4))
     ip2 = repn.inner_product(repn.act(gt, phi), repn.act(gt, psi), wide)
     assert abs(ip0 - ip2) < 1e-8
 
@@ -88,8 +88,8 @@ def test_inner_product_matches_the_pointwise_loop():
     psi = repn.WaveFunction.gaussian(cfg, center=(0.2, 0.0), width=0.5, vector=[1.0, 0.5j])
     phi = repn.WaveFunction.gaussian(cfg, center=(-0.1, 0.2), width=0.6,
                                      poly=lambda a: 1.0 + a[..., 1] * a[..., 2])
-    g = cg.PoincareElement(Vec3(0.3, -0.2, 0.5), cg.compose(cg.lift_rotation(0.4),
-                                                             cg.lift_boost(0.7, 0.25)))
+    g = cg.PoincareElement((0.3, -0.2, 0.5), cg.compose(cg.lift_rotation(0.4),
+                                                        cg.lift_boost(0.7, 0.25)))
     grid = repn.QuadGrid(halfwidth=3.9, order=24)
     for f, h in ((phi, psi), (repn.act(g, phi), repn.act(g, psi))):
         ref, outside = _scalar_inner_product(f, h, grid)

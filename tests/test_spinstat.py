@@ -220,20 +220,38 @@ def test_extract_d_scalar_case():
 
 
 def test_rotation_pi_relation(family_third):
-    out = ss.rotation_pi_relation(family_third, P[None])
+    out = ss.rotation_pi_relation(family_third, P[None], family_third.model.omega_target)
     assert np.max([*out.values()]) < 1e-8
 
 
 def test_rotation_pi_bosonic():
     _, fam = ss.build_toy_model(0.0, 1.0, 1, seed=6)
-    out = ss.rotation_pi_relation(fam, P[None])
+    out = ss.rotation_pi_relation(fam, P[None], fam.model.omega_target)
     assert np.max([*out.values()]) < 1e-10
 
 
 def test_rotation_pi_half_spin():
     _, fam = ss.build_toy_model(0.5, 1.0, 2, seed=6)
-    out = ss.rotation_pi_relation(fam, P[None])
+    out = ss.rotation_pi_relation(fam, P[None], fam.model.omega_target)
     assert np.max([*out.values()]) < 1e-8
+
+
+def test_a_wrongly_injected_statistics_phase_fails_every_spinstat_record(monkeypatch):
+    # s + 0.1 in the target and in the conjugate family (so also in the
+    # rotation check's rhs2): the least-squares phase recovers the injected
+    # value, and only the half-turn phase read out of the continuation sees it
+    shift = cmath.exp(0.2j * math.pi)
+    target = ss.ToyModel.omega_target.fget
+    psi2_conj = ss.WaveMatrixFamily.psi2_conj
+    monkeypatch.setattr(ss.ToyModel, "omega_target", property(lambda m: target(m) * shift))
+    monkeypatch.setattr(ss.WaveMatrixFamily, "psi2_conj",
+                        lambda f, p: psi2_conj(f, p) / shift)
+    records = suites.spinstat_suite(suites.SuiteConfig(seed=7))
+    assert len(records) == 5
+    for rec in records:
+        assert not rec.passed
+        assert rec.residuals["phase"] < 1e-9
+        assert abs(rec.residuals["pi_rotation"] - abs(shift - 1.0)) < 1e-9
 
 
 def test_phase_extraction_values():
@@ -361,8 +379,9 @@ def test_pipeline_checks_on_a_stack_match_each_momentum(family_third):
     ps = GRID[:4]
     _assert_rows_match(ss.two_point_boundary_check(family_third, ps),
                        [ss.two_point_boundary_check(family_third, p[None]) for p in ps])
-    _assert_rows_match(ss.rotation_pi_relation(family_third, ps),
-                       [ss.rotation_pi_relation(family_third, p[None]) for p in ps])
+    omega = family_third.model.omega_target
+    _assert_rows_match(ss.rotation_pi_relation(family_third, ps, omega),
+                       [ss.rotation_pi_relation(family_third, p[None], omega) for p in ps])
     gs = [cg.compose(cg.lift_rotation(w), cg.lift_boost(d, r))
           for w, d, r in ((0.1, 0.3, 0.2), (-0.15, 2.0, 0.1), (0.0, 4.0, 0.25), (0.05, 5.5, 0.0))]
     stack = cg.CoverElement(np.array([g.gamma for g in gs], dtype=complex),
@@ -440,7 +459,7 @@ def test_work_counts_do_not_grow_with_offsets_or_momenta(monkeypatch):
             "normalize_at": 12, "evaluate_along": 26}
     # on a new family each check also fills the boundary pairs it reads
     for check, walks in ((ss.two_point_boundary_check, (4, 7)),
-                         (ss.rotation_pi_relation, (3, 6)),
+                         (lambda f, ps: ss.rotation_pi_relation(f, ps, 1.0), (3, 6)),
                          (lambda f, ps: ss.verify_transformation_law(cg.identity(), ps, f),
                           (2, 6))):
         for ps in (GRID[:1], GRID[:3], GRID):
