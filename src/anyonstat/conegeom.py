@@ -220,9 +220,11 @@ def causally_separated(c1: SpatialSector, c2: SpatialSector) -> bool:
     gap2 = (c1.alpha - c2.beta) % TWO_PI
     if gap1 < 1e-12 or gap2 < 1e-12 or gap1 + gap2 > TWO_PI:
         return False
-    xs, ys = _cone_samples(c1), _cone_samples(c2)
-    d = xs[:, None, :] - ys[None, :, :]
-    sq = d[..., 0] ** 2 - d[..., 1] ** 2 - d[..., 2] ** 2
+    # measured from c1's apex, so that the squares stay the size of the cones
+    xs, ys = _cone_samples(c1) - c1.apex, _cone_samples(c2) - c1.apex
+    # (x - y)^2 = x^2 + y^2 - 2 x.y for every pair of samples: one matmul
+    sq = (minkowski_product(xs, xs)[:, None] + minkowski_product(ys, ys)
+          - 2.0 * (xs * (1.0, -1.0, -1.0)) @ ys.T)
     return bool(np.max(sq) < -1e-9)
 
 

@@ -8,27 +8,30 @@ Every family continued here has one shape, a `PowerProduct`:
 
 where the exponents E_i and the bases B_j are entire functions of z (boosted
 momentum components, exponentials) and the s_j are real.  The bases are the
-only multivalued part, and a base carries no global state.  A walk evaluates
-every base on all samples of the path at once, as one array, and inserts
-midpoints into every interval where some base turns by 0.999 * pi/2 or more,
-until none does; each base's argument ledger is then the principal argument
-at the start plus the cumulative sum of the angles of consecutive base
-ratios.  Values therefore depend only on the homotopy class of the path and
-on nothing else: there is no global cut bookkeeping, and the value at each
-accepted sample is exact up to float rounding (step size only influences
-branch selection, never the numerical value).
+only multivalued part, and a base carries no global state.  A walk keeps
+every base of a family in one (bases, ..., samples) array: the first round
+evaluates them on the given samples, and each later round only at the
+midpoints it inserts into every interval where some base turns by 0.999 *
+pi/2 or more, until none does; each base's argument ledger is then the
+principal argument at the start plus the cumulative sum of the angles of
+consecutive base ratios.  Values therefore depend only on the homotopy class
+of the path and on nothing else: there is no global cut bookkeeping, and the
+value at each accepted sample is exact up to float rounding (step size only
+influences branch selection, never the numerical value).
 
 The module also provides the builders of the compensated Wigner-phase
-families used by the spin-statistics pipeline.  Each builder computes its
-boosted momentum k(z) = pre @ boost1(sign z) @ anchor once (`momentum`) and
-writes the 2x2 little-group product out by hand; its value at the real
+families used by the spin-statistics pipeline.  Each builder writes its
+boosted momentum k(z) = pre @ boost1(sign z) @ anchor as a cosh(sign z) +
+b sinh(sign z) + c, with a, b and c set up once when it builds the family,
+and writes the 2x2 little-group product out by hand; its value at the real
 anchor is matched against the closed-form shell functions of `wigner`, so
 every continued family agrees with its real-axis definition by construction.
+A spin, and an exponential's b, may hold one value per row, so families of
+different spins at the same anchors walk as one.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -90,13 +93,19 @@ class PowerProduct:
 
     __rmul__ = __mul__
 
-    def bases(self, z: np.ndarray) -> list:
-        """Every power base on the samples z, in the order of the exponents."""
-        return [b for fn, _ in self.pows for b in fn(z)]
+    def bases(self, z: np.ndarray) -> np.ndarray:
+        """Every power base on the 1-D samples z, in the order of the
+        exponents, as one (bases, ..., samples) array."""
+        bases = [b for fn, _ in self.pows for b in fn(z)]
+        out = np.empty((len(bases),) + (np.broadcast(*bases).shape if bases else z.shape),
+                       dtype=complex)
+        for row, b in zip(out, bases):
+            row[...] = b
+        return out
 
-    def value(self, z: np.ndarray, bases: list, args: list) -> np.ndarray:
+    def value(self, z: np.ndarray, bases: np.ndarray, args: np.ndarray) -> np.ndarray:
         """The family on the samples z, each power taken on the branch given
-        by its argument array."""
+        by its argument array; bases and args are (bases, ..., samples)."""
         total = np.zeros(np.shape(z), dtype=complex)
         for e in self.exps:
             total = total + e(z)
@@ -106,24 +115,33 @@ class PowerProduct:
         return self.scale * np.exp(total)
 
 
-def _matrix_rows(mat) -> np.ndarray:
-    """A 3x3 matrix as it is; a (batch, 3, 3) stack with (batch, 1) entries."""
-    mat = np.asarray(mat, dtype=float)
-    return mat if mat.ndim == 2 else np.moveaxis(mat, 0, -1)[..., None]
+def _boosted(pre, anchor, sign: float = -1.0):
+    """z -> the components of k(z) = pre @ boost1(sign z) @ anchor on 1-D
+    samples, as one (3, ..., samples) array.
 
-
-def momentum(pre, anchor, z, sign: float = -1.0) -> list:
-    """The components of k(z) = pre @ boost1(sign z) @ anchor, entire in z.
-
-    A (batch, 3) anchor or (batch, 3, 3) pre gives (batch, samples) components.
+    k(z) = a cosh(sign z) + b sinh(sign z) + c, with a, b and c set up here
+    once; a (batch, 3) anchor or (batch, 3, 3) pre gives them a batch axis.
     """
-    v = np.asarray(anchor, dtype=float)
-    if v.ndim == 2:
-        v = v.T[:, :, None]
-    zz = sign * z
-    c, s = np.cosh(zz), np.sinh(zz)
-    x, y = v[0] * c + v[1] * s, v[0] * s + v[1] * c
-    return [row[0] * x + row[1] * y + row[2] * v[2] for row in _matrix_rows(pre)]
+    pre, v = np.asarray(pre, dtype=float), np.asarray(anchor, dtype=float)[..., None, :]
+    # (..., 3) components; .T puts the component first, ahead of the batch axis
+    a, b, c = (x.T[..., None] for x in (
+        pre[..., 0] * v[..., 0] + pre[..., 1] * v[..., 1],
+        pre[..., 0] * v[..., 1] + pre[..., 1] * v[..., 0],
+        pre[..., 2] * v[..., 2]))
+
+    def at(z):
+        zz = sign * z
+        return a * np.cosh(zz) + b * np.sinh(zz) + c
+
+    return at
+
+
+def momentum(pre, anchor, z, sign: float = -1.0) -> np.ndarray:
+    """The components of k(z) = pre @ boost1(sign z) @ anchor on the 1-D samples z.
+
+    A (batch, 3) anchor or (batch, 3, 3) pre gives (3, batch, samples).
+    """
+    return _boosted(pre, anchor, sign)(z)
 
 
 def eval_principal(expr: PowerProduct, z):
@@ -134,9 +152,10 @@ def eval_principal(expr: PowerProduct, z):
     the ledgered walk is compared.
     """
     zs = np.asarray(z, dtype=complex)
-    bases = expr.bases(zs)
-    out = expr.value(zs, bases, [np.angle(b) for b in bases])
-    return out[()]
+    flat = zs.reshape(-1)
+    bases = expr.bases(flat)
+    out = expr.value(flat, bases, np.angle(bases))
+    return out.reshape(out.shape[:-1] + zs.shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -205,45 +224,52 @@ def continue_along(expr: PowerProduct, path):
     return evaluate_along(expr, _path_points(path))[..., -1][()]
 
 
+def _check_vanishing(bases: np.ndarray, z: np.ndarray):
+    """Raise PowerBaseVanishes at the first sample where a base of the
+    (bases, ..., samples) array is below _VANISH_TOL of its running maximum
+    modulus (at least 1)."""
+    size = np.abs(bases)
+    low = size < _VANISH_TOL * np.maximum(1.0, np.maximum.accumulate(size, axis=-1))
+    if low.any():
+        at = np.argwhere(low)[0]
+        row = f" in row {at[1]}" if bases.ndim == 3 else ""
+        raise PowerBaseVanishes(
+            f"power base within {_VANISH_TOL} of zero near z={z[at[-1]]}{row}")
+
+
 def evaluate_along(expr: PowerProduct, zs) -> np.ndarray:
     """Ledgered values at each supplied sample, walking them in order.
 
     Every interval between neighbouring samples in which some power base turns
     by 0.999 * pi/2 or more gets its midpoint inserted, all such intervals at
     once, until no base turns that far; each ledger is then the principal
-    argument at the first sample plus the running sum of the turns.  A batched
-    family is walked as one (batch, samples) array: an interval is split when
-    any row's base turns that far there, and each row keeps its own ledger.
+    argument at the first sample plus the running sum of the turns.  The
+    bases are kept across rounds as one (bases, ..., samples) array, and a
+    round evaluates them at its new midpoints only.  A batched family is
+    walked as one (batch, samples) array: an interval is split when any row's
+    base turns that far there, and each row keeps its own ledger.
     """
     z = np.array(zs, dtype=complex)
     given = np.ones(len(z), dtype=bool)
     depth = np.zeros(len(z) - 1, dtype=int)
+    bases = expr.bases(z)
     while True:
-        bases = expr.bases(z)
-        turns = []
-        split = np.zeros(len(z) - 1, dtype=bool)
-        for b in bases:
-            size = np.abs(b)
-            low = size < _VANISH_TOL * np.maximum(1.0, np.maximum.accumulate(size, axis=-1))
-            if low.any():
-                at = np.argwhere(low)[0]
-                row = f" in row {at[0]}" if b.ndim == 2 else ""
-                raise PowerBaseVanishes(
-                    f"power base within {_VANISH_TOL} of zero near z={z[at[-1]]}{row}")
-            turns.append(np.angle(b[..., 1:] / b[..., :-1]))
-            big = np.abs(turns[-1]) > 0.999 * _HALF_PI
-            split |= big.any(axis=tuple(range(big.ndim - 1)))
+        _check_vanishing(bases, z)
+        turns = np.angle(bases[..., 1:] / bases[..., :-1])
+        split = (np.abs(turns) > 0.999 * _HALF_PI).any(axis=tuple(range(turns.ndim - 1)))
         if not split.any():
             break
+        del turns  # the last round's turns build the ledgers; free the others early
         at = np.flatnonzero(split) + 1
         stuck = (depth[split] >= 52) | (np.abs(z[at] - z[at - 1]) < 1e-12)
         if stuck.any():
             raise RefinementLimit(f"cannot bound phase step near z={z[at[stuck][0]]}")
-        z = np.insert(z, at, (z[at - 1] + z[at]) / 2.0)
+        mid = (z[at - 1] + z[at]) / 2.0
+        z = np.insert(z, at, mid)
+        bases = np.insert(bases, at, expr.bases(mid), axis=-1)
         given = np.insert(given, at, False)
         depth = np.repeat(depth + split, np.where(split, 2, 1))
-    args = [np.cumsum(np.concatenate((np.angle(b[..., :1]), t), axis=-1), axis=-1)
-            for b, t in zip(bases, turns)]
+    args = np.cumsum(np.concatenate((np.angle(bases[..., :1]), turns), axis=-1), axis=-1)
     return expr.value(z, bases, args)[..., given]
 
 
@@ -321,37 +347,40 @@ def normalize_at(expr: PowerProduct, target: complex) -> PowerProduct:
 
 def exp_mink_dot(b, pre, anchor, sign: float = -1.0) -> PowerProduct:
     """exp(i b . k(z)) for k(z) = pre @ boost1(sign z) @ anchor, the Minkowski
-    dot written out; anchor may be (batch, 3)."""
-    b = np.asarray(b, dtype=complex)
+    dot written out; anchor may be (batch, 3), and b is (3,) or one row per
+    anchor."""
+    b0, b1, b2 = (_per_row(c) for c in np.asarray(b, dtype=complex).T)
+    k = _boosted(pre, anchor, sign)
 
     def exponent(z):
-        k0, k1, k2 = momentum(pre, anchor, z, sign)
-        return 1j * b[0] * k0 - 1j * b[1] * k1 - 1j * b[2] * k2
+        k0, k1, k2 = k(z)
+        return 1j * b0 * k0 - 1j * b1 * k1 - 1j * b2 * k2
 
     return PowerProduct(exps=(exponent,))
 
 
-def u_power_raw(pre, anchor, s_pow: float, m, variant: str = "pihalf",
+def u_power_raw(pre, anchor, s_pow, m, variant: str = "pihalf",
                 sign: float = -1.0) -> PowerProduct:
     """The quarter-rotated compensator as a product of ledgered powers of
     k(z)-components.
 
     variant "pihalf_bar" is the componentwise conjugate of "pihalf" on the
     real shell (needed for families that are conjugated before
-    continuation).  m is a mass, or one mass per anchor.  The overall branch
-    is fixed by the caller through normalize_at.
+    continuation).  s_pow and m are numbers, or hold one value per anchor.
+    The overall branch is fixed by the caller through normalize_at.
     """
     if variant not in ("pihalf", "pihalf_bar"):
         raise ValueError(f"unknown compensator variant {variant!r}")
     sgn = 1j if variant == "pihalf" else -1j
-    m = _per_row(m)
+    s_pow, m = _per_row(s_pow), _per_row(m)
+    k = _boosted(pre, anchor, sign)
 
     def bases(z):
-        k0, k1, k2 = momentum(pre, anchor, z, sign)
+        k0, k1, k2 = k(z)
         y = k0 - k2
         return y / m, y + m + sgn * k1, y + m - sgn * k1
 
-    return PowerProduct(cmath.exp(0.5 * math.pi * s_pow * sgn), (),
+    return PowerProduct(np.exp(0.5 * math.pi * s_pow * sgn), (),
                         ((bases, (s_pow, s_pow, -s_pow)),))
 
 
@@ -360,7 +389,7 @@ def u_power_raw(pre, anchor, s_pow: float, m, variant: str = "pihalf",
 # momentum k: V = u r00 + w r10 with u = L00 + i L10 and w = L01 + i L11.
 # The right factor ends in K' + m = [[k0'+k1'+m, k2'], [k2', k0'-k1'+m]].
 
-def boost_family_phase_raw(g: cg.CoverElement, q: MomentumPoint, s: float,
+def boost_family_phase_raw(g: cg.CoverElement, q: MomentumPoint, s,
                            eps: float = 1.0) -> PowerProduct:
     """Raw family z -> e^{i s Omega(boost(eps z) g, q)}.
 
@@ -368,18 +397,19 @@ def boost_family_phase_raw(g: cg.CoverElement, q: MomentumPoint, s: float,
     with K'(z) the spinor of k'(z) = project(g^-1) boost1(-eps z) q: the
     numerator is entire and the two square-root normalizations appear as
     ledgered powers; a MomentumPoint stack q, a stack of elements g, or both
-    give one batched family.  The caller anchors the phase with normalize_at.
+    give one batched family, and s is a number or one spin per row.  The
+    caller anchors the phase with normalize_at.
     """
-    qa, m = q.as_array(), _per_row(q.m)
+    qa, m, s = q.as_array(), _per_row(q.m), _per_row(s)
     a00, a01, a10, a11 = (_per_row(e) for e in cg._sl2_entries(g.gamma, g.omega))
-    lam_inv = cg.project(cg.inverse(g))
+    k = _boosted(cg.project(cg.inverse(g)), qa, -eps)
     # b(q)^-1 = (adj(Q) + m) / c_q, constant along the family
     q0, q1, q2 = (_per_row(c) for c in qa.T)
     u, w = q0 - q1 + m - 1j * q2, 1j * (q0 + q1 + m) - q2
     c_q_sq = 2.0 * m * (q0 + m)
 
     def bases(z):
-        k0, k1, k2 = momentum(lam_inv, qa, z, -eps)
+        k0, k1, k2 = k(z)
         # the x1-boost B1 = diag(e^{eps z/2}, e^{-eps z/2}) sits between the factors
         e = np.exp(0.5 * eps * z)
         kp = k0 + k1 + m
@@ -395,11 +425,12 @@ def fixed_element_phase_raw(g: cg.CoverElement, pre, anchor, s: float,
     from the 2x2 product (adj(K) + m) A_g (K' + m) for k' = project(g^-1) k;
     a stack of elements g gives one row per element."""
     a00, a01, a10, a11 = (_per_row(e) for e in cg._sl2_entries(g.gamma, g.omega))
-    lam_inv = _matrix_rows(cg.project(cg.inverse(g)))
+    k = _boosted(pre, anchor)
+    moved = _boosted(cg.project(cg.inverse(g)) @ np.asarray(pre, dtype=float), anchor)
 
     def bases(z):
-        k0, k1, k2 = momentum(pre, anchor, z)
-        l0, l1, l2 = (r[0] * k0 + r[1] * k1 + r[2] * k2 for r in lam_inv)
+        k0, k1, k2 = k(z)
+        l0, l1, l2 = moved(z)
         u, w = k0 - k1 + m - 1j * k2, 1j * (k0 + k1 + m) - k2
         lp = l0 + l1 + m
         v = (u * a00 + w * a10) * lp + (u * a01 + w * a11) * l2

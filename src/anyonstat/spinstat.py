@@ -102,7 +102,8 @@ class WaveMatrixFamily:
 
     All matrices are scalar prefactors times constant matrices, so a momentum
     stack is one array of scalars and each continuation one batched walk;
-    boundary pairs are memoized per momentum and fill() walks new ones at once.
+    boundary pairs are memoized per momentum, and fill() walks both
+    prefactors of all new momenta as one family, in one walk.
     """
 
     def __init__(self, model: ToyModel):
@@ -155,18 +156,20 @@ class WaveMatrixFamily:
 
     # -- dressed prefactors for the continuation engine --------------------
 
+    def _pref_expr(self, q, s, b) -> holo.PowerProduct:
+        """u_pihalf-compensated factor of spin s times exp(i b . k(z)), anchored
+        at the momenta q; s and b may hold one value per momentum of a stack."""
+        return (holo.compensated_family_expr(cg.identity(), q, s)
+                * holo.exp_mink_dot(b, np.eye(3), q.as_array()))
+
     def pref1_expr(self, q) -> holo.PowerProduct:
         """Scalar prefactor of the dressed first family anchored at q (a
         momentum stack gives a batched family)."""
-        m = self.model
-        return (holo.compensated_family_expr(cg.identity(), q, m.s)
-                * holo.exp_mink_dot(m.b1, np.eye(3), q.as_array()))
+        return self._pref_expr(q, self.model.s, self.model.b1)
 
     def pref2bar_expr(self, q) -> holo.PowerProduct:
         """Scalar prefactor of the conjugated dressed second family."""
-        m = self.model
-        return (holo.compensated_family_expr(cg.identity(), q, -m.s)
-                * holo.exp_mink_dot(m.b2, np.eye(3), q.as_array()))
+        return self._pref_expr(q, -self.model.s, self.model.b2)
 
     def pref2_pi_expr(self, q) -> holo.PowerProduct:
         """Scalar prefactor of the half-turn-rotated second family (a momentum
@@ -191,15 +194,19 @@ class WaveMatrixFamily:
     # -- engine boundary values --------------------------------------------
 
     def fill(self, ps: MomentumPoint) -> list:
-        """Cache the boundary pairs of all new momenta in the 1-D stack ps, one
-        batched walk per family; returns the memo keys of ps."""
+        """Cache the boundary pairs of all new momenta in the 1-D stack ps and
+        return the memo keys of ps.  The first and the conjugated second
+        prefactor of the new momenta are the two halves of one family, spin s
+        with b1 and spin -s with b2 at the same anchors, continued in one walk
+        along StripPath.vertical(0.0)."""
         keys = list(zip(ps.p1.tolist(), ps.p2.tolist()))
         rows = {k: i for i, k in enumerate(keys) if k not in self._cache}
         if rows:
-            qs = _reflected_anchor(ps[list(rows.values())])
-            path = holo.StripPath.vertical(0.0)
-            v1 = holo.continue_robust(self.pref1_expr(qs), path)
-            v2 = holo.continue_robust(self.pref2bar_expr(qs), path)
+            m, new = self.model, len(rows)
+            qs = _reflected_anchor(ps[list(rows.values()) * 2])
+            pair = self._pref_expr(qs, np.repeat([m.s, -m.s], new),
+                                   np.repeat([m.b1, m.b2], new, axis=0))
+            v1, v2 = np.split(holo.continue_robust(pair, holo.StripPath.vertical(0.0)), 2)
             self._cache.update(zip(rows, zip(v1.tolist(), v2.tolist())))
         return keys
 
@@ -297,8 +304,10 @@ def verify_transformation_law(g: cg.CoverElement, ps: MomentumPoint,
     """Both sides of the reflected covariance law, by independent continuations.
 
     The left side dresses the transformed family, the right side transforms
-    the dressed one; the compensated first factors are continued separately
-    and compared against their closed-form boundary values as well.  g is one
+    the dressed one.  Their compensated first factors are the two halves of
+    one family, continued in one walk and compared against their closed-form
+    boundary values as well; each side is its continued first factor times
+    its entire exponential factor exp(i b1 . k) read at i pi.  g is one
     element or one per momentum of ps; each residual has a row per momentum.
     """
     mdl = family.model
@@ -312,14 +321,20 @@ def verify_transformation_law(g: cg.CoverElement, ps: MomentumPoint,
 
     lp_j = cg.act_on_vector(cg.inverse(g), p_arr) @ J  # J is diagonal: x J = J x
 
-    lhs_f1 = holo.compensated_family_expr(g, _reflected_anchor(ps), mdl.s)
-    lhs = lhs_f1 * holo.exp_mink_dot(mdl.b1, -cg.project(cg.inverse(g)), p_arr @ J)
-    rhs_f1 = (holo.compensated_family_expr(cg.identity(), to_momentum(-lp_j, mdl.m), mdl.s)
-              * np.exp(-1j * mdl.s * wg.wigner_angle(g, ps)))
-    rhs = rhs_f1 * holo.exp_mink_dot(mdl.b1, -np.eye(3), lp_j)
-
-    side_l, side_r, f1_l, f1_r = (holo.continue_robust(f, holo.StripPath.vertical(0.0))
-                                  for f in (lhs, rhs, lhs_f1, rhs_f1))
+    # the left side's rows (element g at -J p), then the right side's (the
+    # identity at -J Lambda^-1 p): one family, one walk
+    rows = len(ps.p1)
+    anchors = np.concatenate([p_arr @ J, lp_j])
+    both = cg.CoverElement(np.concatenate([g.gamma, np.zeros(rows)]),
+                           np.concatenate([g.omega, np.zeros(rows)]))
+    f1 = (holo.compensated_family_expr(both, to_momentum(-anchors, mdl.m), mdl.s)
+          * np.concatenate([np.ones(rows), np.exp(-1j * mdl.s * wg.wigner_angle(g, ps))]))
+    f1_l, f1_r = np.split(holo.continue_robust(f1, holo.StripPath.vertical(0.0)), 2)
+    # the exponential factors are entire, with no base to track: read at i pi
+    pre = np.concatenate([cg.project(cg.inverse(g)), np.broadcast_to(np.eye(3), (rows, 3, 3))])
+    expo = holo.exp_mink_dot(mdl.b1, -pre, anchors)
+    e_l, e_r = np.split(holo.eval_principal(expo, [1j * math.pi])[:, 0], 2)
+    side_l, side_r = f1_l * e_l, f1_r * e_r
 
     bv_vec = to_momentum(-(cg.act_on_vector(cg.inverse(gg0), p_arr) @ J), mdl.m)
     bv = (cmath.exp(1j * math.pi * mdl.s)
@@ -506,11 +521,12 @@ def run_pipeline(s: float, m: float = 1.0, n: int = 2, seed: int = 0,
     g = cg.compose(cg.lift_rotation(draws[:, 0]), cg.lift_boost(draws[:, 1], draws[:, 2]))
     tl = verify_transformation_law(g, sub[[0, 0, 1, 1]], family)
 
-    # spot check: the same boundary value along two path shapes
-    spot_expr = family.pref1_expr(_reflected_anchor(grid[0]))
-    spot = abs(holo.continue_robust(spot_expr, [0.0, 1j * math.pi])
-               - holo.continue_robust(spot_expr, [0.0, 0.4, 0.4 + 0.6j * math.pi,
-                                                  1j * math.pi]))
+    # spot check: the same boundary value along two path shapes; fill walked
+    # the straight one, StripPath.vertical(0.0), for every grid momentum
+    straight, _ = family._cache[family.fill(grid[:1])[0]]
+    spot = abs(straight - holo.continue_robust(
+        family.pref1_expr(_reflected_anchor(grid[0])),
+        [0.0, 0.4, 0.4 + 0.6j * math.pi, 1j * math.pi]))
     q = _reflected_anchor(grid[2])
     kernel = family.pref2bar_expr(q) * family.pref1_expr(q)  # the scalar part of M
 

@@ -378,9 +378,11 @@ def continuation_suite(config: SuiteConfig) -> list:
     scalar = lambda z, t0: np.exp(1j * a * (z + t0))
     r1 = abs(holo.ode_continue(scalar, holo.StripPath.vertical(0.0, height=math.pi / 2))[0, 0]
              - cmath.exp(1j * a * (1j * math.pi / 2)))
+    # the zero of cosh at i pi/2 is a coarse node of the vertical path, so the
+    # walk detours through the shifted argument
     singular = lambda z, t0: np.cosh(z + t0)
-    r2 = abs(holo.ode_continue(singular, holo.StripPath.vertical(0.0, height=2.2))[0, 0]
-             - cmath.cosh(2.2j))
+    r2 = abs(holo.ode_continue(singular, holo.StripPath.vertical())[0, 0]
+             - cmath.cosh(1j * math.pi))
     _, fam = ss.build_toy_model(s, 1.0, 2, seed=config.seed)
     r3 = ss.ode_vs_engine(fam, mk.shell_point(0.35, -0.2, 1.0))
     records.append(_record("continuation", "log-derivative-ode",

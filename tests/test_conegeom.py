@@ -329,6 +329,24 @@ def test_causal_separation():
     assert not cgm.causally_separated(overlapping, cgm.SpatialSector(0.0, 0.5))
 
 
+def test_causal_separation_matches_the_pairwise_differences():
+    # sectors with disjoint direction intervals, so the verdict rests on the
+    # samples; each pair's interval (x - y)^2 taken one difference at a time
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for _ in range(200):
+        a1, o1, gap = rng.uniform(0, TWO_PI), rng.uniform(0.1, 2.5), rng.uniform(0.05, 1.0)
+        o2 = rng.uniform(0.1, min(3.0, TWO_PI - o1 - gap - 0.05))
+        apex = rng.normal(size=3) * rng.choice([0.0, 1.0, 20.0])
+        c1 = cgm.SpatialSector(a1, a1 + o1, apex)
+        c2 = cgm.SpatialSector(a1 + o1 + gap, a1 + o1 + gap + o2, apex + rng.normal(size=3))
+        d = cgm._cone_samples(c1)[:, None, :] - cgm._cone_samples(c2)[None, :, :]
+        want = np.max(d[..., 0] ** 2 - d[..., 1] ** 2 - d[..., 2] ** 2) < -1e-9
+        assert cgm.causally_separated(c1, c2) == want
+        verdicts.append(want)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 def test_poincare_action_deck_and_equivariance():
     _, base, *_ = cgm.single_cone_paths()
     deck = cgm.poincare_act_path(

@@ -79,11 +79,14 @@ BATCH = mk.MomentumPoint(*np.array([(0.4, -0.3), (0.02, 0.99), (1.5, 0.2), (-0.7
 
 
 def _final_samples(expr, zs):
-    """How many samples the walk of expr over zs ends with."""
+    """How many samples the walk of expr over zs ends with: the walk evaluates
+    the bases once per sample, new midpoints only in each later round, so this
+    is the sum of the sample counts of its calls of the first bases."""
     seen = []
-    counted = tuple((lambda z, fn=fn: seen.append(len(z)) or fn(z), ss) for fn, ss in expr.pows)
+    (fn, ss), *rest = expr.pows
+    counted = ((lambda z: seen.append(len(z)) or fn(z), ss), *rest)
     holo.evaluate_along(holo.PowerProduct(expr.scale, expr.exps, counted), zs)
-    return seen[-1]
+    return sum(seen)
 
 
 def _energy_factor(anchors):

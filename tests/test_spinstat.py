@@ -254,6 +254,49 @@ def test_a_wrongly_injected_statistics_phase_fails_every_spinstat_record(monkeyp
         assert abs(rec.residuals["pi_rotation"] - abs(shift - 1.0)) < 1e-9
 
 
+def test_a_family_with_a_spin_and_a_b_per_row_is_the_per_spin_families(family_third):
+    # fill's family: spin s with b1 and spin -s with b2 at the same anchors
+    mdl = family_third.model
+    qs = ss._reflected_anchor(ss.momentum_grid(1.0, 3))
+    rows = len(qs.p1)
+    both = qs[np.tile(np.arange(rows), 2)]
+    pair = (holo.compensated_family_expr(cg.identity(), both, np.repeat([mdl.s, -mdl.s], rows))
+            * holo.exp_mink_dot(np.repeat([mdl.b1, mdl.b2], rows, axis=0), np.eye(3),
+                                both.as_array()))
+    path = holo.StripPath.vertical(0.0)
+    got = holo.continue_along(pair, path)
+    want = np.concatenate([holo.continue_along(family_third.pref1_expr(qs), path),
+                           holo.continue_along(family_third.pref2bar_expr(qs), path)])
+    assert got.shape == want.shape == (2 * rows,)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
+
+
+def test_swapped_spin_rows_in_fill_fail_the_spinstat_record(monkeypatch):
+    # fill is the one caller that passes a spin per row: s, then -s
+    real = holo.compensated_family_expr
+    monkeypatch.setattr(holo, "compensated_family_expr", lambda g, q, s: real(
+        g, q, np.roll(s, len(s) // 2) if np.ndim(s) else s))
+    [rec] = suites.spinstat_suite(suites.SuiteConfig(seed=7, spins=(0.25,)))
+    assert rec.anchor == "statistics-phase-pipeline"
+    assert not rec.passed
+    assert rec.residuals["d_constancy"] > 1e-2
+
+
+def test_transformation_law_sees_b2_in_the_left_exponential_factor(family_third, monkeypatch):
+    g = cg.compose(cg.lift_rotation(0.1), cg.lift_boost(0.3, 0.2))
+    ps = GRID[:3]
+    assert max(np.max(v) for v in ss.verify_transformation_law(g, ps, family_third).values()) < 1e-8
+    mdl, real = family_third.model, holo.exp_mink_dot
+
+    def swapped(b, pre, anchor, sign=-1.0):
+        # the left side's rows come first
+        return real(np.repeat([mdl.b2, mdl.b1], len(anchor) // 2, axis=0), pre, anchor, sign)
+
+    monkeypatch.setattr(holo, "exp_mink_dot", swapped)
+    out = ss.verify_transformation_law(g, ps, family_third)
+    assert np.max(out["sides"]) > 1e-2
+
+
 def test_phase_extraction_values():
     grid = ss.momentum_grid(1.0, 3)
     for s, expected in ((0.0, 1.0), (0.5, -1.0), (1 / 3, cmath.exp(2j * math.pi / 3))):
@@ -456,12 +499,13 @@ def test_work_counts_do_not_grow_with_offsets_or_momenta(monkeypatch):
 
     for size in (2, 3):
         assert _count_walks(lambda: ss.run_pipeline(0.25, grid_size=size)) == {
-            "normalize_at": 12, "evaluate_along": 26}
-    # on a new family each check also fills the boundary pairs it reads
-    for check, walks in ((ss.two_point_boundary_check, (4, 7)),
-                         (lambda f, ps: ss.rotation_pi_relation(f, ps, 1.0), (3, 6)),
+            "normalize_at": 10, "evaluate_along": 19}
+    # on a new family each check also fills the boundary pairs it reads, with
+    # one family for both prefactors; the covariance check walks one family
+    for check, walks in ((ss.two_point_boundary_check, (3, 5)),
+                         (lambda f, ps: ss.rotation_pi_relation(f, ps, 1.0), (2, 4)),
                          (lambda f, ps: ss.verify_transformation_law(cg.identity(), ps, f),
-                          (2, 6))):
+                          (1, 2))):
         for ps in (GRID[:1], GRID[:3], GRID):
             _, fam = ss.build_toy_model(0.25, 1.0, 2, seed=7)
             counts = _count_walks(lambda: check(fam, ps))
