@@ -20,14 +20,15 @@ value at each accepted sample is exact up to float rounding (step size only
 influences branch selection, never the numerical value).
 
 The module also provides the builders of the compensated Wigner-phase
-families used by the spin-statistics pipeline.  Each builder writes its
-boosted momentum k(z) = pre @ boost1(sign z) @ anchor as a cosh(sign z) +
-b sinh(sign z) + c, with a, b and c set up once when it builds the family,
-and writes the 2x2 little-group product out by hand; its value at the real
-anchor is matched against the closed-form shell functions of `wigner`, so
-every continued family agrees with its real-axis definition by construction.
-A spin, and an exponential's b, may hold one value per row, so families of
-different spins at the same anchors walk as one.
+families used by the spin-statistics pipeline.  Every builder walks the one
+boosted momentum k(z) = pre @ boost1(-z) @ anchor, written as a cosh z -
+b sinh z + c with a, b and c set up once when it builds the family; a half
+turn enters only as a pre matrix.  Each builder writes the 2x2 little-group
+product out by hand; its value at the real anchor is matched against the
+closed-form shell functions of `wigner`, so every continued family agrees
+with its real-axis definition by construction.  A spin, and an
+exponential's b, may hold one value per row, so families of different
+spins at the same anchors walk as one.
 """
 
 from __future__ import annotations
@@ -115,12 +116,14 @@ class PowerProduct:
         return self.scale * np.exp(total)
 
 
-def _boosted(pre, anchor, sign: float = -1.0):
-    """z -> the components of k(z) = pre @ boost1(sign z) @ anchor on 1-D
-    samples, as one (3, ..., samples) array.
+def _boosted(pre, anchor):
+    """z -> the components of k(z) = pre @ boost1(-z) @ anchor on 1-D samples,
+    as one (3, ..., samples) array.
 
-    k(z) = a cosh(sign z) + b sinh(sign z) + c, with a, b and c set up here
-    once; a (batch, 3) anchor or (batch, 3, 3) pre gives them a batch axis.
+    k(z) = a cosh z - b sinh z + c, with a, b and c set up here once; a
+    (batch, 3) anchor or (batch, 3, 3) pre gives them a batch axis.  Every
+    family is continued in this one boost orientation: a half turn enters
+    only through pre, since boost1(z) R(-pi) = R(pi) boost1(-z).
     """
     pre, v = np.asarray(pre, dtype=float), np.asarray(anchor, dtype=float)[..., None, :]
     # (..., 3) components; .T puts the component first, ahead of the batch axis
@@ -130,18 +133,9 @@ def _boosted(pre, anchor, sign: float = -1.0):
         pre[..., 2] * v[..., 2]))
 
     def at(z):
-        zz = sign * z
-        return a * np.cosh(zz) + b * np.sinh(zz) + c
+        return a * np.cosh(z) - b * np.sinh(z) + c
 
     return at
-
-
-def momentum(pre, anchor, z, sign: float = -1.0) -> np.ndarray:
-    """The components of k(z) = pre @ boost1(sign z) @ anchor on the 1-D samples z.
-
-    A (batch, 3) anchor or (batch, 3, 3) pre gives (3, batch, samples).
-    """
-    return _boosted(pre, anchor, sign)(z)
 
 
 def eval_principal(expr: PowerProduct, z):
@@ -345,12 +339,12 @@ def normalize_at(expr: PowerProduct, target: complex) -> PowerProduct:
     return expr * ratio
 
 
-def exp_mink_dot(b, pre, anchor, sign: float = -1.0) -> PowerProduct:
-    """exp(i b . k(z)) for k(z) = pre @ boost1(sign z) @ anchor, the Minkowski
+def exp_mink_dot(b, pre, anchor) -> PowerProduct:
+    """exp(i b . k(z)) for k(z) = pre @ boost1(-z) @ anchor, the Minkowski
     dot written out; anchor may be (batch, 3), and b is (3,) or one row per
     anchor."""
     b0, b1, b2 = (_per_row(c) for c in np.asarray(b, dtype=complex).T)
-    k = _boosted(pre, anchor, sign)
+    k = _boosted(pre, anchor)
 
     def exponent(z):
         k0, k1, k2 = k(z)
@@ -359,28 +353,24 @@ def exp_mink_dot(b, pre, anchor, sign: float = -1.0) -> PowerProduct:
     return PowerProduct(exps=(exponent,))
 
 
-def u_power_raw(pre, anchor, s_pow, m, variant: str = "pihalf",
-                sign: float = -1.0) -> PowerProduct:
-    """The quarter-rotated compensator as a product of ledgered powers of
-    k(z)-components.
+def u_power_raw(pre, anchor, s_pow, m) -> PowerProduct:
+    """The quarter-rotated compensator u_pihalf(k(z), s_pow) as a product of
+    ledgered powers of the components of k(z) = pre @ boost1(-z) @ anchor.
 
-    variant "pihalf_bar" is the componentwise conjugate of "pihalf" on the
-    real shell (needed for families that are conjugated before
-    continuation).  s_pow and m are numbers, or hold one value per anchor.
-    The overall branch is fixed by the caller through normalize_at.
+    On the real shell its complex conjugate is, up to a constant phase, the
+    same family with k1 flipped, i.e. with diag(1, -1, 1) folded into pre.
+    s_pow and m are numbers, or hold one value per anchor.  The overall
+    branch is fixed by the caller through normalize_at.
     """
-    if variant not in ("pihalf", "pihalf_bar"):
-        raise ValueError(f"unknown compensator variant {variant!r}")
-    sgn = 1j if variant == "pihalf" else -1j
     s_pow, m = _per_row(s_pow), _per_row(m)
-    k = _boosted(pre, anchor, sign)
+    k = _boosted(pre, anchor)
 
     def bases(z):
         k0, k1, k2 = k(z)
         y = k0 - k2
-        return y / m, y + m + sgn * k1, y + m - sgn * k1
+        return y / m, y + m + 1j * k1, y + m - 1j * k1
 
-    return PowerProduct(np.exp(0.5 * math.pi * s_pow * sgn), (),
+    return PowerProduct(np.exp(0.5 * math.pi * s_pow * 1j), (),
                         ((bases, (s_pow, s_pow, -s_pow)),))
 
 
@@ -389,20 +379,21 @@ def u_power_raw(pre, anchor, s_pow, m, variant: str = "pihalf",
 # momentum k: V = u r00 + w r10 with u = L00 + i L10 and w = L01 + i L11.
 # The right factor ends in K' + m = [[k0'+k1'+m, k2'], [k2', k0'-k1'+m]].
 
-def boost_family_phase_raw(g: cg.CoverElement, q: MomentumPoint, s,
-                           eps: float = 1.0) -> PowerProduct:
-    """Raw family z -> e^{i s Omega(boost(eps z) g, q)}.
+def boost_family_phase_raw(g: cg.CoverElement, q: MomentumPoint, s) -> PowerProduct:
+    """Raw family z -> e^{i s Omega(boost(z) g, q)}.
 
-    Built from the 2x2 little-group matrix b(q)^-1 B1(eps z) A_g (K'(z) + m),
-    with K'(z) the spinor of k'(z) = project(g^-1) boost1(-eps z) q: the
+    Built from the 2x2 little-group matrix b(q)^-1 B1(z) A_g (K'(z) + m),
+    with K'(z) the spinor of k'(z) = project(g^-1) boost1(-z) q: the
     numerator is entire and the two square-root normalizations appear as
     ledgered powers; a MomentumPoint stack q, a stack of elements g, or both
     give one batched family, and s is a number or one spin per row.  The
-    caller anchors the phase with normalize_at.
+    reversed boost needs no family of its own: with R = R(pi),
+    Omega(boost(-z) g, q) = Omega(boost(z) R^-1 g R, R^-1 q).  The caller
+    anchors the phase with normalize_at.
     """
     qa, m, s = q.as_array(), _per_row(q.m), _per_row(s)
     a00, a01, a10, a11 = (_per_row(e) for e in cg._sl2_entries(g.gamma, g.omega))
-    k = _boosted(cg.project(cg.inverse(g)), qa, -eps)
+    k = _boosted(cg.project(cg.inverse(g)), qa)
     # b(q)^-1 = (adj(Q) + m) / c_q, constant along the family
     q0, q1, q2 = (_per_row(c) for c in qa.T)
     u, w = q0 - q1 + m - 1j * q2, 1j * (q0 + q1 + m) - q2
@@ -410,8 +401,8 @@ def boost_family_phase_raw(g: cg.CoverElement, q: MomentumPoint, s,
 
     def bases(z):
         k0, k1, k2 = k(z)
-        # the x1-boost B1 = diag(e^{eps z/2}, e^{-eps z/2}) sits between the factors
-        e = np.exp(0.5 * eps * z)
+        # the x1-boost B1 = diag(e^{z/2}, e^{-z/2}) sits between the factors
+        e = np.exp(0.5 * z)
         kp = k0 + k1 + m
         v = u * e * (a00 * kp + a01 * k2) + w / e * (a10 * kp + a11 * k2)
         return v, 2.0 * m * (k0 + m)
@@ -450,7 +441,7 @@ def compensated_family_expr(g: cg.CoverElement, q: MomentumPoint, s: float) -> P
     stack q the family is batched, and each row is anchored at its own momentum.
     """
     raw = (boost_family_phase_raw(g, q, s)
-           * u_power_raw(cg.project(cg.inverse(g)), q.as_array(), s, q.m, "pihalf"))
+           * u_power_raw(cg.project(cg.inverse(g)), q.as_array(), s, q.m))
     target = np.exp(1j * s * wg.wigner_angle(g, q)) * wg.u_pihalf(wg.transport(g, q), s)
     return normalize_at(raw, target)
 

@@ -175,19 +175,22 @@ class WaveMatrixFamily:
         """Scalar prefactor of the half-turn-rotated second family (a momentum
         stack gives a batched family).
 
-        The half turn conjugates the boost subgroup into its inverse, so the
-        family runs with reversed boost direction and the conjugate-symmetric
-        compensator; the anchor is matched against the literal closed form.
+        The half turn conjugates the x1-boosts into their inverses: on the
+        rotated anchor R(-pi) q the family walks boost1(z) R(-pi) q = R(pi)
+        boost1(-z) q, so it is built at q with R(pi) = diag(1, -1, -1) as
+        its pre, like every other family.  Its conjugated compensator is
+        u_pihalf with k1 flipped, whose pre is then diag(1, 1, -1), and its
+        Wigner phase is Omega(boost(z), q).  The anchor is matched against
+        the literal closed form at R(-pi) q.
         """
         m = self.model
-        qp_arr = q.as_array() @ rotation(-math.pi).T
-        qp = to_momentum(qp_arr, m.m)
-        raw = (holo.boost_family_phase_raw(cg.identity(), qp, m.s, eps=-1.0)
-               * holo.u_power_raw(np.eye(3), qp_arr, -m.s, m.m, "pihalf_bar", sign=1.0)
-               * holo.exp_mink_dot(-m.b2.conjugate(), np.eye(3), qp_arr, sign=1.0)
-               * cmath.exp(1j * math.pi * m.s))
+        qa = q.as_array()
+        raw = (holo.boost_family_phase_raw(cg.identity(), q, m.s)
+               * holo.u_power_raw(np.diag([1.0, 1.0, -1.0]), qa, -m.s, m.m)
+               * holo.exp_mink_dot(-m.b2.conjugate(), np.diag([1.0, -1.0, -1.0]), qa))
+        qp_arr = qa @ rotation(-math.pi).T
         target = cmath.exp(1j * math.pi * m.s) * (
-            wg.u_pihalf(qp, -m.s)
+            wg.u_pihalf(to_momentum(qp_arr, m.m), -m.s)
             * np.exp(1j * minkowski_product(m.b2, qp_arr))).conjugate()
         return holo.normalize_at(raw, target)
 
@@ -445,8 +448,8 @@ def _ode_family(family: WaveMatrixFamily, p: MomentumPoint) -> holo.OdeFamily:
         g0 = cg.lift_boost1(np.array(t0s))
         lam0_inv = cg.project(cg.inverse(g0))
         expr = (holo.fixed_element_phase_raw(g0, eye, p_arr, mdl.s, mdl.m)
-                * holo.u_power_raw(eye, p_arr, -mdl.s, mdl.m, "pihalf")
-                * holo.u_power_raw(lam0_inv, p_arr, mdl.s, mdl.m, "pihalf")
+                * holo.u_power_raw(eye, p_arr, -mdl.s, mdl.m)
+                * holo.u_power_raw(lam0_inv, p_arr, mdl.s, mdl.m)
                 * holo.exp_mink_dot(mdl.b2, eye, p_arr)
                 * holo.exp_mink_dot(mdl.b1, lam0_inv, p_arr))
         target = (np.exp(1j * mdl.s * wg.wigner_angle(g0, q0))

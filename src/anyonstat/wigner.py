@@ -116,20 +116,12 @@ def u_l0(p: MomentumPoint, s: float, g0: cg.CoverElement) -> complex:
     return np.exp(1j * s * wigner_angle(g0, p)) * u_plain(transport(g0, p), s)
 
 
-def cocycle(g: cg.CoverElement, p: MomentumPoint, s: float,
-            variant: str = "c", g0: cg.CoverElement | None = None) -> complex:
+def cocycle(g: cg.CoverElement, p: MomentumPoint, s: float) -> complex:
     """The compensated Wigner factor u(p)^{-1} e^{i s Omega(g, p)} u(Lambda^{-1} p).
 
-    variant "c" uses the plain compensator, variant "c_l0" the g0-shifted one
-    (g0 defaults to the quarter rotation).  Both satisfy the multiplicative
-    cocycle law in (g, p).
+    It satisfies the multiplicative cocycle law in (g, p).  Shifting the
+    compensator by g0, u -> u_l0(., s, g0), turns it into
+    u_l0(p)^{-1} e^{i s Omega(g, p)} u_l0(Lambda^{-1} p) = c(g g0, p) u(p) / u_l0(p).
     """
-    q = transport(g, p)
-    phase = np.exp(1j * s * wigner_angle(g, p))
-    if variant == "c":
-        return phase * u_plain(q, s) / u_plain(p, s)
-    if variant == "c_l0":
-        if g0 is None:
-            g0 = cg.lift_rotation(math.pi / 2.0)
-        return phase * u_l0(q, s, g0) / u_l0(p, s, g0)
-    raise ValueError(f"unknown cocycle variant {variant!r}")
+    return (np.exp(1j * s * wigner_angle(g, p)) * u_plain(transport(g, p), s)
+            / u_plain(p, s))

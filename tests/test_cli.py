@@ -79,13 +79,16 @@ def test_json_config_file(tmp_path):
                                   {"seed": True}, {"tol_engine": False},
                                   {"multiplicities": [2.5]}, {"out": 5},
                                   {"format": None}, {"masses": ["1.0", None]},
-                                  {"masses": [10 ** 400]}, {"seed": float("inf")}])
+                                  {"masses": [10 ** 400]}, {"seed": float("inf")},
+                                  {"spins": []}, {"masses": []}, {"multiplicities": []},
+                                  "spins=\n"])
 def test_json_config_value_of_the_wrong_type_is_a_config_error(data, tmp_path):
     # {"seed": 3.7, "grid": 2.9, "spins": [true]} ran as seed 3, grid 2 and
     # spin 1.0: a bool is no number, and an int field takes no fraction; a
-    # number too large for a float ended in an OverflowError traceback
+    # number too large for a float ended in an OverflowError traceback; an
+    # empty list, in JSON or as key=value, passed a run that checked nothing
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(data))
+    cfg.write_text(data if isinstance(data, str) else json.dumps(data))
     r = run_cli("--suite", "pauli-lubanski", env={"ANYONSTAT_CONFIG": str(cfg)})
     assert r.returncode == 2
     assert "config error" in r.stderr and r.stdout == ""

@@ -31,7 +31,7 @@ def _rest_light_cone_power():
     rest = mk.shell_point(0.0, 0.0, 1.0).as_array()
 
     def bases(z):
-        k0, k1, _ = holo.momentum(np.eye(3), rest, z)
+        k0, k1, _ = holo._boosted(np.eye(3), rest)(z)
         return (k0 - k1,)
 
     return holo.PowerProduct(pows=((bases, (S,)),))
@@ -44,12 +44,12 @@ def test_constant_expression():
 
 def test_momentum_node_at_ipi_is_reflection():
     p = mk.shell_point(0.6, -0.4, 1.0)
-    vals = holo.momentum(np.eye(3), p.as_array(), np.array([0.0, 1j * math.pi]))
+    vals = holo._boosted(np.eye(3), p.as_array())(np.array([0.0, 1j * math.pi]))
     assert np.max(np.abs(np.array(vals)[:, 0] - p.as_array())) < 1e-15
     assert np.max(np.abs(np.array(vals)[:, 1] - mk.J @ p.as_array())) < 1e-13
     # a batch of anchors gives one row per anchor
     batch = np.array([p.as_array(), mk.shell_point(0.1, 0.2, 2.0).as_array()])
-    k = holo.momentum(np.eye(3), batch, np.array([0.0, 1j * math.pi]))
+    k = holo._boosted(np.eye(3), batch)(np.array([0.0, 1j * math.pi]))
     assert np.max(np.abs(np.array(k)[:, :, 0] - batch.T)) < 1e-15
     assert np.max(np.abs(np.array(k)[:, :, 1] - mk.J @ batch.T)) < 1e-13
 
@@ -93,7 +93,7 @@ def _energy_factor(anchors):
     # (k0 + m)^s passes close to zero, and turns fast, where p0 cos y = -m
     # on the vertical path when p1 is small
     return holo.PowerProduct(
-        pows=((lambda z: (holo.momentum(np.eye(3), anchors, z)[0] + 1.0,), (S,)),))
+        pows=((lambda z: (holo._boosted(np.eye(3), anchors)(z)[0] + 1.0,), (S,)),))
 
 
 def test_batched_walk_matches_per_row_scalar_walks():
@@ -150,13 +150,23 @@ def test_phase_builders_match_wigner_angle_on_the_real_line(s):
     g = cg.compose(cg.lift_rotation(0.2), cg.lift_boost(1.1, 0.3))
     ts = np.linspace(-1.0, 1.0, 21)
     q = mk.shell_point(0.4, -0.3, 1.0)
-    for eps in (1.0, -1.0):
-        fam = holo.normalize_at(holo.boost_family_phase_raw(g, q, s, eps),
-                                cmath.exp(1j * s * wg.wigner_angle(g, q)))
-        vals = holo.evaluate_along(fam, np.concatenate(([0.0], ts)))[1:]
-        want = [cmath.exp(1j * s * wg.wigner_angle(cg.compose(cg.lift_boost1(eps * t), g), q))
-                for t in ts]
-        assert np.max(np.abs(vals - want)) < 1e-13
+    fam = holo.normalize_at(holo.boost_family_phase_raw(g, q, s),
+                            cmath.exp(1j * s * wg.wigner_angle(g, q)))
+    vals = holo.evaluate_along(fam, np.concatenate(([0.0], ts)))[1:]
+    want = [cmath.exp(1j * s * wg.wigner_angle(cg.compose(cg.lift_boost1(t), g), q))
+            for t in ts]
+    assert np.max(np.abs(vals - want)) < 1e-13
+    # the reversed boost is the same builder conjugated by the half turn R:
+    # Omega(boost(-z) g, q) = Omega(boost(z) R^-1 g R, R^-1 q)
+    half = cg.lift_rotation(math.pi)
+    turned = cg.compose(cg.compose(cg.inverse(half), g), half)
+    q_turned = mk.to_momentum(mk.rotation(-math.pi) @ q.as_array(), q.m)
+    fam = holo.normalize_at(holo.boost_family_phase_raw(turned, q_turned, s),
+                            cmath.exp(1j * s * wg.wigner_angle(g, q)))
+    vals = holo.evaluate_along(fam, np.concatenate(([0.0], ts)))[1:]
+    want = [cmath.exp(1j * s * wg.wigner_angle(cg.compose(cg.lift_boost1(-t), g), q))
+            for t in ts]
+    assert np.max(np.abs(vals - want)) < 1e-13
     pre = cg.project(cg.lift_rotation(0.7))
     anchor = mk.shell_point(0.2, 0.5, 1.3).as_array()
 
@@ -183,13 +193,11 @@ def test_builders_take_a_stack_of_elements_through_the_scalar_code():
     stack = cg.CoverElement(np.array([g.gamma for g in ELEMENTS], dtype=complex),
                             np.array([g.omega for g in ELEMENTS]))
     zs = [0.0, 0.3 + 1.0j, -0.2 + 2.0j, 0.1 + 1j * math.pi]
-    q = mk.shell_point(0.4, -0.3, 1.0)
     qs = BATCH[np.arange(len(ELEMENTS)) % len(BATCH.p1)]
     pre = cg.project(cg.lift_rotation(0.7))
     anchor = mk.shell_point(0.2, 0.5, 1.3).as_array()
     builders = [
         lambda g, i: holo.fixed_element_phase_raw(g, pre, anchor, S, 1.3),
-        lambda g, i: holo.boost_family_phase_raw(g, q, S, -1.0),
         lambda g, i: holo.boost_family_phase_raw(g, qs if i is None else qs[i], S),
         lambda g, i: holo.compensated_family_expr(g, qs if i is None else qs[i], S),
         lambda g, i: holo.exp_mink_dot((0.2, -0.1j, 0.3), cg.project(g) @ pre, anchor)
@@ -205,9 +213,9 @@ def test_builders_take_a_stack_of_elements_through_the_scalar_code():
             assert np.max(np.abs(batched[i] - single)) < 1e-13 * max(1.0, np.max(np.abs(single)))
             counts.append(_final_samples(build(g, i), zs))
         assert max(counts) > len(zs)
-    k = holo.momentum(cg.project(stack), anchor, np.array(zs))
+    k = holo._boosted(cg.project(stack), anchor)(np.array(zs))
     for i, g in enumerate(ELEMENTS):
-        row = holo.momentum(cg.project(g), anchor, np.array(zs))
+        row = holo._boosted(cg.project(g), anchor)(np.array(zs))
         assert np.max(np.abs(np.array(k)[:, i] - np.array(row))) < 1e-14
 
 
@@ -460,7 +468,7 @@ def test_walk_points_lie_on_the_complex_shell_over_the_negative_x_axis(m):
     q = ss._reflected_anchor(ss.momentum_grid(m, 5))
     t, theta = np.meshgrid(np.linspace(-2.0, 2.0, 9), np.linspace(0.05, math.pi - 0.05, 11))
     z = (t + 1j * theta).ravel()
-    k0, k1, k2 = holo.momentum(np.eye(3), q.as_array(), z)
+    k0, k1, k2 = holo._boosted(np.eye(3), q.as_array())(z)
     assert np.max(np.abs(k0 ** 2 - k1 ** 2 - k2 ** 2 - m * m)) < 1e-10 * max(1.0, m * m)
     energy = (mk.boost1(-z.real) @ q.as_array().T)[:, 0, :].T     # (boost1(-t) q)_0
     assert np.max(np.abs(k1.imag + np.sin(z.imag) * energy)) < 1e-12 * np.max(np.abs(k1))

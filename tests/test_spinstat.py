@@ -288,9 +288,9 @@ def test_transformation_law_sees_b2_in_the_left_exponential_factor(family_third,
     assert max(np.max(v) for v in ss.verify_transformation_law(g, ps, family_third).values()) < 1e-8
     mdl, real = family_third.model, holo.exp_mink_dot
 
-    def swapped(b, pre, anchor, sign=-1.0):
+    def swapped(b, pre, anchor):
         # the left side's rows come first
-        return real(np.repeat([mdl.b2, mdl.b1], len(anchor) // 2, axis=0), pre, anchor, sign)
+        return real(np.repeat([mdl.b2, mdl.b1], len(anchor) // 2, axis=0), pre, anchor)
 
     monkeypatch.setattr(holo, "exp_mink_dot", swapped)
     out = ss.verify_transformation_law(g, ps, family_third)

@@ -175,7 +175,8 @@ def test_shifted_cocycle_identity():
     for _ in range(200):
         g = cg.random_element(rng)
         p = random_shell(rng)
-        lhs = wg.u_l0(p, s, g0) * wg.cocycle(g, p, s, variant="c_l0", g0=g0)
+        # u_l0(p) c_l0(g, p), the cocycle of the g0-shifted compensator
+        lhs = cmath.exp(1j * s * wg.wigner_angle(g, p)) * wg.u_l0(wg.transport(g, p), s, g0)
         rhs = wg.u_plain(p, s) * wg.cocycle(cg.compose(g, g0), p, s)
         assert abs(lhs - rhs) < 1e-12
 
