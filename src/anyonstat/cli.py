@@ -8,7 +8,7 @@ A config file (JSON or key=value lines) may be pointed to by the
 ANYONSTAT_CONFIG environment variable; command line flags override it.
 JSON and CSV reports are byte-identical across runs with the same seed and
 config, so the volatile runtime field is serialized as null there; the text
-format shows measured times.
+format shows each record's own measured time.
 """
 
 from __future__ import annotations
@@ -209,9 +209,9 @@ def main(argv=None) -> int:
         return 2
     report = run_suite(args.suite, config)
     content = emit_report(report, config.format, config.out)
-    if config.out is None or config.format == "text":
-        sys.stdout.write(content if config.out is None else "")
-    if config.out is not None:
+    if config.out is None:
+        sys.stdout.write(content)
+    else:
         print(f"report written to {config.out}")
     return 0 if report.passed else 1
 

@@ -113,16 +113,11 @@ def _lorentz_rows(a, b, c, d) -> list:
             [a * c + b * d, a * c - b * d, b * c + a * d]]
 
 
-def _lorentz(gamma, omega) -> np.ndarray:
-    """Lorentz matrices of disk coordinates, shape (..., 3, 3)."""
-    lam = np.array(_lorentz_rows(*_sl2_entries(gamma, omega)))
-    return lam.transpose(tuple(range(2, lam.ndim)) + (0, 1))
-
-
 def project(g: CoverElement) -> np.ndarray:
     """The proper orthochronous Lorentz matrices onto which g projects,
     shape (..., 3, 3)."""
-    return _lorentz(g.gamma, g.omega)
+    lam = np.array(_lorentz_rows(*_sl2_entries(g.gamma, g.omega)))
+    return lam.transpose(tuple(range(2, lam.ndim)) + (0, 1))
 
 
 def act_on_vector(g: CoverElement, x) -> np.ndarray:

@@ -1,16 +1,20 @@
 """Verification suites: deterministic, seeded batteries over every module,
 collected into records that the command line driver serializes.
 
-Each record carries a stable anchor string naming the identity or property
-it certifies, the inputs that parametrized it, a dict of named residuals,
-and the pass verdict at the configured tolerance.
+Each suite is a generator that yields its records in a fixed order, and
+`run_suite` times each record as it arrives.  A record carries a stable
+anchor string naming the identity or property it certifies, the inputs that
+parametrized it, a dict of named residuals, and the pass verdict at the
+configured tolerance.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -133,32 +137,31 @@ def _series_expm(M: np.ndarray, terms: int = 40) -> np.ndarray:
     return out[..., :k] + 1j * out[..., k:]
 
 
-def group_suite(config: SuiteConfig) -> list:
+def group_suite(config: SuiteConfig) -> Iterator[Record]:
     rng = _rng(config, 1)
-    records = []
     # a block of draws holds, row by row, a per-sample loop's draws
 
     u = rng.uniform(size=(1000, 6))
     a, b = cg.element_from_draws(u[:, :3]), cg.element_from_draws(u[:, 3:])
     worst = _worst(cg.project(cg.compose(a, b)) - cg.project(a) @ cg.project(b))
-    records.append(_record("group", "cover-homomorphism",
-                           {"samples": 1000}, {"matrix": worst}, 1e-12))
+    yield _record("group", "cover-homomorphism",
+                  {"samples": 1000}, {"matrix": worst}, 1e-12)
 
     g = cg.element_from_draws(rng.uniform(size=(200, 3)))
     k = np.array([-2.0, -1.0, 1.0, 2.0])[:, None]
     deck = cg.compose(cg.lift_rotation(2.0 * math.pi * k), g)
     wm = _worst(cg.project(deck) - cg.project(g))
     wo = _worst(deck.omega - g.omega - 2.0 * math.pi * k)
-    records.append(_record("group", "deck-transformations",
-                           {"samples": 200, "decks": 4},
-                           {"matrix": wm, "winding": wo},
-                           {"matrix": 1e-12, "winding": 1e-10}))
+    yield _record("group", "deck-transformations",
+                  {"samples": 200, "decks": 4},
+                  {"matrix": wm, "winding": wo},
+                  {"matrix": 1e-12, "winding": 1e-10})
 
     g = cg.element_from_draws(rng.uniform(size=(1000, 3)))
     e = cg.compose(cg.inverse(g), g)
-    records.append(_record("group", "cover-inverse", {"samples": 1000},
-                           {"gamma": _worst(e.gamma), "omega": _worst(e.omega)},
-                           {"gamma": 1e-12, "omega": 1e-10}))
+    yield _record("group", "cover-inverse", {"samples": 1000},
+                  {"gamma": _worst(e.gamma), "omega": _worst(e.omega)},
+                  {"gamma": 1e-12, "omega": 1e-10})
 
     u = rng.uniform(size=(300, 6))
     g, h = cg.element_from_draws(u[:, :3]), cg.element_from_draws(u[:, 3:])
@@ -172,17 +175,17 @@ def group_suite(config: SuiteConfig) -> list:
     steps = np.arange(0, 101)
     path = cg.j_conjugate(cg.CoverElement(g.gamma * steps / 100.0, g.omega * steps / 100.0))
     wcont = float(np.max(np.abs(np.diff(path.gamma)) + np.abs(np.diff(path.omega)) - 0.2))
-    records.append(_record("group", "j-conjugation",
-                           {"samples": 300, "path_steps": 100},
-                           {"conjugation": wj, "involution": winv,
-                            "continuity_excess": max(0.0, wcont)},
-                           {"conjugation": 1e-12, "involution": 1e-12,
-                            "continuity_excess": 1e-12}))
+    yield _record("group", "j-conjugation",
+                  {"samples": 300, "path_steps": 100},
+                  {"conjugation": wj, "involution": winv,
+                   "continuity_excess": max(0.0, wcont)},
+                  {"conjugation": 1e-12, "involution": 1e-12,
+                   "continuity_excess": 1e-12})
 
     a, b = (-2.0 + 4.0 * rng.uniform(size=(1000, 2))).T
     worst = _worst(mk.boost1(a) @ mk.boost1(b) - mk.boost1(a + b))
-    records.append(_record("group", "boost-group-law", {"samples": 1000},
-                           {"matrix": worst}, 1e-12))
+    yield _record("group", "boost-group-law", {"samples": 1000},
+                  {"matrix": worst}, 1e-12)
 
     K1 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     sigma = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -194,26 +197,24 @@ def group_suite(config: SuiteConfig) -> list:
     Jth = np.cos(th)[..., None, None] * np.diag([1.0, 1.0, 0.0]) + np.diag([0.0, 0.0, 1.0])
     wf = _worst(B - (Jth + 1j * np.sin(th)[..., None, None] * sigma) @ mk.boost1(t))
     wmet = mk.lorentz_residual(B)
-    records.append(_record("group", "boost-strip-extension",
-                           {"grid": "20x20 over [-2,2]+i[0,pi]"},
-                           {"series_oracle": we, "factored_form": wf,
-                            "metric": wmet}, 1e-12))
+    yield _record("group", "boost-strip-extension",
+                  {"grid": "20x20 over [-2,2]+i[0,pi]"},
+                  {"series_oracle": we, "factored_form": wf,
+                   "metric": wmet}, 1e-12)
 
     r_ipi = _worst(mk.boost1(1j * math.pi) - mk.J)
     ts = np.linspace(-2, 2, 9)
     wjc = _worst(mk.J @ mk.boost1(ts) @ mk.J - mk.boost1(ts))
-    records.append(_record("group", "boost-reflection-value", {},
-                           {"value": r_ipi, "j_commutation": wjc}, 1e-14))
-    return records
+    yield _record("group", "boost-reflection-value", {},
+                  {"value": r_ipi, "j_commutation": wjc}, 1e-14)
 
 
 # ---------------------------------------------------------------------------
 # wigner suite
 # ---------------------------------------------------------------------------
 
-def wigner_suite(config: SuiteConfig) -> list:
+def wigner_suite(config: SuiteConfig) -> Iterator[Record]:
     rng = _rng(config, 2)
-    records = []
     s = 1.0 / 3.0
     # a block of draws holds, row by row, a per-sample loop's draws
 
@@ -222,22 +223,22 @@ def wigner_suite(config: SuiteConfig) -> list:
     p = _shell(u[:, 6:])
     lhs = wg.wigner_angle(cg.compose(a, b), p)
     rhs = wg.wigner_angle(a, p) + wg.wigner_angle(b, wg.transport(a, p))
-    records.append(_record("wigner", "cocycle-additivity", {"samples": 1000},
-                           {"angle": _worst(lhs - rhs)}, 1e-9))
+    yield _record("wigner", "cocycle-additivity", {"samples": 1000},
+                  {"angle": _worst(lhs - rhs)}, 1e-9)
 
     w = np.array([0.0, 0.37, -1.2, math.pi, 2.0 * math.pi, 4.0 * math.pi,
                   -2.0 * math.pi, 7.1])[:, None]
     p = _shell(rng.uniform(size=(8, 20, 2)))
     worst = _worst(wg.wigner_angle(cg.lift_rotation(w), p) - w)
-    records.append(_record("wigner", "rotation-angle-exactness",
-                           {"angles": 8, "momenta": 20}, {"angle": worst}, 1e-10))
+    yield _record("wigner", "rotation-angle-exactness",
+                  {"angles": 8, "momenta": 20}, {"angle": worst}, 1e-10)
 
     u = rng.uniform(size=(1000, 5))
     g, p = cg.element_from_draws(u[:, :3]), _shell(u[:, 3:])
     mjp = mk.to_momentum(-mk.j_reflect(p.as_array()), p.m)
     worst = _worst(wg.wigner_angle(cg.j_conjugate(g), p) + wg.wigner_angle(g, mjp))
-    records.append(_record("wigner", "reflection-angle-identity",
-                           {"samples": 1000}, {"angle": worst}, 1e-9))
+    yield _record("wigner", "reflection-angle-identity",
+                  {"samples": 1000}, {"angle": worst}, 1e-9)
 
     g0 = cg.lift_rotation(math.pi / 2.0)
     u = rng.uniform(size=(300, 8))
@@ -251,9 +252,9 @@ def wigner_suite(config: SuiteConfig) -> list:
     # the g0-shifted cocycle, u_l0(p) c_l0(a, p) = u(p) c(a g0, p)
     wl0 = _worst(np.exp(1j * s * wg.wigner_angle(a, p)) * wg.u_l0(wg.transport(a, p), s, g0)
                  - wg.u_plain(p, s) * wg.cocycle(cg.compose(a, g0), p, s))
-    records.append(_record("wigner", "cocycle-modulus-and-law",
-                           {"samples": 300},
-                           {"modulus": wmod, "law": wlaw, "shifted": wl0}, 1e-10))
+    yield _record("wigner", "cocycle-modulus-and-law",
+                  {"samples": 300},
+                  {"modulus": wmod, "law": wlaw, "shifted": wl0}, 1e-10)
 
     u = rng.uniform(size=(300, 5))
     g, p = cg.element_from_draws(u[:, :3]), _shell(u[:, 3:])
@@ -270,9 +271,9 @@ def wigner_suite(config: SuiteConfig) -> list:
         total = total + wg.wigner_angle(g, p)
         p = wg.transport(g, p)
     wloop = _worst(total - 2.0 * math.pi * k)
-    records.append(_record("wigner", "little-group-phase-closed-form",
-                           {"samples": 300, "loops": 4},
-                           {"phase": worst, "deck_accumulation": wloop}, 1e-10))
+    yield _record("wigner", "little-group-phase-closed-form",
+                  {"samples": 300, "loops": 4},
+                  {"phase": worst, "deck_accumulation": wloop}, 1e-10)
 
     p = _shell(rng.uniform(size=(200, 2)))
     mjp = mk.to_momentum(-mk.j_reflect(p.as_array()), p.m)
@@ -281,9 +282,8 @@ def wigner_suite(config: SuiteConfig) -> list:
     rest = mk.shell_point(0.0, 0.0, 1.0)
     worst = max(worst, abs(wg.u_plain(rest, 0.77) - 1.0))
     worst = max(worst, abs(wg.u_pihalf(rest, s) - cmath.exp(0.5j * math.pi * s)))
-    records.append(_record("wigner", "compensator-identities",
-                           {"samples": 200}, {"value": worst}, 1e-10))
-    return records
+    yield _record("wigner", "compensator-identities",
+                  {"samples": 200}, {"value": worst}, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +304,8 @@ def _hypothesis_elements(u) -> cg.CoverElement:
     return g
 
 
-def continuation_suite(config: SuiteConfig) -> list:
+def continuation_suite(config: SuiteConfig) -> Iterator[Record]:
     rng = _rng(config, 3)
-    records = []
     s = 1.0 / 3.0
     g0 = cg.lift_rotation(math.pi / 2.0)
 
@@ -322,9 +321,9 @@ def continuation_suite(config: SuiteConfig) -> list:
     closed = (cmath.exp(1j * math.pi * s)
               * np.exp(1j * s * wg.wigner_angle(cg.j_conjugate(gg0), p))
               * wg.u_plain(mk.to_momentum(vec, 1.0), s))
-    records.append(_record("continuation", "compensated-boundary-value",
-                           {"samples": 50, "spin": s}, {"value": _worst(cont - closed)},
-                           config.tol_boundary))
+    yield _record("continuation", "compensated-boundary-value",
+                  {"samples": 50, "spin": s}, {"value": _worst(cont - closed)},
+                  config.tol_boundary)
 
     u = rng.uniform(size=(6, 5))
     f = holo.compensated_family_expr(_hypothesis_elements(u[:, :3]),
@@ -334,9 +333,9 @@ def continuation_suite(config: SuiteConfig) -> list:
                             _shell(rng.uniform(size=2)).as_array())
     # perimeter-4 rectangle strictly inside the open strip
     r_ent = holo.morera_residual(ent, holo.StripPath.rectangle(-0.5, 0.5, 0.8, 1.8))
-    records.append(_record("continuation", "strip-morera",
-                           {"families": 6}, {"compensated": worst, "entire": r_ent},
-                           {"compensated": config.tol_boundary, "entire": 1e-10}))
+    yield _record("continuation", "strip-morera",
+                  {"families": 6}, {"compensated": worst, "entire": r_ent},
+                  {"compensated": config.tol_boundary, "entire": 1e-10})
 
     p = mk.shell_point(0.5, 1.0, 1.0)
     zstar = holo.boost_energy_branch_point(p)
@@ -354,13 +353,13 @@ def continuation_suite(config: SuiteConfig) -> list:
     broken = holo.morera_residual(bare, holo.StripPath.rectangle(
         zstar.real - 0.3, zstar.real + 0.3, zstar.imag - 0.3, zstar.imag + 0.3),
         principal=True)
-    records.append(Record("continuation", "uncompensated-negative-control",
-                          {"branch_point": [zstar.real, zstar.imag], "spin": s},
-                          {"morera": r_box, "path_dependence": vdiff,
-                           "principal_morera": broken,
-                           "compensated_path_independence": cdiff},
-                          bool(r_box > 1e-3 and vdiff > 1e-3 and broken > 1e-3
-                               and cdiff < config.tol_engine)))
+    yield Record("continuation", "uncompensated-negative-control",
+                 {"branch_point": [zstar.real, zstar.imag], "spin": s},
+                 {"morera": r_box, "path_dependence": vdiff,
+                  "principal_morera": broken,
+                  "compensated_path_independence": cdiff},
+                 bool(r_box > 1e-3 and vdiff > 1e-3 and broken > 1e-3
+                      and cdiff < config.tol_engine))
 
     u = rng.uniform(size=5)
     g, p = _hypothesis_elements(u[:3]), _shell(u[3:], spread=0.6)
@@ -371,12 +370,12 @@ def continuation_suite(config: SuiteConfig) -> list:
                                   0.3 + 0.8j * math.pi, 1j * math.pi])
     coarse = holo.continue_along(f, holo.StripPath.vertical(0.0, samples=3))
     fine = holo.continue_along(f, holo.StripPath.vertical(0.0, samples=129))
-    records.append(_record("continuation", "anchor-and-path-independence",
-                           {"paths": 3},
-                           {"shifted_path": abs(v0 - v5), "zigzag": abs(v0 - vz),
-                            "refinement": abs(coarse - fine)},
-                           {"shifted_path": config.tol_engine,
-                            "zigzag": config.tol_engine, "refinement": 1e-10}))
+    yield _record("continuation", "anchor-and-path-independence",
+                  {"paths": 3},
+                  {"shifted_path": abs(v0 - v5), "zigzag": abs(v0 - vz),
+                   "refinement": abs(coarse - fine)},
+                  {"shifted_path": config.tol_engine,
+                   "zigzag": config.tol_engine, "refinement": 1e-10})
 
     a = 0.7
     scalar = lambda z, t0: np.exp(1j * a * (z + t0))
@@ -389,12 +388,11 @@ def continuation_suite(config: SuiteConfig) -> list:
              - cmath.cosh(1j * math.pi))
     _, fam = ss.build_toy_model(s, 1.0, 2, seed=config.seed)
     r3 = ss.ode_vs_engine(fam, mk.shell_point(0.35, -0.2, 1.0))
-    records.append(_record("continuation", "log-derivative-ode",
-                           {"toy": "exp/cosh", "spin": s},
-                           {"exp_toy": r1, "cosh_detour": r2, "family_dual_route": r3},
-                           {"exp_toy": 1e-8, "cosh_detour": 1e-5,
-                            "family_dual_route": 1e-6}))
-    return records
+    yield _record("continuation", "log-derivative-ode",
+                  {"toy": "exp/cosh", "spin": s},
+                  {"exp_toy": r1, "cosh_detour": r2, "family_dual_route": r3},
+                  {"exp_toy": 1e-8, "cosh_detour": 1e-5,
+                   "family_dual_route": 1e-6})
 
 
 # ---------------------------------------------------------------------------
@@ -427,17 +425,16 @@ def _equivariance_defects(rng, base: cgm.ConePath, count: int):
     return np.concatenate(rows)[:count], np.concatenate(defects)[:count]
 
 
-def cones_suite(config: SuiteConfig) -> list:
+def cones_suite(config: SuiteConfig) -> Iterator[Record]:
     rng = _rng(config, 4)
-    records = []
 
     sector, e1, e2, e3 = cgm.single_cone_paths()
     ok = (cgm.path_equivalent(e1, e2, sector)
           and not cgm.path_equivalent(e1, e3, sector)
           and cgm.path_equivalent(e1, e1, sector))
-    records.append(_record("cones", "approach-path-equivalence",
-                           {"configuration": "single cone, three paths"},
-                           {"violations": 0.0 if ok else 1.0}, 0.5))
+    yield _record("cones", "approach-path-equivalence",
+                  {"configuration": "single cone, three paths"},
+                  {"violations": 0.0 if ok else 1.0}, 0.5)
 
     p1, p2 = cgm.antipodal_pair()
     wound = cgm.ConePath(p1.sector, p1.accumulated_angle + 2.0 * math.pi)
@@ -450,9 +447,9 @@ def cones_suite(config: SuiteConfig) -> list:
               and not cgm.exchange_hypothesis(p2, p1)
               and not cgm.exchange_hypothesis(wound, p2)
               and not both.any())
-    records.append(_record("cones", "exchange-hypothesis",
-                           {"configuration": "antipodal pair", "asymmetry_samples": 100},
-                           {"violations": 0.0 if ok else 1.0}, 0.5))
+    yield _record("cones", "exchange-hypothesis",
+                  {"configuration": "antipodal pair", "asymmetry_samples": 100},
+                  {"violations": 0.0 if ok else 1.0}, 0.5)
 
     u = rng.uniform(size=(200, 2))
     a = -math.pi + 2.0 * math.pi * u[:, 0]
@@ -462,9 +459,9 @@ def cones_suite(config: SuiteConfig) -> list:
     worst = _worst(dd.alpha - a, dd.beta - b)
     da, di = cgm.dual_sector(sec), cgm.dual_sector(cgm.SpatialSector(a + 0.05, b - 0.05))
     nested_bad = np.sum(~((di.alpha <= da.alpha + 1e-12) & (da.beta <= di.beta + 1e-12)))
-    records.append(_record("cones", "dual-cone-double-dual", {"samples": 200},
-                           {"angles": worst, "order_reversal_violations": float(nested_bad)},
-                           {"angles": 1e-12, "order_reversal_violations": 0.5}))
+    yield _record("cones", "dual-cone-double-dual", {"samples": 200},
+                  {"angles": worst, "order_reversal_violations": float(nested_bad)},
+                  {"angles": 1e-12, "order_reversal_violations": 0.5})
 
     # per draw seven uniforms as lo + (hi - lo) u: a, the opening, the apex, the
     # direction's lifted angle in (a - 0.5, b + 0.5) and tilt; a draw at the oracle
@@ -493,10 +490,10 @@ def cones_suite(config: SuiteConfig) -> list:
     oracle = cgm.cone_contains_point(sec, cgm._cone_samples(sec) + e.e,
                                      margin=-1e-6).all(0)
     trans_bad = np.sum(cgm.contains_direction(sec, e) != oracle)
-    records.append(_record("cones", "direction-containment-oracle",
-                           {"samples": 200, "margin": 1e-6},
-                           {"mismatches": float(mismatches),
-                            "translation_violations": float(trans_bad)}, 0.5))
+    yield _record("cones", "direction-containment-oracle",
+                  {"samples": 200, "margin": 1e-6},
+                  {"mismatches": float(mismatches),
+                   "translation_violations": float(trans_bad)}, 0.5)
 
     s1, s2 = p1.sector, p2.sector
     sal = cgm.difference_salient(s1, s2)
@@ -506,8 +503,8 @@ def cones_suite(config: SuiteConfig) -> list:
     anti = cgm.difference_sector(cgm.SpatialSector(-0.1, 0.1),
                                  cgm.SpatialSector(math.pi - 0.1, math.pi + 0.1))
     ok = sal and neg and not_sal and anti is not None
-    records.append(_record("cones", "difference-cone-salience",
-                           {"configurations": 3}, {"violations": 0.0 if ok else 1.0}, 0.5))
+    yield _record("cones", "difference-cone-salience",
+                  {"configurations": 3}, {"violations": 0.0 if ok else 1.0}, 0.5)
 
     base = cgm.single_cone_paths()[1]
     worst = float(np.max(_equivariance_defects(rng, base, 500)[1]))
@@ -516,70 +513,56 @@ def cones_suite(config: SuiteConfig) -> list:
     worst_deck = abs(deck.accumulated_angle - base.accumulated_angle - 2.0 * math.pi)
     quarters = cg.lift_rotation(np.array([math.pi / 2.0, 0.0, math.pi / 2.0 + 2.0 * math.pi]))
     wedge_ok = cgm.in_wedge_class(quarters).tolist() == [True, False, False]
-    records.append(_record("cones", "path-action-equivariance",
-                           {"samples": 500},
-                           {"composition": worst, "deck_shift": worst_deck,
-                            "wedge_class_violations": 0.0 if wedge_ok else 1.0},
-                           {"composition": 1e-9, "deck_shift": 1e-12,
-                            "wedge_class_violations": 0.5}))
-    return records
+    yield _record("cones", "path-action-equivariance",
+                  {"samples": 500},
+                  {"composition": worst, "deck_shift": worst_deck,
+                   "wedge_class_violations": 0.0 if wedge_ok else 1.0},
+                  {"composition": 1e-9, "deck_shift": 1e-12,
+                   "wedge_class_violations": 0.5})
 
 
 # ---------------------------------------------------------------------------
 # pauli-lubanski suite
 # ---------------------------------------------------------------------------
 
-def pauli_lubanski_suite(config: SuiteConfig) -> list:
-    records = []
+def pauli_lubanski_suite(config: SuiteConfig) -> Iterator[Record]:
     for m, s in ((1.0, 0.0), (1.0, 0.5), (1.7, 0.137)):
         cfg = repn.RepConfig(m, s, 1)
         psi = repn.WaveFunction.gaussian(cfg, center=(0.25, -0.15), width=1.0)
         pts = mk.MomentumPoint(*np.array([(0.0, 0.0), (0.3, 0.1), (-0.2, 0.4), (0.5, -0.3),
                                           (0.1, 0.6), (0.45, 0.25)]).T, m)
         r = repn.casimir_residual(psi, pts)
-        records.append(_record("pauli-lubanski", "casimir-eigenvalue",
-                               {"mass": m, "spin": s, "points": len(pts.p1)},
-                               {"relative": r}, 1e-6))
-    return records
+        yield _record("pauli-lubanski", "casimir-eigenvalue",
+                      {"mass": m, "spin": s, "points": len(pts.p1)},
+                      {"relative": r}, 1e-6)
 
 
 # ---------------------------------------------------------------------------
 # spin-statistics suite
 # ---------------------------------------------------------------------------
 
-def spinstat_suite(config: SuiteConfig) -> list:
-    records = []
+def spinstat_suite(config: SuiteConfig) -> Iterator[Record]:
     tol = config.tol_pipeline
-    for m in config.masses:
-        for n in config.multiplicities:
-            for s in config.spins:
-                inputs = {"spin": s, "mass": m, "n": n, "seed": config.seed,
-                          "grid": config.grid}
-                try:
-                    rep = ss.run_pipeline(s, m, n, seed=config.seed,
-                                          grid_size=config.grid)
-                except Exception as e:
-                    records.append(Record("spinstat", "statistics-phase-pipeline",
-                                          _error_inputs(inputs, e), {}, False))
-                    continue
-                res = {"phase": rep.phase_error, "weak_phase": rep.weak_error,
-                       **{k: rep.residuals[k] for k in (
-                           "path_invariance", "d_constancy", "pi_rotation", "dual_route",
-                           "boundary_closed", "transformation_law", "wigner_cancellation",
-                           "kernel_morera", "ode_vs_engine")}}
-                tols = {k: tol for k in res}
-                tols["weak_phase"] = max(tol, 1e-7)
-                tols["ode_vs_engine"] = 1e-6
-                tols["wigner_cancellation"] = max(tol, 1e-11)
-                min_eig = rep.residuals["dstar_d_min_eig"]
-                ok = all(res[k] < tols[k] for k in res) and min_eig > 1e-6
-                rec = Record("spinstat", "statistics-phase-pipeline",
-                             {**inputs,
-                              "omega_hat": [rep.omega_hat.real, rep.omega_hat.imag],
-                              "dstar_d_min_eig": min_eig},
-                             res, bool(ok))
-                records.append(rec)
-    return records
+    tols = {"phase": tol, "weak_phase": max(tol, 1e-7), "path_invariance": tol,
+            "d_constancy": tol, "pi_rotation": tol, "dual_route": tol,
+            "boundary_closed": tol, "transformation_law": tol,
+            "wigner_cancellation": max(tol, 1e-11), "kernel_morera": tol,
+            "ode_vs_engine": 1e-6}
+    for m, n, s in itertools.product(config.masses, config.multiplicities, config.spins):
+        inputs = {"spin": s, "mass": m, "n": n, "seed": config.seed, "grid": config.grid}
+        try:
+            rep = ss.run_pipeline(s, m, n, seed=config.seed, grid_size=config.grid)
+        except Exception as e:
+            yield Record("spinstat", "statistics-phase-pipeline",
+                         _error_inputs(inputs, e), {}, False)
+            continue
+        rec = _record("spinstat", "statistics-phase-pipeline",
+                      {**inputs, "omega_hat": [rep.omega_hat.real, rep.omega_hat.imag],
+                       "dstar_d_min_eig": rep.min_eig},
+                      rep.residuals, tols)
+        # the smallest eigenvalue of D^* D is an input floor, not a residual
+        rec.passed = rec.passed and rep.min_eig > 1e-6
+        yield rec
 
 
 _SUITE_FUNCS = {
@@ -595,8 +578,11 @@ _SUITE_FUNCS = {
 def run_suite(name: str, config: SuiteConfig) -> Report:
     """Run one suite (or 'all'); deterministic for a fixed seed and config.
 
-    An exception that escapes a suite becomes one FAIL record for it, which
-    names the exception; the other suites still run.
+    A record's runtime_ms is the wall time since its suite yielded the
+    previous record, or since the suite started for its first record.  An
+    exception that escapes a suite, even after it has yielded records,
+    replaces them with one FAIL record for it, which names the exception;
+    the other suites still run.
     """
     if name == "all":
         names = SUITE_NAMES
@@ -607,13 +593,15 @@ def run_suite(name: str, config: SuiteConfig) -> Report:
                          f"{', '.join(SUITE_NAMES + ('all',))}")
     report = Report(version="1", config=asdict(config))
     for n in names:
-        t0 = time.perf_counter()
+        recs, start = [], time.perf_counter()
+        last = start
         try:
-            recs = _SUITE_FUNCS[n](config)
+            for rec in _SUITE_FUNCS[n](config):
+                now = time.perf_counter()
+                rec.runtime_ms, last = (now - last) * 1000.0, now
+                recs.append(rec)
         except Exception as e:
-            recs = [Record(n, "suite-error", _error_inputs({}, e), {}, False)]
-        dt = (time.perf_counter() - t0) * 1000.0 / max(1, len(recs))
-        for r in recs:
-            r.runtime_ms = dt
+            recs = [Record(n, "suite-error", _error_inputs({}, e), {}, False,
+                           (time.perf_counter() - start) * 1000.0)]
         report.records.extend(recs)
     return report

@@ -103,13 +103,13 @@ def test_criterion_7_spin_statistics_pipeline():
     worst = {"phase": 0.0, "weak": 0.0, "d": 0.0, "pi": 0.0, "dual": 0.0}
     for s in (0.0, 0.25, 1 / 3, 0.5, 0.137):
         rep = ss.run_pipeline(s, 1.0, 2, seed=CONFIG.seed, grid_size=CONFIG.grid)
-        worst["phase"] = max(worst["phase"], rep.phase_error)
-        worst["weak"] = max(worst["weak"], rep.weak_error)
+        worst["phase"] = max(worst["phase"], rep.residuals["phase"])
+        worst["weak"] = max(worst["weak"], rep.residuals["weak_phase"])
         worst["d"] = max(worst["d"], rep.residuals["d_constancy"])
         worst["pi"] = max(worst["pi"], rep.residuals["pi_rotation"])
         worst["dual"] = max(worst["dual"], rep.residuals["dual_route"],
                             rep.residuals["boundary_closed"])
-        assert rep.residuals["dstar_d_min_eig"] > 1e-6
+        assert rep.min_eig > 1e-6
     ok = (worst["phase"] < 1e-8 and worst["d"] < 1e-8 and worst["pi"] < 1e-8
           and worst["dual"] < 1e-8 and worst["weak"] < 1e-7)
     _verdict(7, "statistics phase recovered for s in {0, 1/4, 1/3, 1/2, 0.137}", ok,

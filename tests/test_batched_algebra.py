@@ -313,7 +313,7 @@ def test_batched_path_action_equivariance_keeps_the_scalar_draws(seed, monkeypat
 
     monkeypatch.setattr(suites, "_equivariance_defects", spy)
     monkeypatch.setattr(cgm, "poincare_act_path", record)
-    rec = suites.cones_suite(suites.SuiteConfig(seed=seed))[-1]
+    rec = list(suites.cones_suite(suites.SuiteConfig(seed=seed)))[-1]
     assert rec.anchor == "path-action-equivariance" and rec.passed
     start, (rows, defects) = seen
     base = cgm.single_cone_paths()[1]

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -37,6 +38,17 @@ def test_json_determinism(tmp_path):
                     "--format", "json", "--out", str(path))
         assert r.returncode == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_a_text_report_written_to_a_file_prints_only_where_it_went(tmp_path):
+    path = tmp_path / "report.txt"
+    r = run_cli("--suite", "pauli-lubanski", "--format", "text", "--out", str(path))
+    assert r.returncode == 0
+    assert r.stdout == f"report written to {path}\n"
+    lines = path.read_text().splitlines()
+    assert len(lines) == 4 and lines[-1] == "overall: PASS (3/3)"
+    assert all(line.startswith("[PASS] pauli-lubanski/casimir-eigenvalue")
+               for line in lines[:3])
 
 
 def test_exit_code_contract(tmp_path):
@@ -308,6 +320,39 @@ def test_an_exception_escaping_a_suite_is_a_fail_record(monkeypatch):
         (name, "ok", True, {}) if name != "cones" else
         ("cones", "suite-error", False, {"error": "ZeroDivisionError: division by zero"})
         for name in suites.SUITE_NAMES]
+
+
+def test_a_suite_that_raises_after_yielding_is_one_fail_record(monkeypatch):
+    def half(config):
+        yield suites.Record("cones", "ok", {}, {}, True)
+        raise ZeroDivisionError("division by zero")
+
+    def key(r):
+        return r.suite, r.anchor, r.inputs, r.residuals, r.passed
+
+    config = SuiteConfig(spins=(0.25,), grid=2)
+    want = run_suite("all", config).records
+    monkeypatch.setitem(suites._SUITE_FUNCS, "cones", half)
+    got = run_suite("all", config).records
+    at = next(i for i, r in enumerate(want) if r.suite == "cones")
+    kept = [key(r) for r in want if r.suite != "cones"]
+    error = ("cones", "suite-error", {"error": "ZeroDivisionError: division by zero"}, {}, False)
+    assert [key(r) for r in got] == kept[:at] + [error] + kept[at:]
+
+
+def test_each_record_is_timed_on_its_own(monkeypatch):
+    assert all(map(inspect.isgeneratorfunction, suites._SUITE_FUNCS.values()))
+
+    def two(config):
+        yield suites.Record("group", "first", {}, {}, True)
+        yield suites.Record("group", "second", {}, {}, True)
+
+    # the suite starts at 0 s and yields its records at 0.25 s and 1 s
+    clock = iter([0.0, 0.25, 1.0])
+    monkeypatch.setitem(suites._SUITE_FUNCS, "group", two)
+    monkeypatch.setattr(suites.time, "perf_counter", lambda: next(clock))
+    report = run_suite("group", SuiteConfig())
+    assert [r.runtime_ms for r in report.records] == [250.0, 750.0]
 
 
 @pytest.mark.parametrize("flags", [["--tol-pipeline", "-1e-8"], ["--mass", "-inf"],

@@ -203,7 +203,7 @@ def _patch_lift(monkeypatch, mutant):
                          ids=["omega-mod-2pi", "boost-turn-the-other-way"])
 def test_a_lift_off_by_full_turns_fails_the_path_action_check(monkeypatch, mutant, key):
     _patch_lift(monkeypatch, mutant)
-    recs = suites.cones_suite(suites.SuiteConfig(seed=7))
+    recs = list(suites.cones_suite(suites.SuiteConfig(seed=7)))
     rec = next(r for r in recs if r.anchor == "path-action-equivariance")
     assert not rec.passed and rec.residuals[key] > 1.0
     assert all(r.passed for r in recs if r is not rec)

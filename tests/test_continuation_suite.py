@@ -120,6 +120,6 @@ def _count_calls(run) -> dict:
 def test_continuation_work_counts(seed):
     # one family for the 50 boundary values and one for the six Morera
     # rectangles; one element or momentum at a time gives 59, 54, 9 and 131
-    counts = _count_calls(lambda: suites.continuation_suite(suites.SuiteConfig(seed=seed)))
+    counts = _count_calls(lambda: list(suites.continuation_suite(suites.SuiteConfig(seed=seed))))
     assert counts == {"compensated_family_expr": 5, "continue_robust": 5,
                       "morera_residual": 4, "evaluate_along": 23}
