@@ -518,42 +518,54 @@ def _with_midpoints(full: np.ndarray) -> np.ndarray:
 
 _FD_OFFSETS = (0.0, 1.0, -1.0, 0.5, -0.5)
 _FD_DELTA = 1e-3
+# the fine pass steps _FD_DELTA * min(1, _FD_NORM / max ||A|| over the scan)
+_FD_NORM = 10.0
+# the argument shifts of the reruns of a singular problem: 0.1, then 1.7 times the last
+_SHIFTS = (0.1, 0.1 * 1.7, 0.1 * 1.7 * 1.7, 0.1 * 1.7 * 1.7 * 1.7, 0.1 * 1.7 * 1.7 * 1.7 * 1.7)
 _STEPS = 120
 _STEP_BUDGET = 0.01
 _MAX_STEPS = 100_000
 _COND_MAX = 1e12
 
 
-def _log_derivative(fam: "OdeFamily", zs):
-    """h(z), and A(z) = h^{-1} h_hat by Richardson central differences."""
-    H = dict(zip(_FD_OFFSETS, fam.h_batch(_FD_DELTA * np.array(_FD_OFFSETS), zs)))
-    d1 = (H[1.0] - H[-1.0]) / (2.0 * _FD_DELTA)
-    d2 = (H[0.5] - H[-0.5]) / _FD_DELTA
+def _log_derivative(fam: "OdeFamily", zs, delta: float):
+    """h(z), and A(z) = h^{-1} h_hat by Richardson central differences of step delta."""
+    H = dict(zip(_FD_OFFSETS, fam.h_batch(delta * np.array(_FD_OFFSETS), zs)))
+    d1 = (H[1.0] - H[-1.0]) / (2.0 * delta)
+    d2 = (H[0.5] - H[-0.5]) / delta
     hhat = (4.0 * d2 - d1) / 3.0
-    A = np.linalg.solve(H[0.0], hhat)
-    return H[0.0], A
+    return H[0.0], np.linalg.solve(H[0.0], hhat)
 
 
-def ode_continue(family, path, shift: float = 0.1, _allow_shift: bool = True) -> np.ndarray:
+@dataclass
+class _Rerun(OdeFamily):
+    """A family rerun on a shifted path; shifts are those left to its reruns."""
+    shifts: tuple
+
+
+def ode_continue(family, path) -> np.ndarray:
     """Continue f1 along the path by integrating f1' = f1 (h^{-1} h_hat).
 
     family is an OdeFamily or a closed-form h(z, t0) on arrays of samples
     (see OdeFamily).  h_hat is the t0-derivative of h_{t0} at 0 by Richardson-
-    refined central differences, all offsets _FD_DELTA * _FD_OFFSETS from one
-    h_batch call; _rk4_walk integrates with the step length throttled so that
-    |dz| * ||h^{-1} h_hat|| stays below _STEP_BUDGET.  If h is singular on the
-    path (condition number _COND_MAX or more at a coarse node, or a log-
-    derivative so large that the throttle would need more than _MAX_STEPS
-    steps, as at a zero of det h on a node), the whole problem is rerun at
-    the shifted argument z + shift (the zeros are isolated, so they move off
-    the path) and mapped back through f1(z) = f1(z+t0) h(z+t0)^{-1} h_{-t0}(z+t0).
+    refined central differences, all offsets delta * _FD_OFFSETS from one
+    h_batch call: a coarse scan at delta = _FD_DELTA sizes the steps and the
+    fine pass's delta (_FD_NORM), and _rk4_walk integrates with the step
+    length throttled so that |dz| * ||h^{-1} h_hat|| stays below _STEP_BUDGET.
+    If h is singular on the path (condition number _COND_MAX or more at a
+    coarse node, or a log-derivative so large that the throttle would need
+    more than _MAX_STEPS steps, as at a zero of det h on a node), the problem
+    is rerun at z + shift, shift the next of _SHIFTS (the zeros are isolated,
+    so they move off the path), and mapped back through
+    f1(z) = f1(z+t0) h(z+t0)^{-1} h_{-t0}(z+t0).
     """
     fam = family if isinstance(family, OdeFamily) else _family_from_callable(family)
+    shifts = fam.shifts if isinstance(fam, _Rerun) else _SHIFTS
 
     coarse = _uniform_nodes(path, max(16, _STEPS // 3))
     seg = np.abs(np.diff(coarse))
     try:
-        hc, A_scan = _log_derivative(fam, coarse)
+        hc, A_scan = _log_derivative(fam, coarse, _FD_DELTA)
         norms = np.linalg.norm(A_scan, axis=(1, 2))
         w = np.maximum(norms[:-1], norms[1:])
         steps = np.maximum(1, np.ceil(seg * np.maximum(_STEPS / seg.sum(), w / _STEP_BUDGET)))
@@ -563,15 +575,15 @@ def ode_continue(family, path, shift: float = 0.1, _allow_shift: bool = True) ->
     except np.linalg.LinAlgError:
         singular = True
     if singular:
-        if not _allow_shift:
+        if not shifts:
             raise SingularDeterminant(
                 f"h is singular (condition number >= {_COND_MAX:g} or more than "
                 f"{_MAX_STEPS} steps) along the shifted path too")
-        pts = _path_points(path)
+        shift, pts = shifts[0], _path_points(path)
         # g(z) := f1(z + shift) obeys the same ODE with data read at z + shift,
         # i.e. the original family walked along the shifted path.
-        g_end = ode_continue(fam, [z + shift for z in pts], shift=shift * 1.7,
-                             _allow_shift=shift < 0.5)
+        g_end = ode_continue(_Rerun(fam.h_batch, fam.f1_real, shifts[1:]),
+                             [z + shift for z in pts])
         h_at, h_minus = fam.h_batch(np.array([0.0, -shift]), [pts[-1] + shift])[:, 0]
         return g_end @ np.linalg.inv(h_at) @ h_minus
 
@@ -580,7 +592,7 @@ def ode_continue(family, path, shift: float = 0.1, _allow_shift: bool = True) ->
         full.extend(a + (b - a) * (k + 1) / n for k in range(n))
     zs = _with_midpoints(np.array(full))
 
-    _, A = _log_derivative(fam, zs)
+    _, A = _log_derivative(fam, zs, _FD_DELTA * (_FD_NORM / max(_FD_NORM, np.max(norms))))
     return _rk4_walk(np.asarray(fam.f1_real(zs[0].real), dtype=complex), A, zs)
 
 

@@ -20,6 +20,9 @@ METRIC = np.diag([1.0, -1.0, -1.0])
 # equals the x1-boost at imaginary rapidity +/- i*pi.
 J = np.diag([-1.0, -1.0, 1.0])
 
+# to_momentum's bound on an imaginary part, and on energy drift / max(1, p0)
+_SHELL_TOL = 1e-8
+
 
 def as_array(x) -> np.ndarray:
     """Coerce a MomentumPoint or any (..., 3) array-like to an ndarray."""
@@ -77,22 +80,22 @@ def shell_point(p1: float, p2: float, m: float) -> MomentumPoint:
     return MomentumPoint(float(p1), float(p2), float(m))
 
 
-def to_momentum(vec, m, tol: float = 1e-8) -> MomentumPoint:
+def to_momentum(vec, m) -> MomentumPoint:
     """Reinterpret real on-shell 3-vectors (..., 3) as a MomentumPoint.
 
-    The supplied energy component must match the recomputed one; this guards
-    transported momenta against silent off-shell drift.
+    The supplied energy component must match the recomputed one to _SHELL_TOL;
+    this guards transported momenta against silent off-shell drift.
     """
     a = as_array(vec)
     if a.dtype.kind == "c":
-        if (np.abs(a.imag) > tol).any():
+        if (np.abs(a.imag) > _SHELL_TOL).any():
             raise ValueError("momentum vector has a non-negligible imaginary part")
         a = a.real
     e0, p1, p2 = _components(a)
     p = MomentumPoint(p1, p2, m)
     p0 = p.p0
     drift = abs(e0 - p0)
-    if np.asarray((drift > tol) & (drift > tol * p0)).any():  # drift > tol * max(1, p0)
+    if np.asarray((drift > _SHELL_TOL) & (drift > _SHELL_TOL * p0)).any():
         raise ValueError(f"vector is not on the m={m} shell: p0={e0} vs {p0}")
     return p
 

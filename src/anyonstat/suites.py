@@ -104,11 +104,11 @@ def _rng(config: SuiteConfig, salt: int):
     return np.random.default_rng(np.random.SeedSequence((config.seed, salt)))
 
 
-def _shell(u, m=1.0, spread=0.9) -> mk.MomentumPoint:
-    """Shell momenta with (p1, p2) = rng.uniform(-spread, spread, 2) made of
-    the uniform draws u (..., 2): a block of draws gives a stack."""
+def _shell(u, spread=0.9) -> mk.MomentumPoint:
+    """Mass-1 shell momenta with (p1, p2) = rng.uniform(-spread, spread, 2)
+    made of the uniform draws u (..., 2): a block of draws gives a stack."""
     p1, p2 = np.moveaxis(-spread + 2.0 * spread * np.asarray(u, dtype=float), -1, 0)
-    return mk.MomentumPoint(p1, p2, m)
+    return mk.MomentumPoint(p1, p2, 1.0)
 
 
 def _worst(*residuals) -> float:
@@ -120,8 +120,8 @@ def _worst(*residuals) -> float:
 # group suite
 # ---------------------------------------------------------------------------
 
-def _series_expm(M: np.ndarray, terms: int = 40) -> np.ndarray:
-    """exp of a matrix or a stack (..., k, k) by its Taylor series.
+def _series_expm(M: np.ndarray) -> np.ndarray:
+    """exp of a matrix or a stack (..., k, k) by its first 40 Taylor terms.
 
     A term A + iB is kept as the real block [A | B] and multiplied by the
     real form [[C, D], [-D, C]] of M = C + iD: numpy multiplies a stack of
@@ -131,7 +131,7 @@ def _series_expm(M: np.ndarray, terms: int = 40) -> np.ndarray:
     real = np.block([[M.real, M.imag], [-M.imag, M.real]])
     term = np.concatenate([np.broadcast_to(np.eye(k), M.shape), np.zeros(M.shape)], -1)
     out = term
-    for n in range(1, terms):
+    for n in range(1, 40):
         term = term @ real / n
         out = out + term
     return out[..., :k] + 1j * out[..., k:]
@@ -386,7 +386,7 @@ def continuation_suite(config: SuiteConfig) -> Iterator[Record]:
     singular = lambda z, t0: np.cosh(z + t0)
     r2 = abs(holo.ode_continue(singular, holo.StripPath.vertical())[0, 0]
              - cmath.cosh(1j * math.pi))
-    _, fam = ss.build_toy_model(s, 1.0, 2, seed=config.seed)
+    fam = ss.build_toy_model(s, 1.0, 2, seed=config.seed)
     r3 = ss.ode_vs_engine(fam, mk.shell_point(0.35, -0.2, 1.0))
     yield _record("continuation", "log-derivative-ode",
                   {"toy": "exp/cosh", "spin": s},

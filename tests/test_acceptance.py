@@ -121,7 +121,7 @@ def test_criterion_7_spin_statistics_pipeline():
 
 
 def test_criterion_8_ode_continuation():
-    _, fam = ss.build_toy_model(1 / 3, 1.0, 2, seed=CONFIG.seed)
+    fam = ss.build_toy_model(1 / 3, 1.0, 2, seed=CONFIG.seed)
     r = ss.ode_vs_engine(fam, mk.shell_point(0.35, -0.2, 1.0))
     r2 = ss.ode_vs_engine(fam, mk.shell_point(0.6, 0.4, 1.0), height=1.1)
     ok = r < 1e-6 and r2 < 1e-6

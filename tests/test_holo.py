@@ -561,7 +561,7 @@ def _triangular(z, t0):
 
 def test_ode_step_product_matches_the_stepwise_loop(monkeypatch):
     from anyonstat import spinstat as ss
-    _, fam = ss.build_toy_model(1 / 3, 1.0, 2, seed=7)
+    fam = ss.build_toy_model(1 / 3, 1.0, 2, seed=7)
     cases = [
         (lambda z, t0: np.exp(0.7j * (z + t0)), holo.StripPath.vertical(0.0, height=math.pi / 2)),
         (lambda z, t0: np.cosh(z + t0), holo.StripPath.vertical(0.0, height=2.2)),

@@ -16,26 +16,25 @@ P = mk.shell_point(0.4, -0.3, 1.0)
 
 @pytest.fixture(scope="module")
 def family_third():
-    _, fam = ss.build_toy_model(1 / 3, 1.0, 2, seed=5)
-    return fam
+    return ss.build_toy_model(1 / 3, 1.0, 2, seed=5)
 
 
 def test_bosonic_point_target():
-    model, fam = ss.build_toy_model(0.0, 1.0, 1, seed=1)
-    assert model.omega_target == 1.0
+    fam = ss.build_toy_model(0.0, 1.0, 1, seed=1)
+    assert fam.omega_target == 1.0
     # with s = 0 the compensators are trivial and the family is exponential
     v = fam.psi1(P)[0, 0]
-    assert abs(abs(v) - abs(cmath.exp(1j * mk.minkowski_product(model.b1, P.as_array()))
-                            * model.a1[0, 0])) < 1e-14
+    assert abs(abs(v) - abs(cmath.exp(1j * mk.minkowski_product(fam.b1, P.as_array()))
+                            * fam.a1[0, 0])) < 1e-14
 
 
 def test_half_spin_target():
-    model, _ = ss.build_toy_model(0.5, 1.0, 1, seed=1)
-    assert abs(model.omega_target + 1.0) < 1e-15
+    fam = ss.build_toy_model(0.5, 1.0, 1, seed=1)
+    assert abs(fam.omega_target + 1.0) < 1e-15
 
 
 def test_invertibility_scan():
-    _, fam = ss.build_toy_model(1 / 3, 1.0, 2, seed=42)
+    fam = ss.build_toy_model(1 / 3, 1.0, 2, seed=42)
     worst = np.inf
     for p1 in np.linspace(-1.2, 1.2, 30):
         for p2 in np.linspace(-1.2, 1.2, 30):
@@ -73,10 +72,10 @@ def test_tomita_routes_match_closed_forms(family_third):
 
 def test_tomita_scalar_bosonic_reduction():
     # s = 0: the hat route is plainly the conjugated reflected evaluation
-    model, fam = ss.build_toy_model(0.0, 1.0, 1, seed=3)
+    fam = ss.build_toy_model(0.0, 1.0, 1, seed=3)
     (hat,), _ = fam.boundary_pair(P[None])
-    expected = (cmath.exp(1j * mk.minkowski_product(model.b1, -P.as_array()))
-                * model.a1[0, 0]).conjugate()
+    expected = (cmath.exp(1j * mk.minkowski_product(fam.b1, -P.as_array()))
+                * fam.a1[0, 0]).conjugate()
     assert abs(hat[0, 0] - expected) < 1e-12
 
 
@@ -84,7 +83,7 @@ def test_full_reflected_two_point_relation(family_third):
     fam = family_third
     (hat,), (check,) = fam.boundary_pair(P[None])
     lhs = hat.conj().T @ check
-    rhs = fam.model.omega_target * (fam.psi1_conj(P).conj().T @ fam.psi2_conj(P))
+    rhs = fam.omega_target * (fam.psi1_conj(P).conj().T @ fam.psi2_conj(P))
     assert ss._rel(lhs, rhs) < 1e-8
 
 
@@ -96,7 +95,7 @@ def test_two_point_boundary_and_controls(family_third):
 
 
 def test_two_point_bosonic_reflection():
-    _, fam = ss.build_toy_model(0.0, 1.0, 1, seed=2)
+    fam = ss.build_toy_model(0.0, 1.0, 1, seed=2)
     out = ss.two_point_boundary_check(fam, P[None])
     assert out["whole_vs_closed"][0] < 1e-9
 
@@ -147,7 +146,7 @@ def test_momentum_grid_is_the_pointwise_grid_to_the_bit(size, m):
 
 def test_extract_d_roundtrip():
     injected = np.diag([2.0, 1j])
-    _, fam = ss.build_toy_model(1 / 3, 1.0, 2, seed=9, injected_d=injected)
+    fam = dataclasses.replace(ss.build_toy_model(1 / 3, 1.0, 2, seed=9), d=injected)
     grid = ss.momentum_grid(1.0, 3)
     d, res = ss.extract_D(fam, grid)
     assert np.max(np.abs(d - injected)) < 1e-9
@@ -155,15 +154,17 @@ def test_extract_d_roundtrip():
 
 
 def _assert_fill_matches_scalar_walks(s, n, seed, grid, injected_d=None):
-    _, fam = ss.build_toy_model(s, 1.0, n, seed=seed, injected_d=injected_d)
+    fam = ss.build_toy_model(s, 1.0, n, seed=seed)
+    if injected_d is not None:
+        fam = dataclasses.replace(fam, d=injected_d)
     fam.fill(grid)
     assert len(fam._cache) == len(grid.p1)
     path = holo.StripPath.vertical(0.0)
     for p in grid:
         # the scalar trees of p, walked on their own, are the oracle
         q = ss._reflected_anchor(p)
-        hat = holo.continue_robust(fam.pref1_expr(q), path).conjugate() * fam.model.a1.conj()
-        check = holo.continue_robust(fam.pref2bar_expr(q), path) * fam.model.a2.conj()
+        hat = holo.continue_robust(fam.pref1_expr(q), path).conjugate() * fam.a1.conj()
+        check = holo.continue_robust(fam.pref2bar_expr(q), path) * fam.a2.conj()
         (got_hat,), (got_check,) = fam.boundary_pair(p[None])
         assert np.max(np.abs(got_hat - hat)) < 1e-14
         assert np.max(np.abs(got_check - check)) < 1e-14
@@ -183,23 +184,23 @@ def test_extract_d_heavy_mass():
     # at m = 50 every conjugate matrix has det ~ 1e-44 but condition number
     # ~ 2: the singularity guard must not depend on the scale
     injected = np.diag([2.0, 1j])
-    _, fam = ss.build_toy_model(1 / 3, 50.0, 2, seed=9, injected_d=injected)
+    fam = dataclasses.replace(ss.build_toy_model(1 / 3, 50.0, 2, seed=9), d=injected)
     d, res = ss.extract_D(fam, ss.momentum_grid(50.0, 3))
     assert np.max(np.abs(d - injected)) < 1e-12
     assert res < 1e-8
 
 
 def test_extract_d_rejects_a_singular_conjugate_family():
-    model, _ = ss.build_toy_model(1 / 3, 1.0, 2, seed=9)
+    fam = ss.build_toy_model(1 / 3, 1.0, 2, seed=9)
     rank_one = np.array([[1.0, 2.0], [0.5, 1.0]])
-    fam = ss.WaveMatrixFamily(dataclasses.replace(model, a1=rank_one))
+    fam = dataclasses.replace(fam, a1=rank_one)
     with pytest.raises(np.linalg.LinAlgError):
         ss.extract_D(fam, ss.momentum_grid(1.0, 2))
 
 
 def test_extract_d_checks_every_row_of_the_grid(monkeypatch):
     # the conditioning guard reads the whole stack, not its first matrix
-    _, fam = ss.build_toy_model(1 / 3, 1.0, 2, seed=9)
+    fam = ss.build_toy_model(1 / 3, 1.0, 2, seed=9)
     conj = fam.psi1_conj
 
     def last_row_singular(p):
@@ -213,26 +214,26 @@ def test_extract_d_checks_every_row_of_the_grid(monkeypatch):
 
 
 def test_extract_d_scalar_case():
-    _, fam = ss.build_toy_model(0.25, 1.0, 1, seed=4, injected_d=np.eye(1))
+    fam = dataclasses.replace(ss.build_toy_model(0.25, 1.0, 1, seed=4), d=np.eye(1))
     d, res = ss.extract_D(fam, ss.momentum_grid(1.0, 3))
     assert abs(d[0, 0] - 1.0) < 1e-10
     assert res < 1e-8
 
 
 def test_rotation_pi_relation(family_third):
-    out = ss.rotation_pi_relation(family_third, P[None], family_third.model.omega_target)
+    out = ss.rotation_pi_relation(family_third, P[None], family_third.omega_target)
     assert np.max([*out.values()]) < 1e-8
 
 
 def test_rotation_pi_bosonic():
-    _, fam = ss.build_toy_model(0.0, 1.0, 1, seed=6)
-    out = ss.rotation_pi_relation(fam, P[None], fam.model.omega_target)
+    fam = ss.build_toy_model(0.0, 1.0, 1, seed=6)
+    out = ss.rotation_pi_relation(fam, P[None], fam.omega_target)
     assert np.max([*out.values()]) < 1e-10
 
 
 def test_rotation_pi_half_spin():
-    _, fam = ss.build_toy_model(0.5, 1.0, 2, seed=6)
-    out = ss.rotation_pi_relation(fam, P[None], fam.model.omega_target)
+    fam = ss.build_toy_model(0.5, 1.0, 2, seed=6)
+    out = ss.rotation_pi_relation(fam, P[None], fam.omega_target)
     assert np.max([*out.values()]) < 1e-8
 
 
@@ -241,9 +242,9 @@ def test_a_wrongly_injected_statistics_phase_fails_every_spinstat_record(monkeyp
     # rotation check's rhs2): the least-squares phase recovers the injected
     # value, and only the half-turn phase read out of the continuation sees it
     shift = cmath.exp(0.2j * math.pi)
-    target = ss.ToyModel.omega_target.fget
+    target = ss.WaveMatrixFamily.omega_target.fget
     psi2_conj = ss.WaveMatrixFamily.psi2_conj
-    monkeypatch.setattr(ss.ToyModel, "omega_target", property(lambda m: target(m) * shift))
+    monkeypatch.setattr(ss.WaveMatrixFamily, "omega_target", property(lambda m: target(m) * shift))
     monkeypatch.setattr(ss.WaveMatrixFamily, "psi2_conj",
                         lambda f, p: psi2_conj(f, p) / shift)
     records = list(suites.spinstat_suite(suites.SuiteConfig(seed=7)))
@@ -256,13 +257,13 @@ def test_a_wrongly_injected_statistics_phase_fails_every_spinstat_record(monkeyp
 
 def test_a_family_with_a_spin_and_a_b_per_row_is_the_per_spin_families(family_third):
     # fill's family: spin s with b1 and spin -s with b2 at the same anchors
-    mdl = family_third.model
     qs = ss._reflected_anchor(ss.momentum_grid(1.0, 3))
     rows = len(qs.p1)
     both = qs[np.tile(np.arange(rows), 2)]
-    pair = (holo.compensated_family_expr(cg.identity(), both, np.repeat([mdl.s, -mdl.s], rows))
-            * holo.exp_mink_dot(np.repeat([mdl.b1, mdl.b2], rows, axis=0), np.eye(3),
-                                both.as_array()))
+    pair = (holo.compensated_family_expr(cg.identity(), both,
+                                         np.repeat([family_third.s, -family_third.s], rows))
+            * holo.exp_mink_dot(np.repeat([family_third.b1, family_third.b2], rows, axis=0),
+                                np.eye(3), both.as_array()))
     path = holo.StripPath.vertical(0.0)
     got = holo.continue_along(pair, path)
     want = np.concatenate([holo.continue_along(family_third.pref1_expr(qs), path),
@@ -286,11 +287,12 @@ def test_transformation_law_sees_b2_in_the_left_exponential_factor(family_third,
     g = cg.compose(cg.lift_rotation(0.1), cg.lift_boost(0.3, 0.2))
     ps = GRID[:3]
     assert max(np.max(v) for v in ss.verify_transformation_law(g, ps, family_third).values()) < 1e-8
-    mdl, real = family_third.model, holo.exp_mink_dot
+    real = holo.exp_mink_dot
 
     def swapped(b, pre, anchor):
         # the left side's rows come first
-        return real(np.repeat([mdl.b2, mdl.b1], len(anchor) // 2, axis=0), pre, anchor)
+        return real(np.repeat([family_third.b2, family_third.b1], len(anchor) // 2, axis=0),
+                    pre, anchor)
 
     monkeypatch.setattr(holo, "exp_mink_dot", swapped)
     out = ss.verify_transformation_law(g, ps, family_third)
@@ -300,7 +302,7 @@ def test_transformation_law_sees_b2_in_the_left_exponential_factor(family_third,
 def test_phase_extraction_values():
     grid = ss.momentum_grid(1.0, 3)
     for s, expected in ((0.0, 1.0), (0.5, -1.0), (1 / 3, cmath.exp(2j * math.pi / 3))):
-        _, fam = ss.build_toy_model(s, 1.0, 2, seed=8)
+        fam = ss.build_toy_model(s, 1.0, 2, seed=8)
         omega_hat, mismatch = ss.extract_statistics_phase(fam, grid)
         assert abs(omega_hat - expected) < 1e-8
         assert mismatch < 1e-10
@@ -312,7 +314,7 @@ def test_phase_extraction_values():
 
 def test_phase_extraction_rejects_inconsistent_data():
     # a non-unitary injected D breaks the scalar relation between the routes
-    _, fam = ss.build_toy_model(1 / 3, 1.0, 2, seed=8, injected_d=np.diag([2.0, 1j]))
+    fam = dataclasses.replace(ss.build_toy_model(1 / 3, 1.0, 2, seed=8), d=np.diag([2.0, 1j]))
     with pytest.raises(ss.NonScalarMismatch):
         ss.extract_statistics_phase(fam, ss.momentum_grid(1.0, 3))
 
@@ -349,6 +351,16 @@ def test_spinstat_passes_across_the_mass_band():
     assert [r.inputs["mass"] for r in report.records] == [0.001, 1.0, 4.0, 8.0]
     for r in report.records:
         assert r.passed, (r.inputs, r.residuals)
+
+
+def test_ode_route_scales_its_step_with_the_log_derivative():
+    # a fuzz config where max ||A|| on the coarse scan reaches 294: a
+    # fixed Richardson step of 1e-3 read ode_vs_engine = 1.1e-5 here
+    report = suites.run_suite("spinstat", suites.SuiteConfig(
+        spins=(-18.156,), masses=(0.0135881263815649,), seed=37, multiplicities=(4,), grid=2))
+    (rec,) = report.records
+    assert rec.passed, rec.residuals
+    assert rec.residuals["ode_vs_engine"] < 1e-6
 
 
 def test_build_rejects_bad_mass():
@@ -422,7 +434,7 @@ def test_pipeline_checks_on_a_stack_match_each_momentum(family_third):
     ps = GRID[:4]
     _assert_rows_match(ss.two_point_boundary_check(family_third, ps),
                        [ss.two_point_boundary_check(family_third, p[None]) for p in ps])
-    omega = family_third.model.omega_target
+    omega = family_third.omega_target
     _assert_rows_match(ss.rotation_pi_relation(family_third, ps, omega),
                        [ss.rotation_pi_relation(family_third, p[None], omega) for p in ps])
     gs = [cg.compose(cg.lift_rotation(w), cg.lift_boost(d, r))
@@ -490,7 +502,7 @@ def _count_walks(run) -> dict:
 def test_work_counts_do_not_grow_with_offsets_or_momenta(monkeypatch):
     # normalize_at walks its family once, which evaluate_along counts too;
     # ode_vs_engine builds one family for all offsets and the direct route
-    _, fam = ss.build_toy_model(0.25, 1.0, 2, seed=7)
+    fam = ss.build_toy_model(0.25, 1.0, 2, seed=7)
     p = mk.shell_point(0.35, -0.2, 1.0)
     ode = {"normalize_at": 2, "evaluate_along": 5}
     assert _count_walks(lambda: ss.ode_vs_engine(fam, p)) == ode
@@ -507,6 +519,6 @@ def test_work_counts_do_not_grow_with_offsets_or_momenta(monkeypatch):
                          (lambda f, ps: ss.verify_transformation_law(cg.identity(), ps, f),
                           (1, 2))):
         for ps in (GRID[:1], GRID[:3], GRID):
-            _, fam = ss.build_toy_model(0.25, 1.0, 2, seed=7)
+            fam = ss.build_toy_model(0.25, 1.0, 2, seed=7)
             counts = _count_walks(lambda: check(fam, ps))
             assert (counts["normalize_at"], counts["evaluate_along"]) == walks
