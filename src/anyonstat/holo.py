@@ -8,16 +8,32 @@ Every family continued here has one shape, a `PowerProduct`:
 
 where the exponents E_i and the bases B_j are entire functions of z (boosted
 momentum components, exponentials) and the s_j are real.  The bases are the
-only multivalued part, and a base carries no global state.  A walk keeps
-every base of a family in one (bases, ..., samples) array: the first round
-evaluates them on the given samples, and each later round only at the
-midpoints it inserts into every interval where some base turns by 0.999 *
-pi/2 or more, until none does; each base's argument ledger is then the
-principal argument at the start plus the cumulative sum of the angles of
-consecutive base ratios.  Values therefore depend only on the homotopy class
-of the path and on nothing else: there is no global cut bookkeeping, and the
-value at each accepted sample is exact up to float rounding (step size only
-influences branch selection, never the numerical value).
+only multivalued part.  A walk keeps every base of a family in one (bases,
+..., samples) array: the first round evaluates them on the given samples,
+and each later round only at the midpoints it inserts into every interval
+where some base turns by 0.999 * pi/2 or more, until none does; each base's
+argument ledger is then the principal argument at the start plus the
+cumulative sum of the angles of consecutive base ratios.  Values therefore
+depend only on the homotopy class of the path and on nothing else: there is
+no global cut bookkeeping, and the value at each accepted sample is exact up
+to float rounding (step size only influences branch selection, never the
+numerical value).
+
+The walk reads the bases and the entire exponents only; the scale and the
+exponents s_j enter afterwards, in scale * exp(E + sum_j s_j L_j) with
+L_j = log|B_j| + i arg B_j.  So a walk depends on its samples and on the
+family's geometry, never on its spin, and the module keeps the
+_WALK_MEMO_SIZE most recently used walks in a memo.  The key is the sample
+bytes plus, for each base and exponent function, its code object and the
+exact values it captures (`_boosted`'s a, b and c, m, u and w, the SL(2)
+entries, b).  Only the functions of the builders in `_KEYED_CODE` are
+keyed, because they read nothing but their samples and what they capture.
+A hit therefore returns the very arrays a fresh walk computes, and every
+value stays bit for bit the same.  A family with any other part, such as a
+function written in a test, walks without the memo.
+`fixed_element_phase_raw` is left out on purpose: its only caller, the ODE
+route, walks samples that follow ||A|| and so the spin, and those walks
+never repeat.
 
 The module also provides the builders of the compensated Wigner-phase
 families used by the spin-statistics pipeline.  Every builder walks the one
@@ -34,6 +50,8 @@ spins at the same anchors walk as one.
 from __future__ import annotations
 
 import math
+import types
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +64,8 @@ _HALF_PI = math.pi / 2.0
 # a base below this fraction of its running maximum modulus (at least 1)
 # counts as vanishing on the path
 _VANISH_TOL = 1e-12
+# walks kept in the memo; one default `spinstat` record makes 14 distinct ones
+_WALK_MEMO_SIZE = 32
 
 
 class PowerBaseVanishes(ArithmeticError):
@@ -104,16 +124,28 @@ class PowerProduct:
             row[...] = b
         return out
 
-    def value(self, z: np.ndarray, bases: np.ndarray, args: np.ndarray) -> np.ndarray:
-        """The family on the samples z, each power taken on the branch given
-        by its argument array; bases and args are (bases, ..., samples)."""
+    def entire(self, z: np.ndarray) -> np.ndarray:
+        """The summed entire exponents E(z) on the 1-D samples z."""
         total = np.zeros(np.shape(z), dtype=complex)
         for e in self.exps:
             total = total + e(z)
+        return total
+
+    def read(self, entire: np.ndarray, logs) -> np.ndarray:
+        """scale * exp(E + sum_j s_j L_j) from the summed exponents E and the
+        complex logs L_j = log|B_j| + i arg B_j, one (..., samples) array per
+        base in the order of the exponents, each argument on the branch the
+        caller chose."""
+        total = entire
         exponents = [s for _, ss in self.pows for s in ss]
-        for s, b, a in zip(exponents, bases, args):
-            total = total + s * (np.log(np.abs(b)) + 1j * a)
+        for s, log in zip(exponents, logs):
+            total = total + s * log
         return self.scale * np.exp(total)
+
+
+def _complex_log(base: np.ndarray, arg: np.ndarray) -> np.ndarray:
+    """log|B| + i arg for the values of one base B and their arguments."""
+    return np.log(np.abs(base)) + 1j * arg
 
 
 def _boosted(pre, anchor):
@@ -148,7 +180,7 @@ def eval_principal(expr: PowerProduct, z):
     zs = np.asarray(z, dtype=complex)
     flat = zs.reshape(-1)
     bases = expr.bases(flat)
-    out = expr.value(flat, bases, np.angle(bases))
+    out = expr.read(expr.entire(flat), (_complex_log(b, np.angle(b)) for b in bases))
     return out.reshape(out.shape[:-1] + zs.shape)[()]
 
 
@@ -241,9 +273,18 @@ def evaluate_along(expr: PowerProduct, zs) -> np.ndarray:
     bases are kept across rounds as one (bases, ..., samples) array, and a
     round evaluates them at its new midpoints only.  A batched family is
     walked as one (batch, samples) array: an interval is split when any row's
-    base turns that far there, and each row keeps its own ledger.
+    base turns that far there, and each row keeps its own ledger.  A walk of
+    the same samples and geometry is read from the memo (module docstring).
     """
-    z = np.array(zs, dtype=complex)
+    logs, entire = _memo_walk(expr, np.array(zs, dtype=complex))
+    return expr.read(entire, logs)
+
+
+def _walk(expr: PowerProduct, z: np.ndarray) -> tuple:
+    """The spin-free part of evaluate_along: each base's complex log on its
+    ledger and the summed entire exponents, at the samples z only.  The logs
+    come one base at a time, so that a walk that is not kept never holds
+    them all at once."""
     given = np.ones(len(z), dtype=bool)
     depth = np.zeros(len(z) - 1, dtype=int)
     bases = expr.bases(z)
@@ -264,7 +305,57 @@ def evaluate_along(expr: PowerProduct, zs) -> np.ndarray:
         given = np.insert(given, at, False)
         depth = np.repeat(depth + split, np.where(split, 2, 1))
     args = np.cumsum(np.concatenate((np.angle(bases[..., :1]), turns), axis=-1), axis=-1)
-    return expr.value(z, bases, args)[..., given]
+    logs = (_complex_log(b[..., given], a[..., given]) for b, a in zip(bases, args))
+    return logs, expr.entire(z[given])
+
+
+# (sample bytes, geometry key) -> the read-only result of _walk, least recently used first
+_WALKS: OrderedDict = OrderedDict()
+
+
+def _memo_walk(expr: PowerProduct, z: np.ndarray) -> tuple:
+    """_walk through the memo when every part of expr has a geometry key."""
+    parts = []
+    for fn in (*(fn for fn, _ in expr.pows), *expr.exps):
+        part = _geometry_key(fn)
+        if part is None:
+            return _walk(expr, z)
+        parts.append(part)
+    key = (z.tobytes(), len(expr.pows), tuple(parts))
+    walked = _WALKS.get(key)
+    if walked is None:
+        logs, entire = _walk(expr, z)
+        walked = _WALKS[key] = tuple(logs), entire
+        for a in (*walked[0], entire):
+            a.flags.writeable = False
+        if len(_WALKS) > _WALK_MEMO_SIZE:
+            _WALKS.popitem(last=False)
+    else:
+        _WALKS.move_to_end(key)
+    return walked
+
+
+def _geometry_key(fn):
+    """fn's code object and the exact values it captures, or None when fn
+    may read anything else (its code is not in _KEYED_CODE, or it captures
+    something other than numbers, plain arrays and keyed functions)."""
+    if getattr(fn, "__code__", None) not in _KEYED_CODE:
+        return None
+    key = [fn.__code__]
+    for cell in fn.__closure__ or ():
+        v = cell.cell_contents
+        if type(v) is np.ndarray:
+            part = (v.dtype.str, v.shape, v.tobytes())
+        elif type(v) is types.FunctionType:
+            part = _geometry_key(v)
+            if part is None:
+                return None
+        elif isinstance(v, (int, float, complex, np.number)):
+            part = (type(v), np.asarray(v).tobytes())
+        else:
+            return None
+        key.append(part)
+    return tuple(key)
 
 
 def continue_robust(expr: PowerProduct, path) -> complex:
@@ -430,6 +521,13 @@ def fixed_element_phase_raw(g: cg.CoverElement, pre, anchor, s: float,
     return PowerProduct(pows=((bases, (2.0 * s, -s, -s)),))
 
 
+# The builders whose base and exponent functions read nothing but their
+# samples and what they capture; fixed_element_phase_raw is left out (module
+# docstring).
+_KEYED_CODE = frozenset(c for f in (_boosted, exp_mink_dot, u_power_raw, boost_family_phase_raw)
+                        for c in f.__code__.co_consts if isinstance(c, types.CodeType))
+
+
 def compensated_family_expr(g: cg.CoverElement, q: MomentumPoint, s: float) -> PowerProduct:
     """The analytic family z -> e^{i s Omega(boost(z) g, q)} u_pihalf(k'(z)),
     with k'(z) the momentum transported by (boost(z) g)^{-1}.
@@ -442,7 +540,9 @@ def compensated_family_expr(g: cg.CoverElement, q: MomentumPoint, s: float) -> P
     """
     raw = (boost_family_phase_raw(g, q, s)
            * u_power_raw(cg.project(cg.inverse(g)), q.as_array(), s, q.m))
-    target = np.exp(1j * s * wg.wigner_angle(g, q)) * wg.u_pihalf(wg.transport(g, q), s)
+    moved = wg.transport(g, q)
+    target = (np.exp(1j * s * wg._little_group_element(g, q, moved).omega)
+              * wg.u_pihalf(moved, s))
     return normalize_at(raw, target)
 
 

@@ -430,8 +430,9 @@ def _ode_family(family: WaveMatrixFamily, p: MomentumPoint) -> holo.OdeFamily:
                 * holo.u_power_raw(lam0_inv, p_arr, family.s, family.m)
                 * holo.exp_mink_dot(family.b2, eye, p_arr)
                 * holo.exp_mink_dot(family.b1, lam0_inv, p_arr))
-        target = (np.exp(1j * family.s * wg.wigner_angle(g0, q0))
-                  * wg.u_pihalf(q0, -family.s) * wg.u_pihalf(wg.transport(g0, q0), family.s)
+        moved = wg.transport(g0, q0)
+        target = (np.exp(1j * family.s * wg._little_group_element(g0, q0, moved).omega)
+                  * wg.u_pihalf(q0, -family.s) * wg.u_pihalf(moved, family.s)
                   * cmath.exp(1j * minkowski_product(family.b2, p_arr))
                   * np.exp(1j * minkowski_product(family.b1, lam0_inv @ p_arr)))
         return holo.normalize_at(expr, target)

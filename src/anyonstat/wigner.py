@@ -57,7 +57,12 @@ def transport(g: cg.CoverElement, p: MomentumPoint) -> MomentumPoint:
 
 def little_group_element(g: cg.CoverElement, p: MomentumPoint) -> cg.CoverElement:
     """b(p)^{-1} g b(Lambda^{-1} p); projects into the rest-momentum stabiliser."""
-    q = transport(g, p)
+    return _little_group_element(g, p, transport(g, p))
+
+
+def _little_group_element(g: cg.CoverElement, p: MomentumPoint,
+                          q: MomentumPoint) -> cg.CoverElement:
+    """little_group_element for a caller that holds q = transport(g, p) already."""
     w = cg.compose(cg.inverse(standard_boost(p)), cg.compose(g, standard_boost(q)))
     if np.asarray(abs(w.gamma) > 1e-8).any():
         raise ArithmeticError(

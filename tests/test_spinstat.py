@@ -10,6 +10,7 @@ from anyonstat import holo
 from anyonstat import minkowski as mk
 from anyonstat import spinstat as ss
 from anyonstat import suites
+from anyonstat import wigner as wg
 
 P = mk.shell_point(0.4, -0.3, 1.0)
 
@@ -497,6 +498,14 @@ def _count_walks(run) -> dict:
             mp.setattr(holo, name, counted)
         run()
     return counts
+
+
+def test_each_compensated_build_transports_its_momenta_once(monkeypatch, family_third):
+    calls = []
+    monkeypatch.setattr(wg, "transport", lambda g, p, _t=wg.transport: calls.append(g) or _t(g, p))
+    holo.compensated_family_expr(cg.lift_rotation(0.3), GRID, 0.25)
+    ss._ode_family(family_third, P).h_batch((0.0, 1e-3), [0.0, 0.5j])
+    assert len(calls) == 2
 
 
 def test_work_counts_do_not_grow_with_offsets_or_momenta(monkeypatch):
