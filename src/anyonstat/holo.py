@@ -66,6 +66,14 @@ _HALF_PI = math.pi / 2.0
 _VANISH_TOL = 1e-12
 # walks kept in the memo; one default `spinstat` record makes 14 distinct ones
 _WALK_MEMO_SIZE = 32
+# the 8-point Gauss-Legendre rule on [-1, 1] that morera_residual applies on
+# every panel: np.polynomial.legendre.leggauss(8), bit for bit
+_GAUSS_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
+_GAUSS_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
 
 
 class PowerBaseVanishes(ArithmeticError):
@@ -382,9 +390,11 @@ def continue_robust(expr: PowerProduct, path) -> complex:
     return 0.5 * (r0 + r1)
 
 
-def morera_residual(expr: PowerProduct, contour, order: int = 8, panels: int = 4,
+def morera_residual(expr: PowerProduct, contour, panels: int = 4,
                     principal: bool = False) -> float:
-    """|closed contour integral| by composite Gauss-Legendre quadrature.
+    """|closed contour integral| by composite Gauss-Legendre quadrature: the
+    fixed 8-point rule (_GAUSS_NODES, _GAUSS_WEIGHTS) on each of `panels`
+    equal panels of every edge.
 
     A small value certifies analyticity on the contour's interior; a batched
     family gives the largest |integral| over its rows.  With principal=True
@@ -397,18 +407,17 @@ def morera_residual(expr: PowerProduct, contour, order: int = 8, panels: int = 4
         pts = np.append(pts, pts[0])
     if not np.all((1e-9 < pts.imag) & (pts.imag < math.pi - 1e-9)):
         raise ValueError("Morera contour must lie strictly inside the open strip")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
     a, b = pts[:-1, None], pts[1:, None]
     pa = a + (b - a) * (np.arange(panels) / panels)
     pb = a + (b - a) * (np.arange(1, panels + 1) / panels)
     mid, half = (pa + pb) / 2.0, (pb - pa) / 2.0
-    zs = (mid[..., None] + half[..., None] * nodes).ravel()
+    zs = (mid[..., None] + half[..., None] * _GAUSS_NODES).ravel()
     if principal:
         f = eval_principal(expr, zs)
     else:
         f = evaluate_along(expr, np.concatenate(([pts[0]], zs)))[..., 1:]
     # Python's abs per row: np.abs can differ from it in the last bit
-    integrals = np.sum((weights * half[..., None]).ravel() * f, axis=-1)
+    integrals = np.sum((_GAUSS_WEIGHTS * half[..., None]).ravel() * f, axis=-1)
     return float(max(map(abs, np.atleast_1d(integrals))))
 
 
@@ -599,14 +608,31 @@ def _family_from_callable(h) -> OdeFamily:
     return OdeFamily(batch, lambda t: batch([0.0], [complex(t)])[0, 0])
 
 
+def _split(counts: np.ndarray):
+    """For segments of counts[i] steps each: every step's segment and its
+    number k = 0 .. counts[i] - 1 within that segment."""
+    seg = np.repeat(np.arange(len(counts)), counts)
+    return seg, np.arange(len(seg)) - (np.cumsum(counts) - counts)[seg]
+
+
 def _uniform_nodes(path, steps: int) -> np.ndarray:
-    pts = _path_points(path)
-    segs = []
-    total = sum(abs(b - a) for a, b in zip(pts[:-1], pts[1:]))
-    for a, b in zip(pts[:-1], pts[1:]):
-        n = max(1, int(round(steps * abs(b - a) / total)))
-        segs.append(np.linspace(a, b, n + 1)[:-1])
-    return np.concatenate(segs + [np.array([pts[-1]])])
+    """About `steps` nodes along the path, spread over its segments by length;
+    segment a -> b of n steps gives a + k * ((b - a) / n), k = 0 .. n - 1, the
+    float operations of np.linspace(a, b, n + 1)[:-1], then the path's end."""
+    pts = np.array(_path_points(path), dtype=complex)
+    delta = np.diff(pts)
+    lengths = np.abs(delta)
+    # Python's left-to-right sum, as np.sum adds 8 or more terms pairwise
+    counts = np.maximum(1, np.round(steps * lengths / sum(lengths.tolist()))).astype(int)
+    seg, k = _split(counts)
+    return np.append(k * (delta / counts)[seg] + pts[seg], pts[-1])
+
+
+def _subdivide(nodes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The nodes with interval a -> b cut into n = counts[i] equal steps,
+    at a + (b - a) * j / n for j = 1 .. n."""
+    seg, k = _split(counts)
+    return np.concatenate((nodes[:1], nodes[seg] + np.diff(nodes)[seg] * (k + 1) / counts[seg]))
 
 
 def _with_midpoints(full: np.ndarray) -> np.ndarray:
@@ -687,10 +713,7 @@ def ode_continue(family, path) -> np.ndarray:
         h_at, h_minus = fam.h_batch(np.array([0.0, -shift]), [pts[-1] + shift])[:, 0]
         return g_end @ np.linalg.inv(h_at) @ h_minus
 
-    full = [coarse[0]]
-    for a, b, n in zip(coarse[:-1], coarse[1:], steps.astype(int).tolist()):
-        full.extend(a + (b - a) * (k + 1) / n for k in range(n))
-    zs = _with_midpoints(np.array(full))
+    zs = _with_midpoints(_subdivide(coarse, steps.astype(int)))
 
     _, A = _log_derivative(fam, zs, _FD_DELTA * (_FD_NORM / max(_FD_NORM, np.max(norms))))
     return _rk4_walk(np.asarray(fam.f1_real(zs[0].real), dtype=complex), A, zs)

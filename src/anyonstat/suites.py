@@ -541,13 +541,17 @@ def pauli_lubanski_suite(config: SuiteConfig) -> Iterator[Record]:
 # spin-statistics suite
 # ---------------------------------------------------------------------------
 
-def spinstat_suite(config: SuiteConfig) -> Iterator[Record]:
-    tol = config.tol_pipeline
-    tols = {"phase": tol, "weak_phase": max(tol, 1e-7), "path_invariance": tol,
+def spinstat_tolerances(tol: float) -> dict:
+    """The gate of each `spinstat` residual at the pipeline tolerance tol."""
+    return {"phase": tol, "weak_phase": max(tol, 1e-7), "path_invariance": tol,
             "d_constancy": tol, "pi_rotation": tol, "dual_route": tol,
             "boundary_closed": tol, "transformation_law": tol,
             "wigner_cancellation": max(tol, 1e-11), "kernel_morera": tol,
             "ode_vs_engine": 1e-6}
+
+
+def spinstat_suite(config: SuiteConfig) -> Iterator[Record]:
+    tols = spinstat_tolerances(config.tol_pipeline)
     for m, n, s in itertools.product(config.masses, config.multiplicities, config.spins):
         inputs = {"spin": s, "mass": m, "n": n, "seed": config.seed, "grid": config.grid}
         try:

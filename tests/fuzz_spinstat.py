@@ -17,9 +17,8 @@ import numpy as np
 from anyonstat import suites
 
 CONFIGS = 300
-# The gates of suites.spinstat_suite at the default tol_pipeline = 1e-8.
-TOLERANCES = {"weak_phase": 1e-7, "ode_vs_engine": 1e-6}
-DEFAULT_TOLERANCE = 1e-8
+# The gates of suites.spinstat_suite at the default tol_pipeline.
+TOLERANCES = suites.spinstat_tolerances(suites.SuiteConfig().tol_pipeline)
 
 
 def draw_configs(count: int = CONFIGS) -> list:
@@ -38,7 +37,7 @@ def failing_keys(record) -> list:
     if "error" in record.inputs:
         return [record.inputs["error"]]
     return [k for k, v in record.residuals.items()
-            if not v < TOLERANCES.get(k, DEFAULT_TOLERANCE)]
+            if not v < TOLERANCES[k]]
 
 
 def main() -> int:

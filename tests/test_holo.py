@@ -295,13 +295,34 @@ def test_morera_entire_node():
 
 
 def test_morera_quadrature_order_certificate():
-    # at quadrature order 2 the composite rule converges like step^4
+    # the composite 8-point rule's error falls like step^16; each halving of
+    # the step must gain 2^10 (0.10, 2.7e-6 and 1.2e-10 at 1, 2 and 4 panels)
     p = mk.shell_point(0.3, 0.5, 1.0)
     osc = holo.exp_mink_dot((0.0, -3.0, 0.0), np.eye(3), p.as_array())
     rect = holo.StripPath.rectangle(-0.6, 0.6, 0.4, 2.8)
-    r2 = holo.morera_residual(osc, rect, order=2, panels=2)
-    r4 = holo.morera_residual(osc, rect, order=2, panels=4)
-    assert r4 < r2 / 8.0 + 1e-13
+    r1, r2, r4 = (holo.morera_residual(osc, rect, panels=k) for k in (1, 2, 4))
+    assert r2 < r1 / 2 ** 10
+    assert r4 < r2 / 2 ** 10
+
+
+def test_morera_rule_is_leggauss_of_order_8():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert holo._GAUSS_NODES.tobytes() == nodes.tobytes()
+    assert holo._GAUSS_WEIGHTS.tobytes() == weights.tobytes()
+
+
+class _Untouchable:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.polynomial.{name} used")
+
+
+def test_suites_do_not_touch_numpy_polynomial(monkeypatch):
+    from anyonstat import suites
+    monkeypatch.setattr(np, "polynomial", _Untouchable())
+    config = suites.SuiteConfig(spins=(0.25,), grid=2)
+    for name in ("continuation", "spinstat"):
+        records = suites.run_suite(name, config).records
+        assert all(r.passed for r in records), [r.inputs.get("error") for r in records]
 
 
 def test_morera_compensated_family():
@@ -383,9 +404,6 @@ def test_morera_residual_of_one_row_keeps_its_value():
     f = holo.compensated_family_expr(cg.identity(), mk.shell_point(0.4, -0.3, 1.0), S)
     assert holo.morera_residual(
         f, holo.StripPath.rectangle(-0.4, 0.4, 0.15, math.pi - 0.15)) == 6.661338147750939e-16
-    osc = holo.exp_mink_dot((0.0, -3.0, 0.0), np.eye(3), mk.shell_point(0.3, 0.5, 1.0).as_array())
-    assert holo.morera_residual(osc, holo.StripPath.rectangle(-0.6, 0.6, 0.4, 2.8),
-                                order=2, panels=2) == 15.435410001352777
 
 
 def test_path_and_anchor_independence():
@@ -589,3 +607,38 @@ def test_ode_step_product_matches_the_stepwise_loop(monkeypatch):
     assert steps[-1] % 2 == 1
     end = 0.7j
     assert np.max(np.abs(got - _triangular(end, 0.0))) < 1e-8
+
+
+def _linspace_nodes(path, steps):
+    # the reference: one np.linspace per segment
+    pts = holo._path_points(path)
+    segs = []
+    total = sum(abs(b - a) for a, b in zip(pts[:-1], pts[1:]))
+    for a, b in zip(pts[:-1], pts[1:]):
+        n = max(1, int(round(steps * abs(b - a) / total)))
+        segs.append(np.linspace(a, b, n + 1)[:-1])
+    return np.concatenate(segs + [np.array([pts[-1]])])
+
+
+def _looped_subdivision(nodes, counts):
+    # the fine samples of ode_continue, one Python step at a time
+    full = [nodes[0]]
+    for a, b, n in zip(nodes[:-1], nodes[1:], counts.tolist()):
+        full.extend(a + (b - a) * (k + 1) / n for k in range(n))
+    return np.array(full)
+
+
+def test_ode_samples_match_the_per_segment_construction():
+    vertical = holo.StripPath.vertical()
+    paths = [holo.StripPath.vertical(0.0, math.pi / 2), vertical,
+             [z + 0.1 for z in vertical.points],  # the first rerun's shift
+             [0.0, 0.3 + 0.1j, 0.7j],
+             [0.0, -0.4, -0.4 + 0.5j * math.pi, 0.3 + 0.8j * math.pi, 1j * math.pi]]
+    rng = np.random.default_rng(2)
+    for path in paths:
+        for steps in (holo._STEPS // 3, *rng.integers(1, 300, 6)):
+            nodes = holo._uniform_nodes(path, int(steps))
+            assert nodes.tobytes() == _linspace_nodes(path, int(steps)).tobytes()
+            counts = rng.integers(1, 40, len(nodes) - 1)
+            assert (holo._subdivide(nodes, counts).tobytes()
+                    == _looped_subdivision(nodes, counts).tobytes())
