@@ -403,13 +403,17 @@ def _equivariance_defects(rng, base: cgm.ConePath, count: int):
     """Indices, in draw order, of the first `count` draws of Poincare pairs
     (g1, g2) with no degenerate image, and per draw the largest difference
     between (g1 g2) base and g1 (g2 base).  A draw is twelve uniforms (per
-    element a translation, then a cover element); blocks may overdraw."""
-    # draws per batch: blocks overdraw, so the block size sets how many draws
-    # are taken, and with them the draws of every later record
-    block = 64
+    element a translation, then a cover element).  The pairs are drawn and
+    acted on in blocks of `count` rows, so one block usually serves; a
+    further block is drawn only when degenerate images leave fewer than
+    `count` rows."""
+    # a block overdraws, which would move the draws of any later record, but
+    # this is the last draw of cones_suite; and cone transport is closed form,
+    # with no sigma grid per row to bound a stack's memory, so one stack of
+    # `count` rows does the work of several small ones
     rows, defects = [], []
     while sum(map(len, rows)) < count:
-        u = rng.uniform(size=(block, 12))
+        u = rng.uniform(size=(count, 12))
         g1, g2 = (cg.PoincareElement(-1.0 + 2.0 * u[:, i:i + 3],
                                      cg.element_from_draws(u[:, i + 3:i + 6], 0.3, 1.0))
                   for i in (0, 6))
@@ -420,7 +424,7 @@ def _equivariance_defects(rng, base: cgm.ConePath, count: int):
                                 lhs.sector.beta - rhs.sector.beta,
                                 lhs.sector.apex - rhs.sector.apex])
         ok = ~np.isnan(diff).any(axis=1)
-        rows.append(block * len(rows) + np.flatnonzero(ok))
+        rows.append(count * len(rows) + np.flatnonzero(ok))
         defects.append(np.max(np.abs(diff[ok]), axis=1))
     return np.concatenate(rows)[:count], np.concatenate(defects)[:count]
 

@@ -8,6 +8,8 @@ from anyonstat import conegeom as cgm
 from anyonstat import covergroup as cg
 from anyonstat import suites
 
+from test_mutants import _ignores_apex
+
 TWO_PI = 2 * math.pi
 
 
@@ -96,12 +98,6 @@ def test_contains_direction_examples():
     assert not cgm.contains_direction(sec, steep)
 
 
-def _ignores_apex(sector, x, margin=0.0):
-    """cone_contains_point with the defect of reading every cone at the origin."""
-    v = np.asarray(x, dtype=float)
-    return cgm.sector_depth(sector, v[..., 1:]) > np.abs(v[..., 0]) + margin
-
-
 def _translation_mismatches(contains_point):
     """Over 100 translated copies of a sector, the count whose
     contains_direction disagrees with contains_point on the copy's own cone
@@ -156,6 +152,15 @@ def test_containment_oracle_samples_the_lightlike_boundary():
     assert np.any(np.isclose(rel[:, 0], depth)) and np.any(np.isclose(rel[:, 0], -depth))
 
 
+def test_cones_passes_at_the_seeds_its_oracle_once_failed():
+    # before the oracle sampled the lightlike boundary, the containment record
+    # failed at these suite seeds; each one draws its equivariance pairs as
+    # one block of 500
+    for seed in (3, 8, 13, 29, 35, 37):
+        recs = suites.run_suite("cones", suites.SuiteConfig(seed=seed)).records
+        assert len(recs) == 6 and all(r.passed for r in recs), seed
+
+
 def test_cone_samples_of_a_stack_are_each_sectors_samples():
     rng = np.random.default_rng(17)
     a = rng.uniform(-math.pi, math.pi, 20)
@@ -166,56 +171,6 @@ def test_cone_samples_of_a_stack_are_each_sectors_samples():
     for i in range(20):
         one = cgm._cone_samples(cgm.SpatialSector(a[i], b[i], apex[i]))
         assert np.array_equal(stacked[:, i], one)
-
-
-def test_an_oracle_that_ignores_the_apex_fails_the_translation_check(monkeypatch):
-    monkeypatch.setattr(cgm, "cone_contains_point", _ignores_apex)
-    recs = suites.cones_suite(suites.SuiteConfig(seed=7))
-    rec = next(r for r in recs if r.anchor == "direction-containment-oracle")
-    assert not rec.passed and rec.residuals["translation_violations"] >= 1.0
-
-
-def _omega_mod_two_pi(real, g, vecs, lift_start):
-    return real(cg.CoverElement(g.gamma, g.omega % TWO_PI), vecs, lift_start)
-
-
-def _boost_turn(real, g, vecs):
-    return real(cg.CoverElement(g.gamma, 0.0 * g.omega), vecs, 0.0)
-
-
-def _boost_turn_the_other_way(real, g, vecs, lift_start):
-    # the same endpoint reached round the other side of the circle
-    return real(g, vecs, lift_start) - TWO_PI * np.sign(_boost_turn(real, g, vecs))
-
-
-def _boost_turn_flipped(real, g, vecs, lift_start):
-    return real(g, vecs, lift_start) - 2.0 * _boost_turn(real, g, vecs)
-
-
-def _patch_lift(monkeypatch, mutant):
-    real = cgm._lifted_circle_action
-    monkeypatch.setattr(cgm, "_lifted_circle_action",
-                        lambda g, vecs, lift_start: mutant(real, g, vecs, lift_start))
-
-
-@pytest.mark.parametrize("mutant, key", [(_omega_mod_two_pi, "deck_shift"),
-                                         (_boost_turn_the_other_way, "composition")],
-                         ids=["omega-mod-2pi", "boost-turn-the-other-way"])
-def test_a_lift_off_by_full_turns_fails_the_path_action_check(monkeypatch, mutant, key):
-    _patch_lift(monkeypatch, mutant)
-    recs = list(suites.cones_suite(suites.SuiteConfig(seed=7)))
-    rec = next(r for r in recs if r.anchor == "path-action-equivariance")
-    assert not rec.passed and rec.residuals[key] > 1.0
-    assert all(r.passed for r in recs if r is not rec)
-
-
-def test_a_lift_that_misses_its_direction_ends_the_cones_suite_in_a_fail(monkeypatch):
-    # a flipped boost turn no longer projects to the moved edge direction, so
-    # the transported sector refuses it before any record is made
-    _patch_lift(monkeypatch, _boost_turn_flipped)
-    (rec,) = suites.run_suite("cones", suites.SuiteConfig(seed=7)).records
-    assert rec.anchor == "suite-error" and not rec.passed
-    assert rec.inputs["error"].startswith("ValueError: edge direction does not project")
 
 
 def test_cone_predicates_on_arrays_match_pointwise_calls():

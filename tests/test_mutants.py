@@ -3,8 +3,13 @@ with the verdict of every record of the suites that the patched function
 touches, at suite seed 7.  A record that a defect leaves passing marks a
 blind spot of the checks."""
 
-import numpy as np
+import math
 
+import numpy as np
+import pytest
+
+from anyonstat import conegeom as cgm
+from anyonstat import covergroup as cg
 from anyonstat import holo, suites
 
 
@@ -26,20 +31,21 @@ LEDGER_OFF = {
 }
 
 
-def _records() -> dict:
+def _records(names) -> dict:
     config = suites.SuiteConfig(seed=7)
     return {(r.suite, r.anchor, r.inputs.get("spin")): r
-            for name in ("continuation", "spinstat")
+            for name in names
             for r in suites.run_suite(name, config).records}
 
 
 def test_ledger_off(monkeypatch):
-    assert all(r.passed for r in _records().values())
+    names = ("continuation", "spinstat")
+    assert all(r.passed for r in _records(names).values())
     # every walk returns principal-branch values
     principal = holo.eval_principal
     monkeypatch.setattr(holo, "evaluate_along",
                         lambda expr, zs: principal(expr, np.array(zs, dtype=complex)))
-    records = _records()
+    records = _records(names)
     assert {key: r.passed for key, r in records.items()} == LEDGER_OFF
     assert records["continuation", "uncompensated-negative-control", 1 / 3].residuals[
         "path_dependence"] == 0.0
@@ -49,3 +55,82 @@ def test_ledger_off(monkeypatch):
         if suite == "spinstat" and spin:
             assert {k for k, v in r.residuals.items() if not v < tols[k]} == {
                 "pi_rotation", "transformation_law"}
+
+
+CONES = ("approach-path-equivalence", "exchange-hypothesis", "dual-cone-double-dual",
+         "direction-containment-oracle", "difference-cone-salience",
+         "path-action-equivariance")
+
+
+def _cones_verdicts(*failing) -> dict:
+    return {("cones", anchor, None): anchor not in failing for anchor in CONES}
+
+
+def _ignores_apex(sector, x, margin=0.0):
+    """cone_contains_point with the defect of reading every cone at the origin."""
+    v = np.asarray(x, dtype=float)
+    return cgm.sector_depth(sector, v[..., 1:]) > np.abs(v[..., 0]) + margin
+
+
+def _omega_mod_two_pi(real, g, vecs, lift_start):
+    return real(cg.CoverElement(g.gamma, g.omega % (2 * math.pi)), vecs, lift_start)
+
+
+def _boost_turn(real, g, vecs):
+    return real(cg.CoverElement(g.gamma, 0.0 * g.omega), vecs, 0.0)
+
+
+def _boost_turn_the_other_way(real, g, vecs, lift_start):
+    # the same endpoint reached round the other side of the circle
+    return real(g, vecs, lift_start) - 2 * math.pi * np.sign(_boost_turn(real, g, vecs))
+
+
+def _boost_turn_flipped(real, g, vecs, lift_start):
+    # no longer projects to the moved edge direction, so the transported
+    # sector refuses it before any record is made
+    return real(g, vecs, lift_start) - 2.0 * _boost_turn(real, g, vecs)
+
+
+def _patch_lift(mutant):
+    def patch(monkeypatch):
+        real = cgm._lifted_circle_action
+        monkeypatch.setattr(cgm, "_lifted_circle_action",
+                            lambda g, vecs, lift_start: mutant(real, g, vecs, lift_start))
+    return patch
+
+
+# per defect of the cone geometry: its patch, the verdict of every `cones`
+# record, and the anchor of the failing record with the check of its outcome
+CONES_MUTANTS = {
+    "omega-mod-2pi": (
+        _patch_lift(_omega_mod_two_pi),
+        _cones_verdicts("path-action-equivariance"),
+        "path-action-equivariance", lambda r: r.residuals["deck_shift"] > 1.0),
+    "boost-turn-the-other-way": (
+        _patch_lift(_boost_turn_the_other_way),
+        _cones_verdicts("path-action-equivariance"),
+        "path-action-equivariance", lambda r: r.residuals["composition"] > 1.0),
+    "boost-turn-flipped": (
+        _patch_lift(_boost_turn_flipped),
+        {("cones", "suite-error", None): False},
+        "suite-error",
+        lambda r: r.inputs["error"].startswith("ValueError: edge direction does not project")),
+    "oracle-ignores-apex": (
+        lambda monkeypatch: monkeypatch.setattr(cgm, "cone_contains_point", _ignores_apex),
+        _cones_verdicts("direction-containment-oracle"),
+        "direction-containment-oracle",
+        lambda r: r.residuals["translation_violations"] >= 1.0),
+}
+
+
+@pytest.mark.parametrize("name", CONES_MUTANTS)
+def test_cones_mutant(name, monkeypatch):
+    patch, verdicts, anchor, holds = CONES_MUTANTS[name]
+    patch(monkeypatch)
+    records = _records(("cones",))
+    assert {key: r.passed for key, r in records.items()} == verdicts
+    assert holds(records["cones", anchor, None])
+
+
+def test_cones_passes_without_a_mutant():
+    assert {key: r.passed for key, r in _records(("cones",)).items()} == _cones_verdicts()
