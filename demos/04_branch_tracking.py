@@ -20,7 +20,7 @@ p = mk.shell_point(0.4, -0.3, 1.0)
 g = cg.compose(cg.lift_rotation(0.13), cg.lift_boost(0.4, 0.21))
 f = holo.compensated_family_expr(g, p, S)
 
-cont = holo.continue_robust(f, holo.StripPath.vertical(0.0))
+cont = holo.continue_along(f, holo.StripPath.vertical(0.0))
 g0 = cg.lift_rotation(math.pi / 2)
 gg0 = cg.compose(g, g0)
 vec = mk.J @ cg.project(cg.inverse(gg0)) @ mk.J @ p.as_array()

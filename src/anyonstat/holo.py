@@ -77,7 +77,8 @@ _GAUSS_WEIGHTS = np.array([
 
 
 class PowerBaseVanishes(ArithmeticError):
-    """A power base passed within tolerance of zero; the path must be perturbed."""
+    """A power base passed within tolerance of zero on the walked path.  No
+    walk steps round it: a suite turns it into a FAIL record that names it."""
 
 
 class RefinementLimit(ArithmeticError):
@@ -366,28 +367,9 @@ def _geometry_key(fn):
     return tuple(key)
 
 
-def continue_robust(expr: PowerProduct, path) -> complex:
-    """continue_along with the lateral-detour fallback.
-
-    If the straight walk collides with a power-base zero, the interior of the
-    path is bowed sideways by +/- 1e-3; the two detours must agree to 1e-9
-    relative (they are homotopic in the strip), in every row of a batched
-    family, or the collision is reported as unresolvable.
-    """
-    try:
-        return continue_along(expr, path)
-    except PowerBaseVanishes:
-        pass
-    pts = _path_points(path)
-    # each interior point moves along the normal of the chord through its neighbours
-    normals = [-1j * (b - a) / abs(b - a) if b != a else 1.0 for a, b in zip(pts, pts[2:])]
-    r0, r1 = (continue_along(expr, [pts[0], *(z + sgn * 1e-3 * n for z, n in
-                                               zip(pts[1:-1], normals)), pts[-1]])
-              for sgn in (+1.0, -1.0))
-    if np.any(np.abs(r0 - r1) > 1e-9 * np.maximum(1.0, np.abs(r0))):
-        raise RefinementLimit(
-            "two-sided path perturbation disagrees; collision not resolvable")
-    return 0.5 * (r0 + r1)
+# not a second walk: perfbench/tracer.py wraps this name, and ROADMAP items
+# 3 and 9 delete it together with Walker
+continue_robust = continue_along
 
 
 def morera_residual(expr: PowerProduct, contour, panels: int = 4,

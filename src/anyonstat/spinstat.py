@@ -200,7 +200,7 @@ class WaveMatrixFamily:
             qs = _reflected_anchor(ps[list(rows.values()) * 2])
             pair = self._pref_expr(qs, np.repeat([self.s, -self.s], new),
                                    np.repeat([self.b1, self.b2], new, axis=0))
-            v1, v2 = np.split(holo.continue_robust(pair, holo.StripPath.vertical(0.0)), 2)
+            v1, v2 = np.split(holo.continue_along(pair, holo.StripPath.vertical(0.0)), 2)
             self._cache.update(zip(rows, zip(v1.tolist(), v2.tolist())))
         return np.array([self._cache[k] for k in keys]).T
 
@@ -231,9 +231,10 @@ def build_toy_model(s: float, m: float, n: int = 2, seed: int = 0) -> WaveMatrix
 
 
 def momentum_grid(m: float, size: int = 5) -> MomentumPoint:
-    """Deterministic shell grid plus two boosted points, as one 1-D stack; p1
-    stays away from 0 so the straight vertical continuation paths keep clear
-    of power-base zeros."""
+    """Deterministic shell grid plus two boosted points, as one 1-D stack.
+    Keeping |p1| >= 0.15 is what keeps the default vertical continuation
+    paths clear of power-base zeros: a base zero on a path raises
+    PowerBaseVanishes, and its spin's record ends as a FAIL."""
     p1, p2 = np.meshgrid(np.linspace(0.15, 0.75, size), np.linspace(-0.6, 0.6, size),
                          indexing="ij")
     square = MomentumPoint(p1.ravel(), p2.ravel(), m).as_array()
@@ -257,9 +258,9 @@ def dressed_family(family: WaveMatrixFamily, i: int, t, p: MomentumPoint) -> np.
         return phase * (family.psi1(q) if i == 1 else family.psi2(q))
     path = [0.0, complex(t)]
     if i == 1:
-        return holo.continue_robust(family.pref1_expr(p), path) * family.a1
+        return holo.continue_along(family.pref1_expr(p), path) * family.a1
     if i == 2:
-        return holo.continue_robust(family.pref2bar_expr(p), path) * family.a2.conj().T
+        return holo.continue_along(family.pref2bar_expr(p), path) * family.a2.conj().T
     raise ValueError("family index must be 1 or 2")
 
 
@@ -274,8 +275,8 @@ def two_point_boundary_check(family: WaveMatrixFamily, ps: MomentumPoint) -> dic
     hat_v, check_v = family.boundary_pair(ps)
     q = _reflected_anchor(ps)
     # the kernel M = Psi_2^* Psi_1: one scalar power product times a2^H a1
-    whole = _times(holo.continue_robust(family.pref2bar_expr(q) * family.pref1_expr(q),
-                                        holo.StripPath.vertical(0.0)),
+    whole = _times(holo.continue_along(family.pref2bar_expr(q) * family.pref1_expr(q),
+                                       holo.StripPath.vertical(0.0)),
                    family.a2.conj().T @ family.a1)
     wrong = family.omega_target * (family.psi1_conj(ps).conj().swapaxes(-1, -2)
                                    @ family.psi2_conj(ps))
@@ -313,7 +314,7 @@ def verify_transformation_law(g: cg.CoverElement, ps: MomentumPoint,
                            np.concatenate([g.omega, np.zeros(rows)]))
     f1 = (holo.compensated_family_expr(both, to_momentum(-anchors, family.m), family.s)
           * np.concatenate([np.ones(rows), np.exp(-1j * family.s * wg.wigner_angle(g, ps))]))
-    f1_l, f1_r = np.split(holo.continue_robust(f1, holo.StripPath.vertical(0.0)), 2)
+    f1_l, f1_r = np.split(holo.continue_along(f1, holo.StripPath.vertical(0.0)), 2)
     # the exponential factors are entire, with no base to track: read at i pi
     pre = np.concatenate([cg.project(cg.inverse(g)), np.broadcast_to(np.eye(3), (rows, 3, 3))])
     expo = holo.exp_mink_dot(family.b1, -pre, anchors)
@@ -369,8 +370,8 @@ def rotation_pi_relation(family: WaveMatrixFamily, ps: MomentumPoint, omega: com
     both = np.concatenate([p_arr, p_arr @ rotation(math.pi).T])
     _, checks = family.boundary_pair(to_momentum(both, family.m))
     check_v, check_rot = np.split(checks, 2)
-    v_pi = holo.continue_robust(family.pref2_pi_expr(_reflected_anchor(ps)),
-                                holo.StripPath.vertical(0.0))
+    v_pi = holo.continue_along(family.pref2_pi_expr(_reflected_anchor(ps)),
+                               holo.StripPath.vertical(0.0))
     turns = wg.wigner_angle(cg.lift_rotation(math.pi), ps)
     hat_pi = _times(np.conj(v_pi), family.a2.conjugate())
     rhs1 = cmath.exp(-1j * math.pi * family.s) * check_rot
@@ -494,7 +495,7 @@ def run_pipeline(s: float, m: float = 1.0, n: int = 2, seed: int = 0,
     # spot check: the same boundary value along two path shapes; fill walked
     # the straight one, StripPath.vertical(0.0), for every grid momentum
     (straight,), _ = family.fill(grid[:1])
-    spot = abs(straight - holo.continue_robust(
+    spot = abs(straight - holo.continue_along(
         family.pref1_expr(_reflected_anchor(grid[0])),
         [0.0, 0.4, 0.4 + 0.6j * math.pi, 1j * math.pi]))
     q = _reflected_anchor(grid[2])

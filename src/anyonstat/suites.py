@@ -315,7 +315,7 @@ def continuation_suite(config: SuiteConfig) -> Iterator[Record]:
     g = _hypothesis_elements(u[:, :3])
     p = mk.MomentumPoint((0.1 + (0.8 - 0.1) * u[:, 3]) * u[:, 4], -0.8 + 1.6 * u[:, 5], 1.0)
     f = holo.compensated_family_expr(g, p, s)
-    cont = holo.continue_robust(f, holo.StripPath.vertical(0.0))
+    cont = holo.continue_along(f, holo.StripPath.vertical(0.0))
     gg0 = cg.compose(g, g0)
     vec = (mk.J @ cg.project(cg.inverse(gg0)) @ mk.J @ p.as_array()[..., None])[..., 0]
     closed = (cmath.exp(1j * math.pi * s)
@@ -364,10 +364,10 @@ def continuation_suite(config: SuiteConfig) -> Iterator[Record]:
     u = rng.uniform(size=5)
     g, p = _hypothesis_elements(u[:3]), _shell(u[3:], spread=0.6)
     f = holo.compensated_family_expr(g, p, s)
-    v0 = holo.continue_robust(f, [0.0, 1j * math.pi])
-    v5 = holo.continue_robust(f, [0.0, 0.5, 0.5 + 1j * math.pi, 1j * math.pi])
-    vz = holo.continue_robust(f, [0.0, -0.4, -0.4 + 0.5j * math.pi,
-                                  0.3 + 0.8j * math.pi, 1j * math.pi])
+    v0 = holo.continue_along(f, [0.0, 1j * math.pi])
+    v5 = holo.continue_along(f, [0.0, 0.5, 0.5 + 1j * math.pi, 1j * math.pi])
+    vz = holo.continue_along(f, [0.0, -0.4, -0.4 + 0.5j * math.pi,
+                                 0.3 + 0.8j * math.pi, 1j * math.pi])
     coarse = holo.continue_along(f, holo.StripPath.vertical(0.0, samples=3))
     fine = holo.continue_along(f, holo.StripPath.vertical(0.0, samples=129))
     yield _record("continuation", "anchor-and-path-independence",

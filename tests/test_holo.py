@@ -269,7 +269,7 @@ def test_compensated_boundary_matches_closed_form():
             continue
         p = mk.shell_point(rng.uniform(0.1, 0.8), rng.uniform(-0.8, 0.8), 1.0)
         f = holo.compensated_family_expr(g, p, S)
-        v = holo.continue_robust(f, holo.StripPath.vertical(0.0))
+        v = holo.continue_along(f, holo.StripPath.vertical(0.0))
         assert abs(v - closed_boundary(g, p, S)) < 1e-12
 
 
@@ -429,46 +429,8 @@ def test_boundary_at_ipi_with_validation():
     # analyticity there before the boundary value is trusted
     for lo, hi in ((-0.45, -0.05), (0.05, 0.45)):
         assert holo.morera_residual(f, holo.StripPath.rectangle(lo, hi, 0.05, math.pi - 0.05)) < 1e-8
-    v = holo.continue_robust(f, holo.StripPath.vertical(0.0))
+    v = holo.continue_along(f, holo.StripPath.vertical(0.0))
     assert abs(v - closed_boundary(cg.identity(), p, S)) < 1e-12
-
-
-def test_vanishing_base_raises_and_robust_detour_succeeds():
-    # p1 = 0 puts a compensator base zero right on the vertical path
-    p = mk.shell_point(0.0, 0.5, 1.0)
-    f = holo.compensated_family_expr(cg.identity(), p, S)
-    with pytest.raises(holo.PowerBaseVanishes):
-        holo.continue_along(f, holo.StripPath.vertical(0.0, samples=129))
-    v = holo.continue_robust(f, holo.StripPath.vertical(0.0, samples=129))
-    assert abs(v - closed_boundary(cg.identity(), p, S)) < 1e-9
-
-
-def test_robust_detour_on_a_batch():
-    # one row collides with a compensator zero, so the whole batch detours;
-    # each row's two detours must agree
-    ps = mk.MomentumPoint(*np.array([(0.4, -0.3), (0.0, 0.5), (1.5, 0.2)]).T, 1.0)
-    path = holo.StripPath.vertical(0.0, samples=129)
-    family = holo.compensated_family_expr(cg.identity(), ps, S)
-    with pytest.raises(holo.PowerBaseVanishes):
-        holo.continue_along(family, path)
-    values = holo.continue_robust(family, path)
-    for p, v in zip(ps, values):
-        assert abs(v - closed_boundary(cg.identity(), p, S)) < 1e-9
-    # the bare phase of a row with its branch point on the path cannot agree
-    ps = mk.MomentumPoint(*np.array([(0.4, -0.3), (0.0, 1.0)]).T, 1.0)
-    bare = holo.uncompensated_phase_expr(cg.identity(), ps, S)
-    with pytest.raises((holo.RefinementLimit, holo.PowerBaseVanishes)):
-        holo.continue_robust(bare, holo.StripPath.vertical(0.0, samples=65))
-
-
-def test_robust_detour_rejects_genuine_branch_point():
-    # with p1 = 0 the energy-factor zero sits exactly on the vertical path;
-    # for the bare phase the two lateral detours are inequivalent, so the
-    # collision cannot be resolved and must be reported
-    p = mk.shell_point(0.0, 1.0, 1.0)
-    bare = holo.uncompensated_phase_expr(cg.identity(), p, S)
-    with pytest.raises((holo.RefinementLimit, holo.PowerBaseVanishes)):
-        holo.continue_robust(bare, holo.StripPath.vertical(0.0, samples=65))
 
 
 def test_morera_contour_must_be_interior():

@@ -3,6 +3,7 @@ with the verdict of every record of the suites that the patched function
 touches, at suite seed 7.  A record that a defect leaves passing marks a
 blind spot of the checks."""
 
+import cmath
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from anyonstat import conegeom as cgm
 from anyonstat import covergroup as cg
 from anyonstat import holo, suites
+from anyonstat import spinstat as ss
 
 
 # each record's (suite, anchor, spin) and its verdict with the ledger off
@@ -134,3 +136,56 @@ def test_cones_mutant(name, monkeypatch):
 
 def test_cones_passes_without_a_mutant():
     assert {key: r.passed for key, r in _records(("cones",)).items()} == _cones_verdicts()
+
+
+SPINS = suites.SuiteConfig().spins
+# e^{0.2 i pi}: the statistics phase of s + 0.1 over that of s
+SHIFT = cmath.exp(0.2j * math.pi)
+
+
+def _spinstat_verdicts(*passing) -> dict:
+    return {("spinstat", "statistics-phase-pipeline", s): s in passing for s in SPINS}
+
+
+def _inject_phase(monkeypatch):
+    # s + 0.1 in the target and in the conjugate family (so also in the
+    # rotation check's rhs2)
+    target = ss.WaveMatrixFamily.omega_target.fget
+    psi2_conj = ss.WaveMatrixFamily.psi2_conj
+    monkeypatch.setattr(ss.WaveMatrixFamily, "omega_target",
+                        property(lambda m: target(m) * SHIFT))
+    monkeypatch.setattr(ss.WaveMatrixFamily, "psi2_conj", lambda f, p: psi2_conj(f, p) / SHIFT)
+
+
+def _swap_spin_rows(monkeypatch):
+    # fill is the one caller that passes a spin per row: s, then -s
+    real = holo.compensated_family_expr
+    monkeypatch.setattr(holo, "compensated_family_expr", lambda g, q, s: real(
+        g, q, np.roll(s, len(s) // 2) if np.ndim(s) else s))
+
+
+# per defect of the spin-statistics pipeline: its patch, the verdict of each
+# default spin's record, and the check of every failing record's outcome
+SPINSTAT_MUTANTS = {
+    # the least-squares phase recovers the injected value; only the half-turn
+    # phase read out of the continuation sees it
+    "injected-statistics-phase": (
+        _inject_phase,
+        _spinstat_verdicts(),
+        lambda r: (r.residuals["phase"] < 1e-9
+                   and abs(r.residuals["pi_rotation"] - abs(SHIFT - 1.0)) < 1e-9)),
+    # blind spot: at spin 0, s = -s, so the swapped rows are the same rows
+    "swapped-spin-rows-in-fill": (
+        _swap_spin_rows,
+        _spinstat_verdicts(0.0),
+        lambda r: r.residuals["d_constancy"] > 1e-2),
+}
+
+
+@pytest.mark.parametrize("name", SPINSTAT_MUTANTS)
+def test_spinstat_mutant(name, monkeypatch):
+    patch, verdicts, holds = SPINSTAT_MUTANTS[name]
+    patch(monkeypatch)
+    records = _records(("spinstat",))
+    assert {key: r.passed for key, r in records.items()} == verdicts
+    assert all(holds(r) for r in records.values() if not r.passed)

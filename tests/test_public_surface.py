@@ -1,6 +1,7 @@
 """The package's public surface, read from the source with ast (nothing is
 imported): every name has one import path, its defining module, and every
-public top-level function or class is used somewhere outside its own body."""
+public top-level function, class or alias is used somewhere outside its own
+statement."""
 
 import ast
 import pathlib
@@ -14,6 +15,7 @@ PACKAGE = ROOT / "src" / "anyonstat" / "__init__.py"
 # Public names that nothing in the package or the demos uses, each with why it stays.
 UNUSED_BY_DESIGN = {
     ("holo", "Walker"): "the benchmark tracer wraps it until ROADMAP items 3 and 9",
+    ("holo", "continue_robust"): "the benchmark tracer wraps it until ROADMAP items 3 and 9",
     ("repn", "inner_product"): "the representation's invariant inner product, which "
                                "tests/test_repn.py uses to check unitarity",
 }
@@ -23,6 +25,15 @@ def _names(node) -> set:
     """Every name and attribute that the node reads or writes."""
     return {n.id if isinstance(n, ast.Name) else n.attr
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _defined(node):
+    """The name a top-level statement defines: a function's or class's, or an
+    alias's (name = other_name); None for any other statement."""
+    if (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Name)):
+        return node.targets[0].id
+    return getattr(node, "name", None)
 
 
 def test_the_package_root_binds_only_its_version():
@@ -40,7 +51,7 @@ def test_the_package_root_binds_only_its_version():
 
 def test_every_public_function_and_class_is_used_outside_its_own_body():
     # per top-level statement: (file, the name it defines or None, the names in it)
-    statements = [(path, getattr(node, "name", None), _names(node))
+    statements = [(path, _defined(node), _names(node))
                   for path, tree in SOURCES.items() for node in tree.body]
     public = [(path, name) for path, name, _ in statements
               if path.parent.name == "anyonstat" and name and not name.startswith("_")]

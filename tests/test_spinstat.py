@@ -164,8 +164,8 @@ def _assert_fill_matches_scalar_walks(s, n, seed, grid, injected_d=None):
     for p in grid:
         # the scalar trees of p, walked on their own, are the oracle
         q = ss._reflected_anchor(p)
-        hat = holo.continue_robust(fam.pref1_expr(q), path).conjugate() * fam.a1.conj()
-        check = holo.continue_robust(fam.pref2bar_expr(q), path) * fam.a2.conj()
+        hat = holo.continue_along(fam.pref1_expr(q), path).conjugate() * fam.a1.conj()
+        check = holo.continue_along(fam.pref2bar_expr(q), path) * fam.a2.conj()
         (got_hat,), (got_check,) = fam.boundary_pair(p[None])
         assert np.max(np.abs(got_hat - hat)) < 1e-14
         assert np.max(np.abs(got_check - check)) < 1e-14
@@ -238,22 +238,24 @@ def test_rotation_pi_half_spin():
     assert np.max([*out.values()]) < 1e-8
 
 
-def test_a_wrongly_injected_statistics_phase_fails_every_spinstat_record(monkeypatch):
-    # s + 0.1 in the target and in the conjugate family (so also in the
-    # rotation check's rhs2): the least-squares phase recovers the injected
-    # value, and only the half-turn phase read out of the continuation sees it
-    shift = cmath.exp(0.2j * math.pi)
-    target = ss.WaveMatrixFamily.omega_target.fget
-    psi2_conj = ss.WaveMatrixFamily.psi2_conj
-    monkeypatch.setattr(ss.WaveMatrixFamily, "omega_target", property(lambda m: target(m) * shift))
-    monkeypatch.setattr(ss.WaveMatrixFamily, "psi2_conj",
-                        lambda f, p: psi2_conj(f, p) / shift)
-    records = list(suites.spinstat_suite(suites.SuiteConfig(seed=7)))
-    assert len(records) == 5
-    for rec in records:
-        assert not rec.passed
-        assert rec.residuals["phase"] < 1e-9
-        assert abs(rec.residuals["pi_rotation"] - abs(shift - 1.0)) < 1e-9
+def test_a_base_zero_on_a_path_ends_as_a_named_fail(monkeypatch):
+    # p1 = 0 at the first grid momentum puts a base zero on its vertical path;
+    # no walk steps round it, so each spin's record fails and names it
+    real = ss.momentum_grid
+
+    def on_axis(m, size=5):
+        grid = real(m, size)
+        p1 = grid.p1.copy()
+        p1[0] = 0.0
+        return mk.MomentumPoint(p1, grid.p2, grid.m)
+
+    monkeypatch.setattr(ss, "momentum_grid", on_axis)
+    records = suites.run_suite("spinstat", suites.SuiteConfig(seed=7, spins=(0.25, 1 / 3))).records
+    assert [(r.anchor, r.inputs["spin"], r.passed) for r in records] == [
+        ("statistics-phase-pipeline", 0.25, False), ("statistics-phase-pipeline", 1 / 3, False)]
+    for r in records:
+        assert r.inputs["error"] == ("PowerBaseVanishes: power base within 1e-12 of zero "
+                                     "near z=2.111215827059133j in row 27")
 
 
 def test_a_family_with_a_spin_and_a_b_per_row_is_the_per_spin_families(family_third):
@@ -271,17 +273,6 @@ def test_a_family_with_a_spin_and_a_b_per_row_is_the_per_spin_families(family_th
                            holo.continue_along(family_third.pref2bar_expr(qs), path)])
     assert got.shape == want.shape == (2 * rows,)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
-
-
-def test_swapped_spin_rows_in_fill_fail_the_spinstat_record(monkeypatch):
-    # fill is the one caller that passes a spin per row: s, then -s
-    real = holo.compensated_family_expr
-    monkeypatch.setattr(holo, "compensated_family_expr", lambda g, q, s: real(
-        g, q, np.roll(s, len(s) // 2) if np.ndim(s) else s))
-    [rec] = suites.spinstat_suite(suites.SuiteConfig(seed=7, spins=(0.25,)))
-    assert rec.anchor == "statistics-phase-pipeline"
-    assert not rec.passed
-    assert rec.residuals["d_constancy"] > 1e-2
 
 
 def test_transformation_law_sees_b2_in_the_left_exponential_factor(family_third, monkeypatch):
@@ -328,8 +319,8 @@ def test_boundary_values_anchor_invariant(family_third):
     # continue along two different strip paths to the same boundary point
     q = ss._reflected_anchor(P)
     expr = family_third.pref1_expr(q)
-    v0 = holo.continue_robust(expr, [0.0, 1j * math.pi])
-    v1 = holo.continue_robust(expr, [0.0, 0.5, 0.5 + 1j * math.pi, 1j * math.pi])
+    v0 = holo.continue_along(expr, [0.0, 1j * math.pi])
+    v1 = holo.continue_along(expr, [0.0, 0.5, 0.5 + 1j * math.pi, 1j * math.pi])
     assert abs(v0 - v1) < 1e-9
 
 
