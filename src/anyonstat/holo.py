@@ -31,9 +31,9 @@ keyed, because they read nothing but their samples and what they capture.
 A hit therefore returns the very arrays a fresh walk computes, and every
 value stays bit for bit the same.  A family with any other part, such as a
 function written in a test, walks without the memo.
-`fixed_element_phase_raw` is left out on purpose: its only caller, the ODE
-route, walks samples that follow ||A|| and so the spin, and those walks
-never repeat.
+`fixed_element_phase_raw` is left out on purpose: the ODE route reads its
+log-derivative pointwise, with no walk, and its one walk, the map-back of a
+shifted rerun, fires on no default config and would only crowd the memo.
 
 The module also provides the builders of the compensated Wigner-phase
 families used by the spin-statistics pipeline.  Every builder walks the one
@@ -569,14 +569,17 @@ class OdeFamily:
     """Data needed by ode_continue.
 
     h_batch(t0s, zs) returns h_{t0}(z) = f2(z) f1(z + t0) for an array of
-    offsets at the strip samples, shape (offsets, samples, n, n); the pipeline
-    walks its offsets as rows of one family.  f1_real(t) is f1 on the real axis.
+    offsets at the strip samples, shape (offsets, samples, n, n).  f1_real(t)
+    is f1 on the real axis.  log_derivative(zs, delta), if given, returns
+    A = h^{-1} dh/dt0 at the samples, shape (samples, n, n), and checks the
+    conditioning of h itself; h_batch then only maps a shifted rerun back.
     A closed-form h(z, t0) given to ode_continue instead receives the whole
     sample array z and returns one scalar or one n x n matrix per sample.
     """
 
     h_batch: callable
     f1_real: callable
+    log_derivative: callable = None
 
 
 def _family_from_callable(h) -> OdeFamily:
@@ -612,9 +615,12 @@ def _uniform_nodes(path, steps: int) -> np.ndarray:
 
 def _subdivide(nodes: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The nodes with interval a -> b cut into n = counts[i] equal steps,
-    at a + (b - a) * j / n for j = 1 .. n."""
+    at a + (b - a) * j / n for j = 1 .. n - 1 and at b itself, so that every
+    node is one of the samples."""
     seg, k = _split(counts)
-    return np.concatenate((nodes[:1], nodes[seg] + np.diff(nodes)[seg] * (k + 1) / counts[seg]))
+    fine = nodes[seg] + np.diff(nodes)[seg] * (k + 1) / counts[seg]
+    fine[np.cumsum(counts) - 1] = nodes[1:]
+    return np.concatenate((nodes[:1], fine))
 
 
 def _with_midpoints(full: np.ndarray) -> np.ndarray:
@@ -636,19 +642,51 @@ _MAX_STEPS = 100_000
 _COND_MAX = 1e12
 
 
+def _richardson(full, half, delta: float):
+    """The t0-derivative at 0 of F from the central differences full =
+    F(delta) - F(-delta) and half = F(delta/2) - F(-delta/2), Richardson-refined."""
+    return (4.0 * (half / delta) - full / (2.0 * delta)) / 3.0
+
+
+def offset_log_derivative(build, zs, delta: float) -> np.ndarray:
+    """d/dt0 log f_{t0}(z) at t0 = 0 on the 1-D samples zs, with no walk, by
+    the Richardson pair of _log_derivative.
+
+    build(t0s) returns f_{t0} as a PowerProduct with one row per offset and
+    one scale and set of exponents for all rows.  log f_{t0} - log f_{-t0}
+    is the difference of the entire exponents plus each s_j times the
+    principal log of B_j(t0) / B_j(-t0), which is the difference of the
+    rows' ledgered logs while that ratio stays near 1, as it does for a
+    small offset away from a zero of the base.  The scale cancels, and so
+    does any factor that does not move with t0, which build may leave out.
+    """
+    rows = build((delta, -delta, 0.5 * delta, -0.5 * delta))
+    z = np.asarray(zs, dtype=complex)
+    entire = rows.entire(z)
+    diff = entire[0::2] - entire[1::2]
+    exponents = [s for _, ss in rows.pows for s in ss]
+    for s, b in zip(exponents, rows.bases(z)):
+        ratio = b[0::2] / b[1::2]
+        # log|r| + i arg r, not np.log(r): the same principal log, several times faster
+        diff = diff + s * _complex_log(ratio, np.angle(ratio))
+    return _richardson(diff[0], diff[1], delta)
+
+
 def _log_derivative(fam: "OdeFamily", zs, delta: float):
-    """h(z), and A(z) = h^{-1} h_hat by Richardson central differences of step delta."""
+    """A(z) = h^{-1} h_hat by Richardson central differences of step delta,
+    from fam.log_derivative if the family has one, else from h_batch at the
+    offsets delta * _FD_OFFSETS; and h(z), or None when h was not read."""
+    if fam.log_derivative is not None:
+        return None, fam.log_derivative(zs, delta)
     H = dict(zip(_FD_OFFSETS, fam.h_batch(delta * np.array(_FD_OFFSETS), zs)))
-    d1 = (H[1.0] - H[-1.0]) / (2.0 * delta)
-    d2 = (H[0.5] - H[-0.5]) / delta
-    hhat = (4.0 * d2 - d1) / 3.0
+    hhat = _richardson(H[1.0] - H[-1.0], H[0.5] - H[-0.5], delta)
     return H[0.0], np.linalg.solve(H[0.0], hhat)
 
 
 @dataclass
 class _Rerun(OdeFamily):
     """A family rerun on a shifted path; shifts are those left to its reruns."""
-    shifts: tuple
+    shifts: tuple = ()
 
 
 def ode_continue(family, path) -> np.ndarray:
@@ -656,12 +694,13 @@ def ode_continue(family, path) -> np.ndarray:
 
     family is an OdeFamily or a closed-form h(z, t0) on arrays of samples
     (see OdeFamily).  h_hat is the t0-derivative of h_{t0} at 0 by Richardson-
-    refined central differences, all offsets delta * _FD_OFFSETS from one
-    h_batch call: a coarse scan at delta = _FD_DELTA sizes the steps and the
-    fine pass's delta (_FD_NORM), and _rk4_walk integrates with the step
-    length throttled so that |dz| * ||h^{-1} h_hat|| stays below _STEP_BUDGET.
-    If h is singular on the path (condition number _COND_MAX or more at a
-    coarse node, or a log-derivative so large that the throttle would need
+    refined central differences (_log_derivative): a coarse scan at delta =
+    _FD_DELTA sizes the steps and the fine pass's delta (_FD_NORM), the fine
+    pass reuses the scan's A at the coarse nodes when its delta is the same,
+    and _rk4_walk integrates with the step length throttled so that
+    |dz| * ||h^{-1} h_hat|| stays below _STEP_BUDGET.  If h is singular on
+    the path (condition number _COND_MAX or more at a coarse node, a
+    non-finite A, or a log-derivative so large that the throttle would need
     more than _MAX_STEPS steps, as at a zero of det h on a node), the problem
     is rerun at z + shift, shift the next of _SHIFTS (the zeros are isolated,
     so they move off the path), and mapped back through
@@ -679,7 +718,8 @@ def ode_continue(family, path) -> np.ndarray:
         steps = np.maximum(1, np.ceil(seg * np.maximum(_STEPS / seg.sum(), w / _STEP_BUDGET)))
         # conditioning, not det, as in extract_D: det h scales with the mass;
         # the step count sees a zero of a 1x1 h, whose condition number is 1
-        singular = not (np.max(np.linalg.cond(hc)) < _COND_MAX and steps.sum() <= _MAX_STEPS)
+        singular = not (np.all(np.isfinite(norms)) and steps.sum() <= _MAX_STEPS
+                        and (hc is None or np.max(np.linalg.cond(hc)) < _COND_MAX))
     except np.linalg.LinAlgError:
         singular = True
     if singular:
@@ -690,14 +730,21 @@ def ode_continue(family, path) -> np.ndarray:
         shift, pts = shifts[0], _path_points(path)
         # g(z) := f1(z + shift) obeys the same ODE with data read at z + shift,
         # i.e. the original family walked along the shifted path.
-        g_end = ode_continue(_Rerun(fam.h_batch, fam.f1_real, shifts[1:]),
+        g_end = ode_continue(_Rerun(fam.h_batch, fam.f1_real, fam.log_derivative, shifts[1:]),
                              [z + shift for z in pts])
         h_at, h_minus = fam.h_batch(np.array([0.0, -shift]), [pts[-1] + shift])[:, 0]
         return g_end @ np.linalg.inv(h_at) @ h_minus
 
-    zs = _with_midpoints(_subdivide(coarse, steps.astype(int)))
-
-    _, A = _log_derivative(fam, zs, _FD_DELTA * (_FD_NORM / max(_FD_NORM, np.max(norms))))
+    counts = steps.astype(int)
+    zs = _with_midpoints(_subdivide(coarse, counts))
+    delta = _FD_DELTA * (_FD_NORM / max(_FD_NORM, np.max(norms)))
+    A = np.empty((len(zs),) + A_scan.shape[1:], dtype=complex)
+    fresh = np.ones(len(zs), dtype=bool)
+    if delta == _FD_DELTA:
+        # the coarse nodes, every second sample of _subdivide's, already have A
+        nodes = 2 * np.concatenate(([0], np.cumsum(counts)))
+        A[nodes], fresh[nodes] = A_scan, False
+    _, A[fresh] = _log_derivative(fam, zs[fresh], delta)
     return _rk4_walk(np.asarray(fam.f1_real(zs[0].real), dtype=complex), A, zs)
 
 

@@ -416,33 +416,46 @@ def _ode_family(family: WaveMatrixFamily, p: MomentumPoint) -> holo.OdeFamily:
 
     Writing q = boost1(-t) p, the product equals a fixed-element Wigner phase
     at the continued momentum times shell compensators and exponentials, one
-    power product whose rows are the offsets t0, built once per tuple of them.
+    power product whose rows are the offsets t0, times the kernel a2^H a1.
+    So A is the scalar's log-derivative times I, read from the bases of the
+    factors that move with t0 with no walk; cond(h) = cond(a2^H a1) at every
+    node, so a singular kernel makes A NaN and every scan singular.  h_batch
+    walks and normalizes the whole product.
     """
     eye = np.eye(3)
     p_arr = p.as_array()
     q0 = to_momentum(p_arr, family.m)
+    kernel = family.a2.conj().T @ family.a1
+    singular = not np.linalg.cond(kernel) < holo._COND_MAX
+    unit = np.full(kernel.shape, np.nan) if singular else np.eye(family.n)
 
     @functools.cache
-    def build(t0s: tuple) -> holo.PowerProduct:
+    def moving(t0s: tuple) -> tuple:
+        # the boosts g0 of the offsets, and the factors of Psi_1(t + t0), one row per offset
         g0 = cg.lift_boost1(np.array(t0s))
         lam0_inv = cg.project(cg.inverse(g0))
-        expr = (holo.fixed_element_phase_raw(g0, eye, p_arr, family.s, family.m)
-                * holo.u_power_raw(eye, p_arr, -family.s, family.m)
-                * holo.u_power_raw(lam0_inv, p_arr, family.s, family.m)
-                * holo.exp_mink_dot(family.b2, eye, p_arr)
-                * holo.exp_mink_dot(family.b1, lam0_inv, p_arr))
+        return g0, lam0_inv, (holo.fixed_element_phase_raw(g0, eye, p_arr, family.s, family.m)
+                              * holo.u_power_raw(lam0_inv, p_arr, family.s, family.m)
+                              * holo.exp_mink_dot(family.b1, lam0_inv, p_arr))
+
+    def h_batch(t0s, zs):
+        g0, lam0_inv, psi1 = moving(tuple(t0s))
+        expr = (psi1 * holo.u_power_raw(eye, p_arr, -family.s, family.m)
+                * holo.exp_mink_dot(family.b2, eye, p_arr))
         moved = wg.transport(g0, q0)
         target = (np.exp(1j * family.s * wg._little_group_element(g0, q0, moved).omega)
                   * wg.u_pihalf(q0, -family.s) * wg.u_pihalf(moved, family.s)
                   * cmath.exp(1j * minkowski_product(family.b2, p_arr))
                   * np.exp(1j * minkowski_product(family.b1, lam0_inv @ p_arr)))
-        return holo.normalize_at(expr, target)
+        h = holo.normalize_at(expr, target)
+        return holo.evaluate_along(h, zs)[..., None, None] * kernel
 
-    def h_batch(t0s, zs):
-        return (holo.evaluate_along(build(tuple(t0s)), zs)[..., None, None]
-                * (family.a2.conj().T @ family.a1))
+    def log_derivative(zs, delta):
+        rate = holo.offset_log_derivative(lambda t0s: moving(t0s)[2], zs, delta)
+        return rate[:, None, None] * unit
 
-    return holo.OdeFamily(h_batch, lambda t: dressed_family(family, 1, float(t), p))
+    return holo.OdeFamily(h_batch, lambda t: dressed_family(family, 1, float(t), p),
+                          log_derivative)
 
 
 def ode_vs_engine(family: WaveMatrixFamily, p: MomentumPoint,

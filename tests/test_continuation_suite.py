@@ -121,7 +121,8 @@ def test_continuation_work_counts(seed):
     # one family for the 50 boundary values and one for the six Morera
     # rectangles; one element or momentum at a time gives 59, 9 and 131 for
     # the builds, the Morera residuals and the walks.  Every walk of the
-    # suite that reads only its end goes through continue_along
+    # suite that reads only its end goes through continue_along, and the
+    # ODE route of log-derivative-ode walks only its direct engine route
     counts = _count_calls(lambda: list(suites.continuation_suite(suites.SuiteConfig(seed=seed))))
     assert counts == {"compensated_family_expr": 5, "continue_along": 11,
-                      "morera_residual": 4, "evaluate_along": 23}
+                      "morera_residual": 4, "evaluate_along": 20}

@@ -583,10 +583,12 @@ def _linspace_nodes(path, steps):
 
 
 def _looped_subdivision(nodes, counts):
-    # the fine samples of ode_continue, one Python step at a time
+    # the fine samples of ode_continue, one Python step at a time; each
+    # segment ends exactly on its node
     full = [nodes[0]]
     for a, b, n in zip(nodes[:-1], nodes[1:], counts.tolist()):
-        full.extend(a + (b - a) * (k + 1) / n for k in range(n))
+        full.extend(a + (b - a) * (k + 1) / n for k in range(n - 1))
+        full.append(b)
     return np.array(full)
 
 

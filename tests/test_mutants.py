@@ -15,6 +15,7 @@ from anyonstat import holo, suites
 from anyonstat import spinstat as ss
 
 
+SPINS = suites.SuiteConfig().spins
 # each record's (suite, anchor, spin) and its verdict with the ledger off
 LEDGER_OFF = {
     ("continuation", "compensated-boundary-value", 1 / 3): False,
@@ -40,13 +41,17 @@ def _records(names) -> dict:
             for r in suites.run_suite(name, config).records}
 
 
-def test_ledger_off(monkeypatch):
-    names = ("continuation", "spinstat")
-    assert all(r.passed for r in _records(names).values())
+def _ledger_off(monkeypatch):
     # every walk returns principal-branch values
     principal = holo.eval_principal
     monkeypatch.setattr(holo, "evaluate_along",
                         lambda expr, zs: principal(expr, np.array(zs, dtype=complex)))
+
+
+def test_ledger_off(monkeypatch):
+    names = ("continuation", "spinstat")
+    assert all(r.passed for r in _records(names).values())
+    _ledger_off(monkeypatch)
     records = _records(names)
     assert {key: r.passed for key, r in records.items()} == LEDGER_OFF
     assert records["continuation", "uncompensated-negative-control", 1 / 3].residuals[
@@ -57,6 +62,27 @@ def test_ledger_off(monkeypatch):
         if suite == "spinstat" and spin:
             assert {k for k, v in r.residuals.items() if not v < tols[k]} == {
                 "pi_rotation", "transformation_law"}
+
+
+def _ode_near_the_boundary() -> dict:
+    # ode_vs_engine of each default spin's suite-seed-7 family at grid[1],
+    # walked to i(pi - 0.15) instead of its default i pi/2
+    grid = ss.momentum_grid(1.0, 5)
+    return {s: ss.ode_vs_engine(ss.build_toy_model(s, 1.0, 2, seed=7), grid[1],
+                                height=math.pi - 0.15) for s in SPINS}
+
+
+def test_ledger_off_near_the_boundary(monkeypatch):
+    # the ODE route reads no ledger, so it sees the mutant once the direct
+    # route's bases meet their cuts: none does below i pi/2 (hence the blind
+    # log-derivative-ode record above), some do on the way to i(pi - 0.15)
+    assert all(v < 1e-6 for v in _ode_near_the_boundary().values())
+    _ledger_off(monkeypatch)
+    off = _ode_near_the_boundary()
+    # blind spot: at spin 0 every power has exponent 0 (s = -s), so no branch
+    # changes a value
+    assert off[0.0] < 1e-6
+    assert all(v > 0.5 for s, v in off.items() if s != 0.0)
 
 
 CONES = ("approach-path-equivalence", "exchange-hypothesis", "dual-cone-double-dual",
@@ -138,7 +164,6 @@ def test_cones_passes_without_a_mutant():
     assert {key: r.passed for key, r in _records(("cones",)).items()} == _cones_verdicts()
 
 
-SPINS = suites.SuiteConfig().spins
 # e^{0.2 i pi}: the statistics phase of s + 0.1 over that of s
 SHIFT = cmath.exp(0.2j * math.pi)
 

@@ -410,6 +410,61 @@ def test_shifted_retry_maps_the_pipeline_family_back(family_third, monkeypatch):
     assert np.max(np.abs(shifted - direct)) < 1e-10 * np.max(np.abs(direct))
 
 
+@pytest.mark.parametrize("s, m", [(1 / 3, 1.0), (0.137, 0.0136), (-18.156, 1.0), (9.4, 50.0)])
+def test_ode_log_derivative_is_h_batch_differenced(s, m):
+    # h_batch, walked and normalized, is the oracle: Richardson central
+    # differences of its offsets, solved against h, at the samples of
+    # test_ode_offsets_are_rows_of_one_family
+    fam = ss.build_toy_model(s, m, 2, seed=5)
+    ode = ss._ode_family(fam, mk.shell_point(0.4, -0.3, m))
+    zs = np.array([0.05j, 0.3 + 0.5j, -0.2 + 1.2j, 0.1 + 2.0j])
+    delta = 1e-3
+    h1, h_1, h2, h_2, h0 = ode.h_batch(delta * np.array([1.0, -1.0, 0.5, -0.5, 0.0]), zs)
+    want = np.linalg.solve(h0, (4.0 * (h2 - h_2) / delta - (h1 - h_1) / (2.0 * delta)) / 3.0)
+    got = ode.log_derivative(zs, delta)
+    assert got.shape == (len(zs), 2, 2)
+    # a scalar times the identity, since h is a scalar times a2^H a1
+    assert np.all(got[:, 0, 1] == 0.0) and np.all(got[:, 1, 0] == 0.0)
+    assert np.array_equal(got[:, 0, 0], got[:, 1, 1])
+    assert np.all(np.linalg.norm(got - want, axis=(1, 2))
+                  < 1e-6 * np.linalg.norm(want, axis=(1, 2)))
+
+
+def test_a_singular_kernel_makes_every_ode_scan_singular(family_third):
+    # h is a scalar times a2^H a1, so a rank-one a1 makes h singular at every
+    # node of every shifted path
+    fam = dataclasses.replace(family_third, a1=np.array([[1.0, 2.0], [0.5, 1.0]]))
+    with pytest.raises(holo.SingularDeterminant, match="shifted path too"):
+        ss.ode_vs_engine(fam, P)
+
+
+def test_the_ode_route_of_the_pipeline_walks_nothing(monkeypatch):
+    # every walk and anchor normalization of a pipeline run, marked by
+    # whether it ran inside holo.ode_continue
+    inside, calls = [False], []
+    for name in ("evaluate_along", "normalize_at"):
+        def counted(*args, _fn=getattr(holo, name), _name=name):
+            calls.append((_name, inside[0]))
+            return _fn(*args)
+
+        monkeypatch.setattr(holo, name, counted)
+
+    def ode_continue(*args, _fn=holo.ode_continue):
+        inside[0] = True
+        try:
+            return _fn(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(holo, "ode_continue", ode_continue)
+    rep = ss.run_pipeline(0.25, seed=7)
+    assert rep.residuals["ode_vs_engine"] < 1e-6
+    assert {name: sum(1 for n, during in calls if n == name and during)
+            for name in ("evaluate_along", "normalize_at")} == {
+        "evaluate_along": 0, "normalize_at": 0}
+    assert len(calls) > 0
+
+
 GRID = ss.momentum_grid(1.0, 2)
 
 
@@ -501,17 +556,18 @@ def test_each_compensated_build_transports_its_momenta_once(monkeypatch, family_
 
 def test_work_counts_do_not_grow_with_offsets_or_momenta(monkeypatch):
     # normalize_at walks its family once, which evaluate_along counts too;
-    # ode_vs_engine builds one family for all offsets and the direct route
+    # ode_vs_engine walks only its direct route, since the ODE route reads
+    # its log-derivative from the bases with no walk
     fam = ss.build_toy_model(0.25, 1.0, 2, seed=7)
     p = mk.shell_point(0.35, -0.2, 1.0)
-    ode = {"normalize_at": 2, "evaluate_along": 5}
+    ode = {"normalize_at": 1, "evaluate_along": 2}
     assert _count_walks(lambda: ss.ode_vs_engine(fam, p)) == ode
     monkeypatch.setattr(holo, "_FD_OFFSETS", holo._FD_OFFSETS + (0.25, -0.25))
     assert _count_walks(lambda: ss.ode_vs_engine(fam, p)) == ode
 
     for size in (2, 3):
         assert _count_walks(lambda: ss.run_pipeline(0.25, grid_size=size)) == {
-            "normalize_at": 10, "evaluate_along": 19}
+            "normalize_at": 9, "evaluate_along": 16}
     # on a new family each check also fills the boundary pairs it reads, with
     # one family for both prefactors; the covariance check walks one family
     for check, walks in ((ss.two_point_boundary_check, (3, 5)),
