@@ -31,9 +31,8 @@ keyed, because they read nothing but their samples and what they capture.
 A hit therefore returns the very arrays a fresh walk computes, and every
 value stays bit for bit the same.  A family with any other part, such as a
 function written in a test, walks without the memo.
-`fixed_element_phase_raw` is left out on purpose: the ODE route reads its
-log-derivative pointwise, with no walk, and its one walk, the map-back of a
-shifted rerun, fires on no default config and would only crowd the memo.
+`fixed_element_phase_raw` is left out: no code of the package walks it, as
+the ODE route reads its bases pointwise.
 
 The module also provides the builders of the compensated Wigner-phase
 families used by the spin-statistics pipeline.  Every builder walks the one
@@ -86,7 +85,8 @@ class RefinementLimit(ArithmeticError):
 
 
 class SingularDeterminant(ArithmeticError):
-    """det h stayed below tolerance even after the shifted-argument detour."""
+    """h stayed singular on every rerun of the log-derivative ODE on a shifted
+    path, as it does where det h vanishes at the path's end point."""
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +513,8 @@ def fixed_element_phase_raw(g: cg.CoverElement, pre, anchor, s: float,
 
 
 # The builders whose base and exponent functions read nothing but their
-# samples and what they capture; fixed_element_phase_raw is left out (module
-# docstring).
+# samples and what they capture; fixed_element_phase_raw, never walked, is
+# left out (module docstring).
 _KEYED_CODE = frozenset(c for f in (_boosted, exp_mink_dot, u_power_raw, boost_family_phase_raw)
                         for c in f.__code__.co_consts if isinstance(c, types.CodeType))
 
@@ -568,18 +568,18 @@ def boost_energy_branch_point(p: MomentumPoint) -> complex:
 class OdeFamily:
     """Data needed by ode_continue.
 
-    h_batch(t0s, zs) returns h_{t0}(z) = f2(z) f1(z + t0) for an array of
-    offsets at the strip samples, shape (offsets, samples, n, n).  f1_real(t)
-    is f1 on the real axis.  log_derivative(zs, delta), if given, returns
-    A = h^{-1} dh/dt0 at the samples, shape (samples, n, n), and checks the
-    conditioning of h itself; h_batch then only maps a shifted rerun back.
-    A closed-form h(z, t0) given to ode_continue instead receives the whole
-    sample array z and returns one scalar or one n x n matrix per sample.
+    f1_real(t) is f1 on the real axis.  log_derivative(zs, delta) returns a
+    pair (h, A) at the 1-D strip samples zs, each of shape (samples, n, n):
+    A = h^{-1} dh_{t0}/dt0 at t0 = 0 for h_{t0}(z) = f2(z) f1(z + t0), by
+    Richardson central differences of step delta, and h = h_0, whose
+    conditioning ode_continue checks on its coarse scan; or None in place of
+    h when A already turns non-finite wherever h is singular.  A closed-form
+    h(z, t0) given to ode_continue instead receives the whole sample array z
+    and returns one scalar or one n x n matrix per sample.
     """
 
-    h_batch: callable
     f1_real: callable
-    log_derivative: callable = None
+    log_derivative: callable
 
 
 def _family_from_callable(h) -> OdeFamily:
@@ -590,7 +590,12 @@ def _family_from_callable(h) -> OdeFamily:
         rows = [np.asarray(h(zs, t0), dtype=complex) for t0 in t0s]
         return np.stack([r if r.ndim > zs.ndim else r[..., None, None] for r in rows])
 
-    return OdeFamily(batch, lambda t: batch([0.0], [complex(t)])[0, 0])
+    def log_derivative(zs, delta):
+        H = dict(zip(_FD_OFFSETS, batch(delta * np.array(_FD_OFFSETS), zs)))
+        hhat = _richardson(H[1.0] - H[-1.0], H[0.5] - H[-0.5], delta)
+        return H[0.0], np.linalg.solve(H[0.0], hhat)
+
+    return OdeFamily(lambda t: batch([0.0], [complex(t)])[0, 0], log_derivative)
 
 
 def _split(counts: np.ndarray):
@@ -649,8 +654,8 @@ def _richardson(full, half, delta: float):
 
 
 def offset_log_derivative(build, zs, delta: float) -> np.ndarray:
-    """d/dt0 log f_{t0}(z) at t0 = 0 on the 1-D samples zs, with no walk, by
-    the Richardson pair of _log_derivative.
+    """d/dt0 log f_{t0}(z) at t0 = 0 on the 1-D samples zs, with no walk,
+    from the pair of central differences that _richardson refines.
 
     build(t0s) returns f_{t0} as a PowerProduct with one row per offset and
     one scale and set of exponents for all rows.  log f_{t0} - log f_{-t0}
@@ -672,17 +677,6 @@ def offset_log_derivative(build, zs, delta: float) -> np.ndarray:
     return _richardson(diff[0], diff[1], delta)
 
 
-def _log_derivative(fam: "OdeFamily", zs, delta: float):
-    """A(z) = h^{-1} h_hat by Richardson central differences of step delta,
-    from fam.log_derivative if the family has one, else from h_batch at the
-    offsets delta * _FD_OFFSETS; and h(z), or None when h was not read."""
-    if fam.log_derivative is not None:
-        return None, fam.log_derivative(zs, delta)
-    H = dict(zip(_FD_OFFSETS, fam.h_batch(delta * np.array(_FD_OFFSETS), zs)))
-    hhat = _richardson(H[1.0] - H[-1.0], H[0.5] - H[-0.5], delta)
-    return H[0.0], np.linalg.solve(H[0.0], hhat)
-
-
 @dataclass
 class _Rerun(OdeFamily):
     """A family rerun on a shifted path; shifts are those left to its reruns."""
@@ -694,17 +688,18 @@ def ode_continue(family, path) -> np.ndarray:
 
     family is an OdeFamily or a closed-form h(z, t0) on arrays of samples
     (see OdeFamily).  h_hat is the t0-derivative of h_{t0} at 0 by Richardson-
-    refined central differences (_log_derivative): a coarse scan at delta =
-    _FD_DELTA sizes the steps and the fine pass's delta (_FD_NORM), the fine
-    pass reuses the scan's A at the coarse nodes when its delta is the same,
-    and _rk4_walk integrates with the step length throttled so that
-    |dz| * ||h^{-1} h_hat|| stays below _STEP_BUDGET.  If h is singular on
-    the path (condition number _COND_MAX or more at a coarse node, a
+    refined central differences (family.log_derivative): a coarse scan at
+    delta = _FD_DELTA sizes the steps and the fine pass's delta (_FD_NORM),
+    the fine pass reuses the scan's A at the coarse nodes when its delta is
+    the same, and _rk4_walk integrates with the step length throttled so
+    that |dz| * ||h^{-1} h_hat|| stays below _STEP_BUDGET.  If h is singular
+    on the path (condition number _COND_MAX or more at a coarse node, a
     non-finite A, or a log-derivative so large that the throttle would need
     more than _MAX_STEPS steps, as at a zero of det h on a node), the problem
-    is rerun at z + shift, shift the next of _SHIFTS (the zeros are isolated,
-    so they move off the path), and mapped back through
-    f1(z) = f1(z+t0) h(z+t0)^{-1} h_{-t0}(z+t0).
+    is rerun on the path moved right by shift, the next of _SHIFTS (the
+    zeros are isolated, so they move off the path), and then straight back
+    to the path's end.  f1 is analytic in the strip, so that path gives the
+    same value, and a zero of det h at the end itself raises.
     """
     fam = family if isinstance(family, OdeFamily) else _family_from_callable(family)
     shifts = fam.shifts if isinstance(fam, _Rerun) else _SHIFTS
@@ -712,7 +707,7 @@ def ode_continue(family, path) -> np.ndarray:
     coarse = _uniform_nodes(path, max(16, _STEPS // 3))
     seg = np.abs(np.diff(coarse))
     try:
-        hc, A_scan = _log_derivative(fam, coarse, _FD_DELTA)
+        hc, A_scan = fam.log_derivative(coarse, _FD_DELTA)
         norms = np.linalg.norm(A_scan, axis=(1, 2))
         w = np.maximum(norms[:-1], norms[1:])
         steps = np.maximum(1, np.ceil(seg * np.maximum(_STEPS / seg.sum(), w / _STEP_BUDGET)))
@@ -727,13 +722,9 @@ def ode_continue(family, path) -> np.ndarray:
             raise SingularDeterminant(
                 f"h is singular (condition number >= {_COND_MAX:g} or more than "
                 f"{_MAX_STEPS} steps) along the shifted path too")
-        shift, pts = shifts[0], _path_points(path)
-        # g(z) := f1(z + shift) obeys the same ODE with data read at z + shift,
-        # i.e. the original family walked along the shifted path.
-        g_end = ode_continue(_Rerun(fam.h_batch, fam.f1_real, fam.log_derivative, shifts[1:]),
-                             [z + shift for z in pts])
-        h_at, h_minus = fam.h_batch(np.array([0.0, -shift]), [pts[-1] + shift])[:, 0]
-        return g_end @ np.linalg.inv(h_at) @ h_minus
+        pts = _path_points(path)
+        return ode_continue(_Rerun(fam.f1_real, fam.log_derivative, shifts[1:]),
+                            [z + shifts[0] for z in pts] + [pts[-1]])
 
     counts = steps.astype(int)
     zs = _with_midpoints(_subdivide(coarse, counts))
@@ -744,7 +735,7 @@ def ode_continue(family, path) -> np.ndarray:
         # the coarse nodes, every second sample of _subdivide's, already have A
         nodes = 2 * np.concatenate(([0], np.cumsum(counts)))
         A[nodes], fresh[nodes] = A_scan, False
-    _, A[fresh] = _log_derivative(fam, zs[fresh], delta)
+    _, A[fresh] = fam.log_derivative(zs[fresh], delta)
     return _rk4_walk(np.asarray(fam.f1_real(zs[0].real), dtype=complex), A, zs)
 
 

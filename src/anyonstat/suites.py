@@ -382,7 +382,7 @@ def continuation_suite(config: SuiteConfig) -> Iterator[Record]:
     r1 = abs(holo.ode_continue(scalar, holo.StripPath.vertical(0.0, height=math.pi / 2))[0, 0]
              - cmath.exp(1j * a * (1j * math.pi / 2)))
     # the zero of cosh at i pi/2 is a coarse node of the vertical path, so the
-    # walk detours through the shifted argument
+    # route reruns on the path moved right by 0.1 and walks back to i pi
     singular = lambda z, t0: np.cosh(z + t0)
     r2 = abs(holo.ode_continue(singular, holo.StripPath.vertical())[0, 0]
              - cmath.cosh(1j * math.pi))

@@ -488,11 +488,22 @@ def _diag_family(f, g):
 def test_ode_singular_determinant_detour(monkeypatch):
     # f1 = cosh vanishes at i pi/2, a coarse node of the default path; a 1x1 h
     # has condition number 1 wherever it is nonzero, so the step count of the
-    # pole of A = tanh sends it round the shifted path, which gives cosh(i pi)
+    # pole of A = tanh sends it round the shifted path and back to i pi,
+    # which gives cosh(i pi)
     calls = _counting_ode(monkeypatch)
     val = holo.ode_continue(lambda z, t0: np.cosh(z + t0), holo.StripPath.vertical())
     assert len(calls) == 2
     assert abs(val[0, 0] - cmath.cosh(1j * math.pi)) < 1e-5
+
+
+def test_ode_raises_where_det_h_vanishes_at_the_end(monkeypatch):
+    # every rerun walks back to the path's end, so a zero of det h there
+    # (cosh at i pi/2) leaves every shifted scan singular too
+    calls = _counting_ode(monkeypatch)
+    with pytest.raises(holo.SingularDeterminant, match="shifted path too"):
+        holo.ode_continue(lambda z, t0: np.cosh(z + t0),
+                          holo.StripPath.vertical(0.0, height=math.pi / 2))
+    assert len(calls) == 1 + len(holo._SHIFTS)
 
 
 @pytest.mark.parametrize("h, height, calls", [

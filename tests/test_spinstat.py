@@ -362,67 +362,70 @@ def test_build_rejects_bad_mass():
 
 # --- batched families: offsets and momenta as rows ---------------------------
 
-def test_ode_offsets_are_rows_of_one_family(family_third):
-    # each row of one h_batch call is the single-offset family, and both are
-    # the engine's straight continuations Psi_2(z)^* Psi_1(z + t0)
-    ode = ss._ode_family(family_third, P)
-    offsets = 1e-3 * np.array(holo._FD_OFFSETS)
-    zs = np.array([0.05j, 0.3 + 0.5j, -0.2 + 1.2j, 0.1 + 2.0j])
-    rows = ode.h_batch(offsets, zs)
-    assert rows.shape == (len(offsets), len(zs), 2, 2)
-    for t0, row in zip(offsets, rows):
-        assert np.max(np.abs(row - ode.h_batch([t0], zs)[0])) < 1e-14 * np.max(np.abs(row))
-        engine = np.array([ss.dressed_family(family_third, 2, z, P)
-                           @ ss.dressed_family(family_third, 1, z + t0, P) for z in zs])
-        assert np.max(np.abs(row - engine)) < 1e-12 * np.max(np.abs(engine))
+def test_ode_offsets_are_rows_of_one_family():
     # the closed-form route calls h once per offset on all samples, with the
-    # rows of one call per sample
+    # rows of one call per sample: its h is a looped h(z, 0) and its A the
+    # Richardson differences of the looped offsets, both bit for bit
     def h(z, t0):
         w = np.asarray(z) + t0
         out = np.zeros(w.shape + (2, 2), dtype=complex)
         out[..., 0, 0], out[..., 1, 1] = np.exp(1j * w), np.cosh(w)
         return out
 
+    zs = np.array([0.05j, 0.3 + 0.5j, -0.2 + 1.2j, 0.1 + 2.0j])
+    delta = 1e-3
     closed = holo._family_from_callable(h)
-    got = closed.h_batch(offsets, zs)
-    assert got.shape == (len(offsets), len(zs), 2, 2)
-    for t0, row in zip(offsets, got):
-        assert np.array_equal(row, np.array([h(z, t0) for z in zs]))
+    got_h, got_a = closed.log_derivative(zs, delta)
+    assert got_h.shape == got_a.shape == (len(zs), 2, 2)
+    assert np.array_equal(got_h, np.array([h(z, 0.0) for z in zs]))
+    h1, h_1, h2, h_2 = (np.array([h(z, t0) for z in zs])
+                        for t0 in delta * np.array([1.0, -1.0, 0.5, -0.5]))
+    want = np.linalg.solve(got_h, holo._richardson(h1 - h_1, h2 - h_2, delta))
+    assert np.array_equal(got_a, want)
     assert np.array_equal(closed.f1_real(0.3), h(0.3 + 0j, 0.0))
 
 
-def test_shifted_retry_maps_the_pipeline_family_back(family_third, monkeypatch):
-    # a scan forced singular once reruns on the shifted path and maps back
-    # through h at the offsets (0, -shift), read in one h_batch call
+def _singular_once(ode, scans):
+    # the family with its first log-derivative read, the first scan, singular
+    def log_derivative(zs, delta, _orig=ode.log_derivative):
+        scans.append(zs)
+        if len(scans) == 1:
+            raise np.linalg.LinAlgError("forced")
+        return _orig(zs, delta)
+
+    return dataclasses.replace(ode, log_derivative=log_derivative)
+
+
+def test_shifted_retry_maps_the_pipeline_family_back(family_third):
+    # a scan forced singular once reruns on the path moved right by the first
+    # shift and straight back to its end: one shifted scan and one fine pass
     path = holo.StripPath.vertical(0.0, height=math.pi / 2)
     direct = holo.ode_continue(ss._ode_family(family_third, P), path)
     scans = []
-
-    def singular_once(*args, _orig=holo._log_derivative):
-        scans.append(args[1])
-        if len(scans) == 1:
-            raise np.linalg.LinAlgError("forced")
-        return _orig(*args)
-
-    monkeypatch.setattr(holo, "_log_derivative", singular_once)
-    shifted = holo.ode_continue(ss._ode_family(family_third, P), path)
+    shifted = holo.ode_continue(_singular_once(ss._ode_family(family_third, P), scans), path)
     assert len(scans) == 3
+    assert scans[1][0] == holo._SHIFTS[0] and scans[1][-1] == path.points[-1]
     assert np.max(np.abs(shifted - direct)) < 1e-10 * np.max(np.abs(direct))
 
 
 @pytest.mark.parametrize("s, m", [(1 / 3, 1.0), (0.137, 0.0136), (-18.156, 1.0), (9.4, 50.0)])
 def test_ode_log_derivative_is_h_batch_differenced(s, m):
-    # h_batch, walked and normalized, is the oracle: Richardson central
-    # differences of its offsets, solved against h, at the samples of
-    # test_ode_offsets_are_rows_of_one_family
+    # the engine's straight continuations Psi_2(z)^* Psi_1(z + t0) at the
+    # five offsets are the oracle: Richardson central differences of their
+    # offsets, solved against h
     fam = ss.build_toy_model(s, m, 2, seed=5)
-    ode = ss._ode_family(fam, mk.shell_point(0.4, -0.3, m))
+    p = mk.shell_point(0.4, -0.3, m)
     zs = np.array([0.05j, 0.3 + 0.5j, -0.2 + 1.2j, 0.1 + 2.0j])
     delta = 1e-3
-    h1, h_1, h2, h_2, h0 = ode.h_batch(delta * np.array([1.0, -1.0, 0.5, -0.5, 0.0]), zs)
+
+    def h_batch(t0s):
+        return [np.array([ss.dressed_family(fam, 2, z, p) @ ss.dressed_family(fam, 1, z + t0, p)
+                          for z in zs]) for t0 in t0s]
+
+    h1, h_1, h2, h_2, h0 = h_batch(delta * np.array([1.0, -1.0, 0.5, -0.5, 0.0]))
     want = np.linalg.solve(h0, (4.0 * (h2 - h_2) / delta - (h1 - h_1) / (2.0 * delta)) / 3.0)
-    got = ode.log_derivative(zs, delta)
-    assert got.shape == (len(zs), 2, 2)
+    h, got = ss._ode_family(fam, p).log_derivative(zs, delta)
+    assert h is None and got.shape == (len(zs), 2, 2)
     # a scalar times the identity, since h is a scalar times a2^H a1
     assert np.all(got[:, 0, 1] == 0.0) and np.all(got[:, 1, 0] == 0.0)
     assert np.array_equal(got[:, 0, 0], got[:, 1, 1])
@@ -438,10 +441,10 @@ def test_a_singular_kernel_makes_every_ode_scan_singular(family_third):
         ss.ode_vs_engine(fam, P)
 
 
-def test_the_ode_route_of_the_pipeline_walks_nothing(monkeypatch):
-    # every walk and anchor normalization of a pipeline run, marked by
-    # whether it ran inside holo.ode_continue
-    inside, calls = [False], []
+def _mark_walks(monkeypatch) -> tuple:
+    # every walk and anchor normalization, as (name, whether it ran inside
+    # holo.ode_continue), and one entry per ode_continue call
+    inside, calls, odes = [False], [], []
     for name in ("evaluate_along", "normalize_at"):
         def counted(*args, _fn=getattr(holo, name), _name=name):
             calls.append((_name, inside[0]))
@@ -450,18 +453,41 @@ def test_the_ode_route_of_the_pipeline_walks_nothing(monkeypatch):
         monkeypatch.setattr(holo, name, counted)
 
     def ode_continue(*args, _fn=holo.ode_continue):
-        inside[0] = True
+        odes.append(None)
+        outer, inside[0] = inside[0], True
         try:
             return _fn(*args)
         finally:
-            inside[0] = False
+            inside[0] = outer
 
     monkeypatch.setattr(holo, "ode_continue", ode_continue)
+    return calls, odes
+
+
+def _inside(calls) -> dict:
+    return {name: sum(1 for n, during in calls if n == name and during)
+            for name in ("evaluate_along", "normalize_at")}
+
+
+def test_the_ode_route_of_the_pipeline_walks_nothing(monkeypatch):
+    calls, _ = _mark_walks(monkeypatch)
     rep = ss.run_pipeline(0.25, seed=7)
     assert rep.residuals["ode_vs_engine"] < 1e-6
-    assert {name: sum(1 for n, during in calls if n == name and during)
-            for name in ("evaluate_along", "normalize_at")} == {
-        "evaluate_along": 0, "normalize_at": 0}
+    assert _inside(calls) == {"evaluate_along": 0, "normalize_at": 0}
+    assert len(calls) > 0
+
+
+def test_a_rerun_of_the_ode_route_walks_nothing(family_third, monkeypatch):
+    # a rerun walks the shifted path and back to the end, so nothing maps it
+    # back through h, walked and normalized
+    scans = []
+    real = ss._ode_family
+    monkeypatch.setattr(ss, "_ode_family", lambda f, p: _singular_once(real(f, p), scans))
+    calls, odes = _mark_walks(monkeypatch)
+    assert ss.ode_vs_engine(family_third, P) < 1e-6
+    assert len(odes) == 2 and len(scans) == 3
+    assert _inside(calls) == {"evaluate_along": 0, "normalize_at": 0}
+    # the direct route walks outside it
     assert len(calls) > 0
 
 
@@ -546,12 +572,11 @@ def _count_walks(run) -> dict:
     return counts
 
 
-def test_each_compensated_build_transports_its_momenta_once(monkeypatch, family_third):
+def test_each_compensated_build_transports_its_momenta_once(monkeypatch):
     calls = []
     monkeypatch.setattr(wg, "transport", lambda g, p, _t=wg.transport: calls.append(g) or _t(g, p))
     holo.compensated_family_expr(cg.lift_rotation(0.3), GRID, 0.25)
-    ss._ode_family(family_third, P).h_batch((0.0, 1e-3), [0.0, 0.5j])
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_work_counts_do_not_grow_with_offsets_or_momenta(monkeypatch):
