@@ -86,7 +86,8 @@ class RefinementLimit(ArithmeticError):
 
 class SingularDeterminant(ArithmeticError):
     """h stayed singular on every rerun of the log-derivative ODE on a shifted
-    path, as it does where det h vanishes at the path's end point."""
+    path (its log-derivative non-finite, or too large to step through), as it
+    does where det h vanishes at the path's end point."""
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +292,7 @@ def evaluate_along(expr: PowerProduct, zs) -> np.ndarray:
 
 def _walk(expr: PowerProduct, z: np.ndarray) -> tuple:
     """The spin-free part of evaluate_along: each base's complex log on its
-    ledger and the summed entire exponents, at the samples z only.  The logs
-    come one base at a time, so that a walk that is not kept never holds
-    them all at once."""
+    ledger and the summed entire exponents, at the samples z only."""
     given = np.ones(len(z), dtype=bool)
     depth = np.zeros(len(z) - 1, dtype=int)
     bases = expr.bases(z)
@@ -314,7 +313,7 @@ def _walk(expr: PowerProduct, z: np.ndarray) -> tuple:
         given = np.insert(given, at, False)
         depth = np.repeat(depth + split, np.where(split, 2, 1))
     args = np.cumsum(np.concatenate((np.angle(bases[..., :1]), turns), axis=-1), axis=-1)
-    logs = (_complex_log(b[..., given], a[..., given]) for b, a in zip(bases, args))
+    logs = tuple(_complex_log(b[..., given], a[..., given]) for b, a in zip(bases, args))
     return logs, expr.entire(z[given])
 
 
@@ -333,9 +332,8 @@ def _memo_walk(expr: PowerProduct, z: np.ndarray) -> tuple:
     key = (z.tobytes(), len(expr.pows), tuple(parts))
     walked = _WALKS.get(key)
     if walked is None:
-        logs, entire = _walk(expr, z)
-        walked = _WALKS[key] = tuple(logs), entire
-        for a in (*walked[0], entire):
+        logs, entire = walked = _WALKS[key] = _walk(expr, z)
+        for a in (*logs, entire):
             a.flags.writeable = False
         if len(_WALKS) > _WALK_MEMO_SIZE:
             _WALKS.popitem(last=False)
@@ -568,34 +566,15 @@ def boost_energy_branch_point(p: MomentumPoint) -> complex:
 class OdeFamily:
     """Data needed by ode_continue.
 
-    f1_real(t) is f1 on the real axis.  log_derivative(zs, delta) returns a
-    pair (h, A) at the 1-D strip samples zs, each of shape (samples, n, n):
-    A = h^{-1} dh_{t0}/dt0 at t0 = 0 for h_{t0}(z) = f2(z) f1(z + t0), by
-    Richardson central differences of step delta, and h = h_0, whose
-    conditioning ode_continue checks on its coarse scan; or None in place of
-    h when A already turns non-finite wherever h is singular.  A closed-form
-    h(z, t0) given to ode_continue instead receives the whole sample array z
-    and returns one scalar or one n x n matrix per sample.
+    f1_real(t) is f1 on the real axis.  log_derivative(zs, delta) returns
+    A = h^{-1} dh_{t0}/dt0 at t0 = 0 for h_{t0}(z) = f2(z) f1(z + t0) at the
+    1-D strip samples zs, shape (samples, n, n); a family that reads A by
+    central differences in t0 takes delta as its step, and a closed-form A
+    ignores it.  A is non-finite wherever h is singular.
     """
 
     f1_real: callable
     log_derivative: callable
-
-
-def _family_from_callable(h) -> OdeFamily:
-    # Closed-form h(z, t0) with f2 = identity, so f1 = h(., 0); one call per
-    # offset on all samples, a scalar per sample read as a 1x1 matrix.
-    def batch(t0s, zs):
-        zs = np.asarray(zs, dtype=complex)
-        rows = [np.asarray(h(zs, t0), dtype=complex) for t0 in t0s]
-        return np.stack([r if r.ndim > zs.ndim else r[..., None, None] for r in rows])
-
-    def log_derivative(zs, delta):
-        H = dict(zip(_FD_OFFSETS, batch(delta * np.array(_FD_OFFSETS), zs)))
-        hhat = _richardson(H[1.0] - H[-1.0], H[0.5] - H[-0.5], delta)
-        return H[0.0], np.linalg.solve(H[0.0], hhat)
-
-    return OdeFamily(lambda t: batch([0.0], [complex(t)])[0, 0], log_derivative)
 
 
 def _split(counts: np.ndarray):
@@ -635,7 +614,6 @@ def _with_midpoints(full: np.ndarray) -> np.ndarray:
     return out
 
 
-_FD_OFFSETS = (0.0, 1.0, -1.0, 0.5, -0.5)
 _FD_DELTA = 1e-3
 # the fine pass steps _FD_DELTA * min(1, _FD_NORM / max ||A|| over the scan)
 _FD_NORM = 10.0
@@ -644,7 +622,6 @@ _SHIFTS = (0.1, 0.1 * 1.7, 0.1 * 1.7 * 1.7, 0.1 * 1.7 * 1.7 * 1.7, 0.1 * 1.7 * 1
 _STEPS = 120
 _STEP_BUDGET = 0.01
 _MAX_STEPS = 100_000
-_COND_MAX = 1e12
 
 
 def _richardson(full, half, delta: float):
@@ -683,47 +660,40 @@ class _Rerun(OdeFamily):
     shifts: tuple = ()
 
 
-def ode_continue(family, path) -> np.ndarray:
-    """Continue f1 along the path by integrating f1' = f1 (h^{-1} h_hat).
+def ode_continue(family: OdeFamily, path) -> np.ndarray:
+    """Continue f1 along the path by integrating f1' = f1 A.
 
-    family is an OdeFamily or a closed-form h(z, t0) on arrays of samples
-    (see OdeFamily).  h_hat is the t0-derivative of h_{t0} at 0 by Richardson-
-    refined central differences (family.log_derivative): a coarse scan at
-    delta = _FD_DELTA sizes the steps and the fine pass's delta (_FD_NORM),
-    the fine pass reuses the scan's A at the coarse nodes when its delta is
-    the same, and _rk4_walk integrates with the step length throttled so
-    that |dz| * ||h^{-1} h_hat|| stays below _STEP_BUDGET.  If h is singular
-    on the path (condition number _COND_MAX or more at a coarse node, a
-    non-finite A, or a log-derivative so large that the throttle would need
-    more than _MAX_STEPS steps, as at a zero of det h on a node), the problem
-    is rerun on the path moved right by shift, the next of _SHIFTS (the
-    zeros are isolated, so they move off the path), and then straight back
-    to the path's end.  f1 is analytic in the strip, so that path gives the
-    same value, and a zero of det h at the end itself raises.
+    family.log_derivative gives A: a coarse scan at delta = _FD_DELTA sizes
+    the steps and the fine pass's delta (_FD_NORM), the fine pass reuses the
+    scan's A at the coarse nodes when its delta is the same, and _rk4_walk
+    integrates with the step length throttled so that |dz| * ||A|| stays
+    below _STEP_BUDGET.  The path starts on the real axis, where f1_real
+    gives the initial value.  If h is singular on the path (a non-finite A
+    at a coarse node, or a log-derivative so large that the throttle would
+    need more than _MAX_STEPS steps, as at a zero of det h on a node), the
+    problem is rerun on the path moved right by shift, the next of _SHIFTS
+    (the zeros are isolated, so they move off the path), and then straight
+    back to the path's end.  f1 is analytic in the strip, so that path gives
+    the same value, and a zero of det h at the end itself raises.
     """
-    fam = family if isinstance(family, OdeFamily) else _family_from_callable(family)
-    shifts = fam.shifts if isinstance(fam, _Rerun) else _SHIFTS
-
+    shifts = family.shifts if isinstance(family, _Rerun) else _SHIFTS
     coarse = _uniform_nodes(path, max(16, _STEPS // 3))
+    if coarse[0].imag:
+        raise ValueError(f"the ODE route starts on the real axis, not at {coarse[0]}")
     seg = np.abs(np.diff(coarse))
-    try:
-        hc, A_scan = fam.log_derivative(coarse, _FD_DELTA)
-        norms = np.linalg.norm(A_scan, axis=(1, 2))
-        w = np.maximum(norms[:-1], norms[1:])
-        steps = np.maximum(1, np.ceil(seg * np.maximum(_STEPS / seg.sum(), w / _STEP_BUDGET)))
-        # conditioning, not det, as in extract_D: det h scales with the mass;
-        # the step count sees a zero of a 1x1 h, whose condition number is 1
-        singular = not (np.all(np.isfinite(norms)) and steps.sum() <= _MAX_STEPS
-                        and (hc is None or np.max(np.linalg.cond(hc)) < _COND_MAX))
-    except np.linalg.LinAlgError:
-        singular = True
-    if singular:
+    A_scan = family.log_derivative(coarse, _FD_DELTA)
+    norms = np.linalg.norm(A_scan, axis=(1, 2))
+    w = np.maximum(norms[:-1], norms[1:])
+    steps = np.maximum(1, np.ceil(seg * np.maximum(_STEPS / seg.sum(), w / _STEP_BUDGET)))
+    # a singular h makes A non-finite; the step count sees the pole of A at
+    # a zero of a 1x1 h
+    if not (np.all(np.isfinite(norms)) and steps.sum() <= _MAX_STEPS):
         if not shifts:
             raise SingularDeterminant(
-                f"h is singular (condition number >= {_COND_MAX:g} or more than "
+                f"h is singular (a non-finite log-derivative or more than "
                 f"{_MAX_STEPS} steps) along the shifted path too")
         pts = _path_points(path)
-        return ode_continue(_Rerun(fam.f1_real, fam.log_derivative, shifts[1:]),
+        return ode_continue(_Rerun(family.f1_real, family.log_derivative, shifts[1:]),
                             [z + shifts[0] for z in pts] + [pts[-1]])
 
     counts = steps.astype(int)
@@ -735,8 +705,8 @@ def ode_continue(family, path) -> np.ndarray:
         # the coarse nodes, every second sample of _subdivide's, already have A
         nodes = 2 * np.concatenate(([0], np.cumsum(counts)))
         A[nodes], fresh[nodes] = A_scan, False
-    _, A[fresh] = fam.log_derivative(zs[fresh], delta)
-    return _rk4_walk(np.asarray(fam.f1_real(zs[0].real), dtype=complex), A, zs)
+    A[fresh] = family.log_derivative(zs[fresh], delta)
+    return _rk4_walk(np.asarray(family.f1_real(zs[0].real), dtype=complex), A, zs)
 
 
 def _rk4_walk(f, A, zs) -> np.ndarray:

@@ -47,6 +47,9 @@ from . import wigner as wg
 from .minkowski import (J, MomentumPoint, boost1, minkowski_product, rotation,
                         to_momentum)
 
+# the condition number from which a matrix counts as singular
+_COND_MAX = 1e12
+
 
 class HypothesisViolation(ValueError):
     """A group element left the neighbourhood where strip analyticity holds."""
@@ -336,11 +339,11 @@ def extract_D(family: WaveMatrixFamily, grid: MomentumPoint) -> tuple:
     hat_v, _ = family.boundary_pair(grid)
     c1 = family.psi1_conj(grid)
     # conditioning, not det: det scales like e^{-2 p0} with the mass
-    if not np.all(np.linalg.cond(c1) < holo._COND_MAX):
+    if not np.all(np.linalg.cond(c1) < _COND_MAX):
         raise np.linalg.LinAlgError("conjugate family is singular on the grid")
     ds = hat_v @ np.linalg.inv(c1)
     mean = np.mean(ds, axis=0)
-    if not np.linalg.cond(mean) < holo._COND_MAX:
+    if not np.linalg.cond(mean) < _COND_MAX:
         raise np.linalg.LinAlgError("extracted proportionality matrix is singular")
     return mean, float(np.max(_rel(ds, mean)))
 
@@ -425,7 +428,7 @@ def _ode_family(family: WaveMatrixFamily, p: MomentumPoint) -> holo.OdeFamily:
     eye = np.eye(3)
     p_arr = p.as_array()
     kernel = family.a2.conj().T @ family.a1
-    singular = not np.linalg.cond(kernel) < holo._COND_MAX
+    singular = not np.linalg.cond(kernel) < _COND_MAX
     unit = np.full(kernel.shape, np.nan) if singular else np.eye(family.n)
 
     @functools.cache
@@ -438,8 +441,7 @@ def _ode_family(family: WaveMatrixFamily, p: MomentumPoint) -> holo.OdeFamily:
                 * holo.exp_mink_dot(family.b1, lam0_inv, p_arr))
 
     def log_derivative(zs, delta):
-        rate = holo.offset_log_derivative(moving, zs, delta)
-        return None, rate[:, None, None] * unit
+        return holo.offset_log_derivative(moving, zs, delta)[:, None, None] * unit
 
     return holo.OdeFamily(lambda t: dressed_family(family, 1, float(t), p), log_derivative)
 

@@ -457,11 +457,29 @@ def test_walk_points_lie_on_the_complex_shell_over_the_negative_x_axis(m):
 
 # --- log-derivative ODE ------------------------------------------------------
 
+def _closed_form(f1, A):
+    # the OdeFamily of f1 with its log-derivative A = f1^{-1} f1' in closed
+    # form, both on arrays of samples; a scalar per sample is a 1x1 matrix
+    def matrices(fn, z):
+        v = np.asarray(fn(np.asarray(z, dtype=complex)), dtype=complex)
+        return v if v.ndim == 3 else v[:, None, None]
+
+    return holo.OdeFamily(lambda t: matrices(f1, [t])[0], lambda zs, delta: matrices(A, zs))
+
+
+EXP = _closed_form(lambda z: np.exp(0.7j * z), lambda z: np.full(z.shape, 0.7j))
+COSH = _closed_form(np.cosh, np.tanh)
+
+
 def test_ode_scalar_exponential():
-    a = 0.7
-    val = holo.ode_continue(lambda z, t0: np.exp(1j * a * (z + t0)),
-                            holo.StripPath.vertical(0.0, height=math.pi / 2))
-    assert abs(val[0, 0] - cmath.exp(1j * a * 1j * math.pi / 2)) < 1e-8
+    val = holo.ode_continue(EXP, holo.StripPath.vertical(0.0, height=math.pi / 2))
+    assert abs(val[0, 0] - cmath.exp(0.7j * 1j * math.pi / 2)) < 1e-8
+
+
+def test_ode_rejects_a_start_off_the_real_axis():
+    # f1_real gives the start's value, so an imaginary part would be dropped
+    with pytest.raises(ValueError, match="0.5j"):
+        holo.ode_continue(EXP, [0.5j, 1j])
 
 
 def _counting_ode(monkeypatch):
@@ -477,21 +495,20 @@ def _counting_ode(monkeypatch):
     return calls
 
 
-def _diag_family(f, g):
-    def h(z, t0):
-        out = np.zeros(np.shape(z) + (2, 2), dtype=complex)
-        out[..., 0, 0], out[..., 1, 1] = f(z + t0), g(z + t0)
+def _diag(f, g):
+    def both(z):
+        out = np.zeros(z.shape + (2, 2), dtype=complex)
+        out[:, 0, 0], out[:, 1, 1] = f(z), g(z)
         return out
-    return h
+    return both
 
 
 def test_ode_singular_determinant_detour(monkeypatch):
-    # f1 = cosh vanishes at i pi/2, a coarse node of the default path; a 1x1 h
-    # has condition number 1 wherever it is nonzero, so the step count of the
-    # pole of A = tanh sends it round the shifted path and back to i pi,
-    # which gives cosh(i pi)
+    # f1 = cosh vanishes at i pi/2, a coarse node of the default path; the
+    # step count of the pole of A = tanh there sends it round the shifted
+    # path and back to i pi, which gives cosh(i pi)
     calls = _counting_ode(monkeypatch)
-    val = holo.ode_continue(lambda z, t0: np.cosh(z + t0), holo.StripPath.vertical())
+    val = holo.ode_continue(COSH, holo.StripPath.vertical())
     assert len(calls) == 2
     assert abs(val[0, 0] - cmath.cosh(1j * math.pi)) < 1e-5
 
@@ -501,32 +518,43 @@ def test_ode_raises_where_det_h_vanishes_at_the_end(monkeypatch):
     # (cosh at i pi/2) leaves every shifted scan singular too
     calls = _counting_ode(monkeypatch)
     with pytest.raises(holo.SingularDeterminant, match="shifted path too"):
-        holo.ode_continue(lambda z, t0: np.cosh(z + t0),
-                          holo.StripPath.vertical(0.0, height=math.pi / 2))
+        holo.ode_continue(COSH, holo.StripPath.vertical(0.0, height=math.pi / 2))
     assert len(calls) == 1 + len(holo._SHIFTS)
 
 
-@pytest.mark.parametrize("h, height, calls", [
+@pytest.mark.parametrize("f1, A, height, calls", [
     # the zero i pi/2 is no coarse node: the throttle walks through the pole
-    (lambda z, t0: np.cosh(z + t0), 2.2, 1),
+    (np.cosh, np.tanh, 2.2, 1),
     # diag(exp, cosh) loses rank on the node i pi/2 of the default path
-    (_diag_family(np.exp, np.cosh), math.pi, 2)], ids=["between-nodes", "matrix-on-node"])
-def test_ode_detours_only_for_a_zero_on_a_coarse_node(h, height, calls, monkeypatch):
+    (_diag(np.exp, np.cosh), _diag(np.ones_like, np.tanh), math.pi, 2)],
+    ids=["between-nodes", "matrix-on-node"])
+def test_ode_detours_only_for_a_zero_on_a_coarse_node(f1, A, height, calls, monkeypatch):
     counted = _counting_ode(monkeypatch)
-    val = holo.ode_continue(h, holo.StripPath.vertical(0.0, height=height))
+    val = holo.ode_continue(_closed_form(f1, A), holo.StripPath.vertical(0.0, height=height))
     assert len(counted) == calls
-    want = np.reshape(h(np.array([1j * height]), 0.0), val.shape)
+    want = np.reshape(f1(np.array([1j * height])), val.shape)
     assert np.max(np.abs(val - want)) < 1e-5
 
 
-def test_ode_ill_conditioned_family_fails_on_every_shift(monkeypatch):
-    # condition number 1e13 on every path while A = I stays small, so only the
-    # condition test sees it: the shifts 0.1 * 1.7^k run out and it raises
-    calls = _counting_ode(monkeypatch)
-    with pytest.raises(holo.SingularDeterminant, match="shifted path too"):
-        holo.ode_continue(_diag_family(np.exp, lambda z: 1e-13 * np.exp(z)),
-                          holo.StripPath.vertical())
-    assert len(calls) == 6
+def offset_log_derivative_error() -> float:
+    # f_{t0}(z) = e^{0.7i(z + t0)} cosh(z + t0)^{1/3} has the log-derivative
+    # A = 0.7i + tanh(z)/3 in t0 at 0: the largest relative deviation of
+    # offset_log_derivative from it on strip samples
+    def build(t0s):
+        t0 = np.array(t0s)[:, None]
+        return holo.PowerProduct(exps=(lambda z: 0.7j * (z + t0),),
+                                 pows=((lambda z: (np.cosh(z + t0),), (1 / 3,)),))
+
+    zs = np.array([0.05j, 0.3 + 0.5j, -0.2 + 1.2j, 0.1 + 2.0j])
+    want = 0.7j + np.tanh(zs) / 3.0
+    got = holo.offset_log_derivative(build, zs, holo._FD_DELTA)
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+def test_offset_log_derivative_matches_a_closed_form():
+    # 5.5e-12 with the Richardson step; the unrefined central difference
+    # reads 7.1e-6 (tests/test_mutants.py)
+    assert offset_log_derivative_error() < 1e-9
 
 
 def _stepwise_rk4(f, A, zs):
@@ -541,25 +569,33 @@ def _stepwise_rk4(f, A, zs):
     return f
 
 
-def _triangular(z, t0):
-    # f1(z) = [[e^{z/2}, z], [0, 1]]: its log-derivative A(z) = [[1/2, e^{-z/2}], [0, 0]]
-    # does not commute with itself along the path
-    w = np.asarray(z) + t0
-    out = np.zeros(w.shape + (2, 2), dtype=complex)
-    out[..., 0, 0], out[..., 0, 1], out[..., 1, 1] = np.exp(0.5 * w), w, 1.0
+def _triangular_f1(z):
+    out = np.zeros(z.shape + (2, 2), dtype=complex)
+    out[:, 0, 0], out[:, 0, 1], out[:, 1, 1] = np.exp(0.5 * z), z, 1.0
     return out
+
+
+def _triangular_log_derivative(z):
+    out = np.zeros(z.shape + (2, 2), dtype=complex)
+    out[:, 0, 0], out[:, 0, 1] = 0.5, np.exp(-0.5 * z)
+    return out
+
+
+# f1(z) = [[e^{z/2}, z], [0, 1]]: its log-derivative A(z) = [[1/2, e^{-z/2}], [0, 0]]
+# does not commute with itself along the path
+TRIANGULAR = _closed_form(_triangular_f1, _triangular_log_derivative)
 
 
 def test_ode_step_product_matches_the_stepwise_loop(monkeypatch):
     from anyonstat import spinstat as ss
     fam = ss.build_toy_model(1 / 3, 1.0, 2, seed=7)
     cases = [
-        (lambda z, t0: np.exp(0.7j * (z + t0)), holo.StripPath.vertical(0.0, height=math.pi / 2)),
-        (lambda z, t0: np.cosh(z + t0), holo.StripPath.vertical(0.0, height=2.2)),
+        (EXP, holo.StripPath.vertical(0.0, height=math.pi / 2)),
+        (COSH, holo.StripPath.vertical(0.0, height=2.2)),
         (ss._ode_family(fam, mk.shell_point(0.35, -0.2, 1.0)),
          holo.StripPath.vertical(0.0, height=math.pi / 2)),
-        (_triangular, holo.StripPath.vertical(0.0, height=2.0)),
-        (_triangular, [0.0, 0.3 + 0.1j, 0.7j]),
+        (TRIANGULAR, holo.StripPath.vertical(0.0, height=2.0)),
+        (TRIANGULAR, [0.0, 0.3 + 0.1j, 0.7j]),
     ]
     steps = []
 
@@ -578,8 +614,7 @@ def test_ode_step_product_matches_the_stepwise_loop(monkeypatch):
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
     # the last path takes an odd number of steps, so the first pairing pads
     assert steps[-1] % 2 == 1
-    end = 0.7j
-    assert np.max(np.abs(got - _triangular(end, 0.0))) < 1e-8
+    assert np.max(np.abs(got - _triangular_f1(np.array([0.7j]))[0])) < 1e-8
 
 
 def _linspace_nodes(path, steps):

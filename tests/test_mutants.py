@@ -13,6 +13,7 @@ from anyonstat import conegeom as cgm
 from anyonstat import covergroup as cg
 from anyonstat import holo, suites
 from anyonstat import spinstat as ss
+from test_holo import offset_log_derivative_error
 
 
 SPINS = suites.SuiteConfig().spins
@@ -105,6 +106,48 @@ def test_ode_rerun_without_the_walk_back(monkeypatch):
     # |cosh(0.1 + i pi) - cosh(i pi)| = cosh(0.1) - 1
     assert abs(residuals["cosh_detour"] - (math.cosh(0.1) - 1.0)) < 1e-5
     assert residuals["exp_toy"] < 1e-8 and residuals["family_dual_route"] < 1e-6
+
+
+def _patch_richardson(mutant):
+    def patch(monkeypatch):
+        real = holo._richardson
+        monkeypatch.setattr(holo, "_richardson",
+                            lambda full, half, delta: mutant(real, full, half, delta))
+    return patch
+
+
+# per defect of the Richardson step that the ODE route of spinstat reads its
+# log-derivative with: its patch, and the failing records of `continuation`
+# and `spinstat`, each failing through its ODE residual alone
+RICHARDSON_MUTANTS = {
+    "richardson-sign-flipped": (
+        _patch_richardson(lambda real, full, half, delta: -real(full, half, delta)),
+        {("continuation", "log-derivative-ode", 1 / 3),
+         *(("spinstat", "statistics-phase-pipeline", s) for s in SPINS)}),
+    # blind spot of every record: the unrefined central difference errs by
+    # about 7e-6 in A, so family_dual_route and ode_vs_engine read about
+    # 2e-7; only the closed-form unit test of offset_log_derivative sees it
+    "richardson-unrefined": (
+        _patch_richardson(lambda real, full, half, delta: full / (2.0 * delta)), set()),
+}
+
+
+@pytest.mark.parametrize("name", RICHARDSON_MUTANTS)
+def test_richardson_mutant(name, monkeypatch):
+    patch, failing = RICHARDSON_MUTANTS[name]
+    patch(monkeypatch)
+    records = _records(("continuation", "spinstat"))
+    assert {key: r.passed for key, r in records.items()} == {
+        key: key not in failing for key in LEDGER_OFF}
+    tols = suites.spinstat_tolerances(suites.SuiteConfig().tol_pipeline)
+    for key in failing:
+        residuals = records[key].residuals
+        if key[0] == "spinstat":
+            assert {k for k, v in residuals.items() if not v < tols[k]} == {"ode_vs_engine"}
+        else:
+            assert residuals["family_dual_route"] > 0.5
+            assert residuals["exp_toy"] < 1e-8 and residuals["cosh_detour"] < 1e-5
+    assert offset_log_derivative_error() > 1e-9
 
 
 CONES = ("approach-path-equivalence", "exchange-hypothesis", "dual-cone-double-dual",

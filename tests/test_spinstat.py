@@ -362,36 +362,12 @@ def test_build_rejects_bad_mass():
 
 # --- batched families: offsets and momenta as rows ---------------------------
 
-def test_ode_offsets_are_rows_of_one_family():
-    # the closed-form route calls h once per offset on all samples, with the
-    # rows of one call per sample: its h is a looped h(z, 0) and its A the
-    # Richardson differences of the looped offsets, both bit for bit
-    def h(z, t0):
-        w = np.asarray(z) + t0
-        out = np.zeros(w.shape + (2, 2), dtype=complex)
-        out[..., 0, 0], out[..., 1, 1] = np.exp(1j * w), np.cosh(w)
-        return out
-
-    zs = np.array([0.05j, 0.3 + 0.5j, -0.2 + 1.2j, 0.1 + 2.0j])
-    delta = 1e-3
-    closed = holo._family_from_callable(h)
-    got_h, got_a = closed.log_derivative(zs, delta)
-    assert got_h.shape == got_a.shape == (len(zs), 2, 2)
-    assert np.array_equal(got_h, np.array([h(z, 0.0) for z in zs]))
-    h1, h_1, h2, h_2 = (np.array([h(z, t0) for z in zs])
-                        for t0 in delta * np.array([1.0, -1.0, 0.5, -0.5]))
-    want = np.linalg.solve(got_h, holo._richardson(h1 - h_1, h2 - h_2, delta))
-    assert np.array_equal(got_a, want)
-    assert np.array_equal(closed.f1_real(0.3), h(0.3 + 0j, 0.0))
-
-
 def _singular_once(ode, scans):
     # the family with its first log-derivative read, the first scan, singular
     def log_derivative(zs, delta, _orig=ode.log_derivative):
         scans.append(zs)
-        if len(scans) == 1:
-            raise np.linalg.LinAlgError("forced")
-        return _orig(zs, delta)
+        A = _orig(zs, delta)
+        return np.full_like(A, np.nan) if len(scans) == 1 else A
 
     return dataclasses.replace(ode, log_derivative=log_derivative)
 
@@ -424,8 +400,8 @@ def test_ode_log_derivative_is_h_batch_differenced(s, m):
 
     h1, h_1, h2, h_2, h0 = h_batch(delta * np.array([1.0, -1.0, 0.5, -0.5, 0.0]))
     want = np.linalg.solve(h0, (4.0 * (h2 - h_2) / delta - (h1 - h_1) / (2.0 * delta)) / 3.0)
-    h, got = ss._ode_family(fam, p).log_derivative(zs, delta)
-    assert h is None and got.shape == (len(zs), 2, 2)
+    got = ss._ode_family(fam, p).log_derivative(zs, delta)
+    assert got.shape == (len(zs), 2, 2)
     # a scalar times the identity, since h is a scalar times a2^H a1
     assert np.all(got[:, 0, 1] == 0.0) and np.all(got[:, 1, 0] == 0.0)
     assert np.array_equal(got[:, 0, 0], got[:, 1, 1])
@@ -579,16 +555,14 @@ def test_each_compensated_build_transports_its_momenta_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_work_counts_do_not_grow_with_offsets_or_momenta(monkeypatch):
+def test_work_counts_do_not_grow_with_momenta():
     # normalize_at walks its family once, which evaluate_along counts too;
     # ode_vs_engine walks only its direct route, since the ODE route reads
     # its log-derivative from the bases with no walk
     fam = ss.build_toy_model(0.25, 1.0, 2, seed=7)
     p = mk.shell_point(0.35, -0.2, 1.0)
-    ode = {"normalize_at": 1, "evaluate_along": 2}
-    assert _count_walks(lambda: ss.ode_vs_engine(fam, p)) == ode
-    monkeypatch.setattr(holo, "_FD_OFFSETS", holo._FD_OFFSETS + (0.25, -0.25))
-    assert _count_walks(lambda: ss.ode_vs_engine(fam, p)) == ode
+    assert _count_walks(lambda: ss.ode_vs_engine(fam, p)) == {
+        "normalize_at": 1, "evaluate_along": 2}
 
     for size in (2, 3):
         assert _count_walks(lambda: ss.run_pipeline(0.25, grid_size=size)) == {
