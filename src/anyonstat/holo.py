@@ -566,11 +566,13 @@ def boost_energy_branch_point(p: MomentumPoint) -> complex:
 class OdeFamily:
     """Data needed by ode_continue.
 
-    f1_real(t) is f1 on the real axis.  log_derivative(zs, delta) returns
-    A = h^{-1} dh_{t0}/dt0 at t0 = 0 for h_{t0}(z) = f2(z) f1(z + t0) at the
-    1-D strip samples zs, shape (samples, n, n); a family that reads A by
-    central differences in t0 takes delta as its step, and a closed-form A
-    ignores it.  A is non-finite wherever h is singular.
+    f1_real(t) is f1 on the real axis, an n x n matrix or a number (1 x 1).
+    log_derivative(zs, delta) returns the scalar a, one per 1-D strip sample
+    of zs, with A = h^{-1} dh_{t0}/dt0 = a I at t0 = 0 for h_{t0}(z) =
+    f2(z) f1(z + t0): every family of the package has a log-derivative that
+    is a scalar times I.  A family that reads a by central differences in t0
+    takes delta as its step, and a closed-form a ignores it.  a is
+    non-finite wherever h is singular.
     """
 
     f1_real: callable
@@ -661,14 +663,15 @@ class _Rerun(OdeFamily):
 
 
 def ode_continue(family: OdeFamily, path) -> np.ndarray:
-    """Continue f1 along the path by integrating f1' = f1 A.
+    """Continue f1 along the path by integrating f1' = f1 a.
 
-    family.log_derivative gives A: a coarse scan at delta = _FD_DELTA sizes
+    family.log_derivative gives a: a coarse scan at delta = _FD_DELTA sizes
     the steps and the fine pass's delta (_FD_NORM), the fine pass reuses the
-    scan's A at the coarse nodes when its delta is the same, and _rk4_walk
+    scan's a at the coarse nodes when its delta is the same, and _rk4_walk
     integrates with the step length throttled so that |dz| * ||A|| stays
-    below _STEP_BUDGET.  The path starts on the real axis, where f1_real
-    gives the initial value.  If h is singular on the path (a non-finite A
+    below _STEP_BUDGET.  ||A|| is the Frobenius norm of A = a I_n, sqrt(n)
+    |a| for an n x n f1.  The path starts on the real axis, where f1_real
+    gives the initial value.  If h is singular on the path (a non-finite a
     at a coarse node, or a log-derivative so large that the throttle would
     need more than _MAX_STEPS steps, as at a zero of det h on a node), the
     problem is rerun on the path moved right by shift, the next of _SHIFTS
@@ -680,12 +683,15 @@ def ode_continue(family: OdeFamily, path) -> np.ndarray:
     coarse = _uniform_nodes(path, max(16, _STEPS // 3))
     if coarse[0].imag:
         raise ValueError(f"the ODE route starts on the real axis, not at {coarse[0]}")
+    f = np.asarray(family.f1_real(coarse[0].real), dtype=complex)
+    n = f.shape[-1] if f.ndim else 1
     seg = np.abs(np.diff(coarse))
-    A_scan = family.log_derivative(coarse, _FD_DELTA)
-    norms = np.linalg.norm(A_scan, axis=(1, 2))
+    a_scan = family.log_derivative(coarse, _FD_DELTA)
+    # ||a I_n||_F summed as the Frobenius norm sums the n equal squares
+    norms = np.sqrt(n * (a_scan.conj() * a_scan).real)
     w = np.maximum(norms[:-1], norms[1:])
     steps = np.maximum(1, np.ceil(seg * np.maximum(_STEPS / seg.sum(), w / _STEP_BUDGET)))
-    # a singular h makes A non-finite; the step count sees the pole of A at
+    # a singular h makes a non-finite; the step count sees the pole of a at
     # a zero of a 1x1 h
     if not (np.all(np.isfinite(norms)) and steps.sum() <= _MAX_STEPS):
         if not shifts:
@@ -699,31 +705,31 @@ def ode_continue(family: OdeFamily, path) -> np.ndarray:
     counts = steps.astype(int)
     zs = _with_midpoints(_subdivide(coarse, counts))
     delta = _FD_DELTA * (_FD_NORM / max(_FD_NORM, np.max(norms)))
-    A = np.empty((len(zs),) + A_scan.shape[1:], dtype=complex)
+    a = np.empty(len(zs), dtype=complex)
     fresh = np.ones(len(zs), dtype=bool)
     if delta == _FD_DELTA:
-        # the coarse nodes, every second sample of _subdivide's, already have A
+        # the coarse nodes, every second sample of _subdivide's, already have a
         nodes = 2 * np.concatenate(([0], np.cumsum(counts)))
-        A[nodes], fresh[nodes] = A_scan, False
-    A[fresh] = family.log_derivative(zs[fresh], delta)
-    return _rk4_walk(np.asarray(family.f1_real(zs[0].real), dtype=complex), A, zs)
+        a[nodes], fresh[nodes] = a_scan, False
+    a[fresh] = family.log_derivative(zs[fresh], delta)
+    return _rk4_walk(f, a, zs)
 
 
-def _rk4_walk(f, A, zs) -> np.ndarray:
-    """f carried along f' = f A by classical RK4 steps zs[j] -> zs[j + 2].
+def _rk4_walk(f, a, zs) -> np.ndarray:
+    """f carried along f' = f a by classical RK4 steps zs[j] -> zs[j + 2].
 
-    The ODE is linear, so step j is f -> f P_j with P_j = I + dz/6 (K1 + 2 K2
-    + 2 K3 + K4), K1 = A_j, K2 = (I + dz/2 K1) A_{j+1/2}, K3 = (I + dz/2 K2)
-    A_{j+1/2}, K4 = (I + dz K3) A_{j+1}; the P_j multiply in order, pairwise."""
-    eye = np.eye(A.shape[-1])
-    dz = (zs[2::2] - zs[:-2:2])[:, None, None]
-    k1 = A[:-2:2]
-    k2 = (eye + 0.5 * dz * k1) @ A[1::2]
-    k3 = (eye + 0.5 * dz * k2) @ A[1::2]
-    k4 = (eye + dz * k3) @ A[2::2]
-    P = eye + (dz / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    while len(P) > 1:
-        if len(P) % 2:
-            P = np.concatenate((P, eye[None]))
-        P = P[0::2] @ P[1::2]
-    return f @ P[0]
+    The ODE is linear with a scalar log-derivative, so step j is f -> f p_j
+    with p_j = 1 + dz/6 (k1 + 2 k2 + 2 k3 + k4), k1 = a_j, k2 = (1 + dz/2 k1)
+    a_{j+1/2}, k3 = (1 + dz/2 k2) a_{j+1/2}, k4 = (1 + dz k3) a_{j+1}; the
+    p_j multiply in order, pairwise, and f by their product."""
+    dz = zs[2::2] - zs[:-2:2]
+    k1 = a[:-2:2]
+    k2 = (1.0 + 0.5 * dz * k1) * a[1::2]
+    k3 = (1.0 + 0.5 * dz * k2) * a[1::2]
+    k4 = (1.0 + dz * k3) * a[2::2]
+    p = 1.0 + (dz / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    while len(p) > 1:
+        if len(p) % 2:
+            p = np.append(p, 1.0)
+        p = p[0::2] * p[1::2]
+    return f * p[0]

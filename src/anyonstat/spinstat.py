@@ -29,14 +29,29 @@ second, so analyticity in the strip holds with closed-form boundary values.
 
 One WaveMatrixFamily holds a family's parameters, closed forms, engine routes
 and boundary-value memo; build_toy_model draws one, dataclasses.replace its D.
+
+A pipeline run needs its spin only in the families and what they continue.
+run_pipeline reads everything else from one read-only setup per (mass, n,
+seed, grid size): the drawn family, which each spin copies with its own s,
+the grid and its subgrid, the momenta that fill reads, the spot-check and
+kernel anchors, and the spin-free inputs of the covariance and half-turn
+checks (law_inputs, half_turn_inputs).  The checks take those inputs in
+this one form, whoever built them.  The parameter-free cone hypotheses are
+checked once per setup.  The process keeps the _SETUP_CACHE_SIZE most
+recently used setups, so every spin after the first shares one; a build
+that raises is never kept, so each spin raises it again.  A setup is built
+by the code of its time: code patched later is not seen until
+_setup.cache_clear().
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -288,17 +303,29 @@ def two_point_boundary_check(family: WaveMatrixFamily, ps: MomentumPoint) -> dic
             "transpose_control": _rel(whole, wrong)}
 
 
-def verify_transformation_law(g: cg.CoverElement, ps: MomentumPoint,
-                              family: WaveMatrixFamily) -> dict:
-    """Both sides of the reflected covariance law, by independent continuations.
+class LawInputs(NamedTuple):
+    """The spin-free inputs of verify_transformation_law, made by law_inputs.
 
-    The left side dresses the transformed family, the right side transforms
-    the dressed one.  Their compensated first factors are the two halves of
-    one family, continued in one walk and compared against their closed-form
-    boundary values as well; each side is its continued first factor times
-    its entire exponential factor exp(i b1 . k) read at i pi.  g is one
-    element or one per momentum of ps; each residual has a row per momentum.
+    Both sides' rows, one family: the element g at the anchor -J p, then the
+    identity at -J Lambda^-1 p.  turns holds Omega(g, p) and turns_gg0
+    Omega(g g0, p), entire the exponential factors exp(i b1 . k) of both
+    sides read at i pi, and boundary the momentum of the closed-form
+    boundary value.
     """
+
+    elements: cg.CoverElement
+    anchors: MomentumPoint
+    turns: np.ndarray
+    turns_gg0: np.ndarray
+    entire: np.ndarray
+    boundary: MomentumPoint
+
+
+def law_inputs(g: cg.CoverElement, ps: MomentumPoint, family: WaveMatrixFamily) -> LawInputs:
+    """The spin-free inputs of the reflected covariance law at the 1-D stack
+    ps, for one element g or one per momentum; of the family it reads only
+    b1 and the mass.  Raises HypothesisViolation when some g g0, g0 the
+    lifted quarter rotation, leaves the strip-analyticity neighbourhood."""
     p_arr = ps.as_array()
     g = cg.CoverElement(*(np.broadcast_to(x, ps.p1.shape) for x in (g.gamma, g.omega)))
     gg0 = cg.compose(g, cg.lift_rotation(math.pi / 2.0))
@@ -308,26 +335,39 @@ def verify_transformation_law(g: cg.CoverElement, ps: MomentumPoint,
             f"element {outside[0]} leaves the strip-analyticity neighbourhood")
 
     lp_j = cg.act_on_vector(cg.inverse(g), p_arr) @ J  # J is diagonal: x J = J x
-
-    # the left side's rows (element g at -J p), then the right side's (the
-    # identity at -J Lambda^-1 p): one family, one walk
     rows = len(ps.p1)
     anchors = np.concatenate([p_arr @ J, lp_j])
     both = cg.CoverElement(np.concatenate([g.gamma, np.zeros(rows)]),
                            np.concatenate([g.omega, np.zeros(rows)]))
-    f1 = (holo.compensated_family_expr(both, to_momentum(-anchors, family.m), family.s)
-          * np.concatenate([np.ones(rows), np.exp(-1j * family.s * wg.wigner_angle(g, ps))]))
-    f1_l, f1_r = np.split(holo.continue_along(f1, holo.StripPath.vertical(0.0)), 2)
     # the exponential factors are entire, with no base to track: read at i pi
     pre = np.concatenate([cg.project(cg.inverse(g)), np.broadcast_to(np.eye(3), (rows, 3, 3))])
     expo = holo.exp_mink_dot(family.b1, -pre, anchors)
-    e_l, e_r = np.split(holo.eval_principal(expo, [1j * math.pi])[:, 0], 2)
+    return LawInputs(both, to_momentum(-anchors, family.m), wg.wigner_angle(g, ps),
+                     wg.wigner_angle(gg0, ps), holo.eval_principal(expo, [1j * math.pi])[:, 0],
+                     to_momentum(-(cg.act_on_vector(cg.inverse(gg0), p_arr) @ J), family.m))
+
+
+def verify_transformation_law(law: LawInputs, family: WaveMatrixFamily) -> dict:
+    """Both sides of the reflected covariance law, by independent continuations.
+
+    The left side dresses the transformed family, the right side transforms
+    the dressed one.  Their compensated first factors are the two halves of
+    one family, continued in one walk and compared against their closed-form
+    boundary values as well; each side is its continued first factor times
+    its entire exponential factor exp(i b1 . k) read at i pi.  Everything
+    without the spin comes from law (law_inputs); each residual has a row
+    per momentum.
+    """
+    rows = len(law.turns)
+    f1 = (holo.compensated_family_expr(law.elements, law.anchors, family.s)
+          * np.concatenate([np.ones(rows), np.exp(-1j * family.s * law.turns)]))
+    f1_l, f1_r = np.split(holo.continue_along(f1, holo.StripPath.vertical(0.0)), 2)
+    e_l, e_r = np.split(law.entire, 2)
     side_l, side_r = f1_l * e_l, f1_r * e_r
 
-    bv_vec = to_momentum(-(cg.act_on_vector(cg.inverse(gg0), p_arr) @ J), family.m)
     bv = (cmath.exp(1j * math.pi * family.s)
-          * np.exp(-1j * family.s * wg.wigner_angle(gg0, ps))
-          * wg.u_plain(bv_vec, family.s))
+          * np.exp(-1j * family.s * law.turns_gg0)
+          * wg.u_plain(law.boundary, family.s))
     return {"sides": _rel(_times(side_l, family.a1), _times(side_r, family.a1)),
             "factor_lhs_vs_closed": np.abs(f1_l - bv) / np.maximum(1.0, np.abs(bv)),
             "factor_rhs_vs_closed": np.abs(f1_r - bv) / np.maximum(1.0, np.abs(bv))}
@@ -348,7 +388,31 @@ def extract_D(family: WaveMatrixFamily, grid: MomentumPoint) -> tuple:
     return mean, float(np.max(_rel(ds, mean)))
 
 
-def rotation_pi_relation(family: WaveMatrixFamily, ps: MomentumPoint, omega: complex) -> dict:
+class HalfTurnInputs(NamedTuple):
+    """The spin-free inputs of rotation_pi_relation, made by half_turn_inputs:
+    the momenta ps, their anchors -J p, the stack of p and then R(pi) p whose
+    boundary pairs the check reads, the back-rotated R(-pi) p, and turns,
+    the Wigner angle of the lifted half turn at p."""
+
+    ps: MomentumPoint
+    anchors: MomentumPoint
+    pairs: MomentumPoint
+    back: MomentumPoint
+    turns: np.ndarray
+
+
+def half_turn_inputs(ps: MomentumPoint, m: float) -> HalfTurnInputs:
+    """The spin-free inputs of the half-turn relations at the 1-D stack ps
+    on the shell of mass m."""
+    p_arr = ps.as_array()
+    return HalfTurnInputs(ps, _reflected_anchor(ps),
+                          to_momentum(np.concatenate([p_arr, p_arr @ rotation(math.pi).T]), m),
+                          to_momentum(p_arr @ rotation(-math.pi).T, m),
+                          wg.wigner_angle(cg.lift_rotation(math.pi), ps))
+
+
+def rotation_pi_relation(family: WaveMatrixFamily, half: HalfTurnInputs,
+                         omega: complex) -> dict:
     """The half-turn relations linking the two boundary routes.
 
     Checks that (i) the boundary route of the half-turn-rotated second family
@@ -357,34 +421,23 @@ def rotation_pi_relation(family: WaveMatrixFamily, ps: MomentumPoint, omega: com
     the squared phase, (iii) the rotating phase on the conjugate side is
     the expected half-turn value, and (iv) the statistics phase omega is c^-2,
     with c the phase of (i) fitted per momentum from the continued families
-    alone.  Each residual has a row per momentum of ps; the cone hypotheses
-    do not depend on the momentum and are checked once per call.
+    alone.  Everything without the spin comes from half (half_turn_inputs);
+    each residual has a row per momentum.  The cone hypotheses do not depend
+    on the momentum either: run_pipeline checks them once per setup.
     """
-    path1, path2 = cgm.antipodal_pair()
-    rot_path = cgm.poincare_act_path(
-        cg.PoincareElement.pure_lorentz(cg.lift_rotation(math.pi)), path2)
-    if not cgm.exchange_hypothesis(path1, path2):
-        raise HypothesisViolation("cone pair violates the exchange condition")
-    if not cgm.path_equivalent(rot_path, path1, path1.sector):
-        raise HypothesisViolation("half-turn image is not the first cone path")
-
-    p_arr = ps.as_array()
     # the momenta and their half turns, read in one boundary_pair call
-    both = np.concatenate([p_arr, p_arr @ rotation(math.pi).T])
-    _, checks = family.boundary_pair(to_momentum(both, family.m))
+    _, checks = family.boundary_pair(half.pairs)
     check_v, check_rot = np.split(checks, 2)
-    v_pi = holo.continue_along(family.pref2_pi_expr(_reflected_anchor(ps)),
-                               holo.StripPath.vertical(0.0))
-    turns = wg.wigner_angle(cg.lift_rotation(math.pi), ps)
+    v_pi = holo.continue_along(family.pref2_pi_expr(half.anchors), holo.StripPath.vertical(0.0))
     hat_pi = _times(np.conj(v_pi), family.a2.conjugate())
     rhs1 = cmath.exp(-1j * math.pi * family.s) * check_rot
-    rhs2 = family.omega_target * (family.d @ family.psi2_conj(ps))
-    back = family.psi2_conj(to_momentum(p_arr @ rotation(-math.pi).T, family.m))
+    rhs2 = family.omega_target * (family.d @ family.psi2_conj(half.ps))
+    back = family.psi2_conj(half.back)
     c = (check_rot.conj() * hat_pi).sum((-2, -1)) / (abs(check_rot) ** 2).sum((-2, -1))
     return {"half_turn_boundary": _rel(hat_pi, rhs1),
             "half_turn_phase": np.abs(omega - c ** -2.0),
             "check_vs_conjugate": _rel(check_v, rhs2),
-            "conjugate_side_phase": _rel(_times(np.exp(1j * family.s * turns), back),
+            "conjugate_side_phase": _rel(_times(np.exp(1j * family.s * half.turns), back),
                                          cmath.exp(1j * math.pi * family.s) * back)}
 
 
@@ -420,16 +473,14 @@ def _ode_family(family: WaveMatrixFamily, p: MomentumPoint) -> holo.OdeFamily:
     Writing q = boost1(-t) p, the product equals a fixed-element Wigner phase
     at the continued momentum times shell compensators and exponentials, one
     power product whose rows are the offsets t0, times the kernel a2^H a1.
-    So A is the scalar's log-derivative times I, read from the bases of the
-    factors that move with t0 with no walk; cond(h) = cond(a2^H a1) at every
-    node, so a singular kernel makes A NaN and every scan singular, and h
-    itself is never built.
+    So A is the scalar's log-derivative a times I, and log_derivative
+    returns a, read from the bases of the factors that move with t0 with no
+    walk; cond(h) = cond(a2^H a1) at every node, so a singular kernel makes a
+    NaN and every scan singular, and h itself is never built.
     """
     eye = np.eye(3)
     p_arr = p.as_array()
-    kernel = family.a2.conj().T @ family.a1
-    singular = not np.linalg.cond(kernel) < _COND_MAX
-    unit = np.full(kernel.shape, np.nan) if singular else np.eye(family.n)
+    singular = not np.linalg.cond(family.a2.conj().T @ family.a1) < _COND_MAX
 
     @functools.cache
     def moving(t0s: tuple) -> holo.PowerProduct:
@@ -441,7 +492,8 @@ def _ode_family(family: WaveMatrixFamily, p: MomentumPoint) -> holo.OdeFamily:
                 * holo.exp_mink_dot(family.b1, lam0_inv, p_arr))
 
     def log_derivative(zs, delta):
-        return holo.offset_log_derivative(moving, zs, delta)[:, None, None] * unit
+        a = holo.offset_log_derivative(moving, zs, delta)
+        return np.full_like(a, np.nan) if singular else a
 
     return holo.OdeFamily(lambda t: dressed_family(family, 1, float(t), p), log_derivative)
 
@@ -466,40 +518,106 @@ class PipelineReport:
     residuals: dict
 
 
-def run_pipeline(s: float, m: float = 1.0, n: int = 2, seed: int = 0,
-                 grid_size: int = 5) -> PipelineReport:
-    """Build a toy family and run every verification stage on it."""
-    family = build_toy_model(s, m, n, seed)
-    grid = momentum_grid(m, grid_size)
-
-    if not cgm.c12_negative_axis(*(p.sector for p in cgm.antipodal_pair())):
+def _check_cone_hypotheses():
+    """The parameter-free cone hypotheses of the antipodal pair: the dual-axis
+    property, the exchange condition, and the half-turn image of the second
+    path being the first; each failure raises HypothesisViolation."""
+    path1, path2 = cgm.antipodal_pair()
+    if not cgm.c12_negative_axis(path1.sector, path2.sector):
         raise HypothesisViolation("cone configuration lost the dual-axis property")
+    rot_path = cgm.poincare_act_path(
+        cg.PoincareElement.pure_lorentz(cg.lift_rotation(math.pi)), path2)
+    if not cgm.exchange_hypothesis(path1, path2):
+        raise HypothesisViolation("cone pair violates the exchange condition")
+    if not cgm.path_equivalent(rot_path, path1, path1.sector):
+        raise HypothesisViolation("half-turn image is not the first cone path")
 
+
+def _read_only(obj):
+    """obj, with every array it holds, itself or in its tuple items or
+    dataclass fields at any depth, made read-only."""
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif isinstance(obj, tuple):
+        for item in obj:
+            _read_only(item)
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            _read_only(getattr(obj, field.name))
+    return obj
+
+
+class _Setup(NamedTuple):
+    """Everything run_pipeline computes without the spin, at one (mass, n,
+    seed, grid size): the drawn family at spin 0 (each spin replaces s), the
+    grid and its subgrid sub, the momenta that fill reads (the grid, then
+    the half-turned sub), the anchors -J p of the path-invariance spot check
+    (grid[0]) and of the Morera kernel (grid[2]), and the inputs of the
+    covariance and half-turn checks."""
+
+    drawn: WaveMatrixFamily
+    grid: MomentumPoint
+    sub: MomentumPoint
+    filled: MomentumPoint
+    spot_anchor: MomentumPoint
+    kernel_anchor: MomentumPoint
+    law: LawInputs
+    half_turn: HalfTurnInputs
+
+
+# setups kept, least recently used dropped first; the default `spinstat`
+# suite uses one, each (mass, n) of a suite run one more
+_SETUP_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_SETUP_CACHE_SIZE)
+def _setup(m: float, n: int, seed: int, grid_size: int) -> _Setup:
+    """The read-only setup of (m, n, seed, grid_size), built once per process
+    and then shared by every spin; a build that raises is not kept, so each
+    spin raises it again."""
+    drawn = build_toy_model(0.0, m, n, seed)
+    grid = momentum_grid(m, grid_size)
+    _check_cone_hypotheses()
     sub = grid[::max(1, len(grid.p1) // 4)][:4]
     # the grid, and the half-turned momenta that rotation_pi_relation reads
     turned = sub.as_array() @ rotation(math.pi).T
-    family.fill(to_momentum(np.concatenate([grid.as_array(), turned]), m))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x71)))
+    # two elements for each of the first two momenta, drawn in that order
+    draws = np.array([(rng.uniform(-0.2, 0.2), rng.uniform(0, 2 * math.pi),
+                       rng.uniform(0.0, 0.25)) for _ in range(4)])
+    g = cg.compose(cg.lift_rotation(draws[:, 0]), cg.lift_boost(draws[:, 1], draws[:, 2]))
+    return _read_only(_Setup(
+        drawn, grid, sub, to_momentum(np.concatenate([grid.as_array(), turned]), m),
+        _reflected_anchor(grid[0]), _reflected_anchor(grid[2]),
+        law_inputs(g, sub[[0, 0, 1, 1]], drawn), half_turn_inputs(sub, drawn.m)))
+
+
+def run_pipeline(s: float, m: float = 1.0, n: int = 2, seed: int = 0,
+                 grid_size: int = 5) -> PipelineReport:
+    """Run every verification stage on the toy family of spin s drawn at
+    (m, n, seed), on the grid of grid_size; what does not depend on s comes
+    from the setup of those four numbers."""
+    setup = _setup(m, n, seed, grid_size)
+    family = dataclasses.replace(setup.drawn, s=float(s))
+    grid, sub = setup.grid, setup.sub
+
+    family.fill(setup.filled)
     dmat, d_res = extract_D(family, grid)
     dstar_d = dmat.conj().T @ dmat
     min_eig = float(np.min(np.linalg.eigvalsh((dstar_d + dstar_d.conj().T) / 2.0)))
     omega_hat, _ = extract_statistics_phase(family, grid)
 
     tp = two_point_boundary_check(family, sub)
-    rot = rotation_pi_relation(family, sub, omega_hat)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x71)))
-    # two elements for each of the first two momenta, drawn in that order
-    draws = np.array([(rng.uniform(-0.2, 0.2), rng.uniform(0, 2 * math.pi),
-                       rng.uniform(0.0, 0.25)) for _ in range(4)])
-    g = cg.compose(cg.lift_rotation(draws[:, 0]), cg.lift_boost(draws[:, 1], draws[:, 2]))
-    tl = verify_transformation_law(g, sub[[0, 0, 1, 1]], family)
+    rot = rotation_pi_relation(family, setup.half_turn, omega_hat)
+    tl = verify_transformation_law(setup.law, family)
 
     # spot check: the same boundary value along two path shapes; fill walked
     # the straight one, StripPath.vertical(0.0), for every grid momentum
     (straight,), _ = family.fill(grid[:1])
     spot = abs(straight - holo.continue_along(
-        family.pref1_expr(_reflected_anchor(grid[0])),
+        family.pref1_expr(setup.spot_anchor),
         [0.0, 0.4, 0.4 + 0.6j * math.pi, 1j * math.pi]))
-    q = _reflected_anchor(grid[2])
+    q = setup.kernel_anchor
     kernel = family.pref2bar_expr(q) * family.pref1_expr(q)  # the scalar part of M
 
     residuals = {

@@ -377,19 +377,17 @@ def continuation_suite(config: SuiteConfig) -> Iterator[Record]:
                   {"shifted_path": config.tol_engine,
                    "zigzag": config.tol_engine, "refinement": 1e-10})
 
-    # 1x1 toys with their log-derivatives A = f1'/f1 in closed form
+    # 1x1 toys, numbers, with their log-derivatives a = f1'/f1 in closed form
     a = 0.7
-    scalar = holo.OdeFamily(lambda t: np.full((1, 1), cmath.exp(1j * a * t)),
-                            lambda zs, delta: np.full((len(zs), 1, 1), 1j * a))
-    r1 = abs(holo.ode_continue(scalar, holo.StripPath.vertical(0.0, height=math.pi / 2))[0, 0]
+    scalar = holo.OdeFamily(lambda t: cmath.exp(1j * a * t),
+                            lambda zs, delta: np.full(len(zs), 1j * a))
+    r1 = abs(holo.ode_continue(scalar, holo.StripPath.vertical(0.0, height=math.pi / 2))
              - cmath.exp(1j * a * (1j * math.pi / 2)))
     # cosh vanishes at i pi/2, a coarse node of the vertical path; the pole of
-    # A = tanh there needs too many steps, so the route reruns on the path
+    # a = tanh there needs too many steps, so the route reruns on the path
     # moved right by 0.1 and walks back to i pi
-    singular = holo.OdeFamily(lambda t: np.full((1, 1), math.cosh(t)),
-                              lambda zs, delta: np.tanh(zs)[:, None, None])
-    r2 = abs(holo.ode_continue(singular, holo.StripPath.vertical())[0, 0]
-             - cmath.cosh(1j * math.pi))
+    singular = holo.OdeFamily(math.cosh, lambda zs, delta: np.tanh(zs))
+    r2 = abs(holo.ode_continue(singular, holo.StripPath.vertical()) - cmath.cosh(1j * math.pi))
     fam = ss.build_toy_model(s, 1.0, 2, seed=config.seed)
     r3 = ss.ode_vs_engine(fam, mk.shell_point(0.35, -0.2, 1.0))
     yield _record("continuation", "log-derivative-ode",

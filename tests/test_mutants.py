@@ -150,6 +150,36 @@ def test_richardson_mutant(name, monkeypatch):
     assert offset_log_derivative_error() > 1e-9
 
 
+# per defect of the lifted J conjugation (gamma, omega) -> (conj(gamma),
+# -omega): its patch and the `group/j-conjugation` conjugation residual it
+# reads at suite seed 7.  Each turns FAIL the same records of the suites
+# that call j_conjugate, J_CONJUGATE_FAILS.  Uncovered: that record's
+# `involution` and `continuity_excess` read 0 under both, since each defect
+# is still a continuous involution.
+GROUP_MUTANTS = {
+    "j-conjugate-without-the-omega-flip": (
+        lambda g: cg.CoverElement(np.conjugate(g.gamma), g.omega), 8.37),
+    "j-conjugate-without-conjugating-gamma": (
+        lambda g: cg.CoverElement(g.gamma, -g.omega), 8.44),
+}
+J_CONJUGATE_FAILS = {("group", "j-conjugation"), ("wigner", "reflection-angle-identity"),
+                     ("continuation", "compensated-boundary-value")}
+
+
+@pytest.mark.parametrize("name", GROUP_MUTANTS)
+def test_group_mutant(name, monkeypatch):
+    mutant, conjugation = GROUP_MUTANTS[name]
+    names = ("group", "wigner", "continuation")
+    keys = _records(names).keys()
+    monkeypatch.setattr(cg, "j_conjugate", mutant)
+    records = _records(names)
+    assert {key: r.passed for key, r in records.items()} == {
+        key: key[:2] not in J_CONJUGATE_FAILS for key in keys}
+    residuals = records["group", "j-conjugation", None].residuals
+    assert abs(residuals["conjugation"] - conjugation) < 0.01
+    assert residuals["involution"] == residuals["continuity_excess"] == 0.0
+
+
 CONES = ("approach-path-equivalence", "exchange-hypothesis", "dual-cone-double-dual",
          "direction-containment-oracle", "difference-cone-salience",
          "path-action-equivariance")

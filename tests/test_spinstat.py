@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from anyonstat import conegeom as cgm
 from anyonstat import covergroup as cg
 from anyonstat import holo
 from anyonstat import minkowski as mk
@@ -18,6 +19,16 @@ P = mk.shell_point(0.4, -0.3, 1.0)
 @pytest.fixture(scope="module")
 def family_third():
     return ss.build_toy_model(1 / 3, 1.0, 2, seed=5)
+
+
+def _law(g, ps, family):
+    # the covariance check, its spin-free inputs built as run_pipeline's are
+    return ss.verify_transformation_law(ss.law_inputs(g, ps, family), family)
+
+
+def _half_turn(family, ps, omega):
+    # the half-turn check, its spin-free inputs built as run_pipeline's are
+    return ss.rotation_pi_relation(family, ss.half_turn_inputs(ps, family.m), omega)
 
 
 def test_bosonic_point_target():
@@ -110,10 +121,10 @@ def test_kernel_morera(family_third):
 
 
 def test_transformation_law(family_third):
-    ident = ss.verify_transformation_law(cg.identity(), P[None], family_third)
+    ident = _law(cg.identity(), P[None], family_third)
     assert ident["sides"][0] < 1e-10
     g = cg.lift_rotation(0.1)
-    out = ss.verify_transformation_law(g, P[None], family_third)
+    out = _law(g, P[None], family_third)
     assert out["sides"][0] < 1e-8
     assert out["factor_lhs_vs_closed"][0] < 1e-8
     assert out["factor_rhs_vs_closed"][0] < 1e-8
@@ -121,7 +132,7 @@ def test_transformation_law(family_third):
 
 def test_transformation_law_hypothesis_gate(family_third):
     with pytest.raises(ss.HypothesisViolation):
-        ss.verify_transformation_law(cg.lift_rotation(2.5), P[None], family_third)
+        ss.law_inputs(cg.lift_rotation(2.5), P[None], family_third)
 
 
 def _pointwise_grid(m, size):
@@ -222,19 +233,19 @@ def test_extract_d_scalar_case():
 
 
 def test_rotation_pi_relation(family_third):
-    out = ss.rotation_pi_relation(family_third, P[None], family_third.omega_target)
+    out = _half_turn(family_third, P[None], family_third.omega_target)
     assert np.max([*out.values()]) < 1e-8
 
 
 def test_rotation_pi_bosonic():
     fam = ss.build_toy_model(0.0, 1.0, 1, seed=6)
-    out = ss.rotation_pi_relation(fam, P[None], fam.omega_target)
+    out = _half_turn(fam, P[None], fam.omega_target)
     assert np.max([*out.values()]) < 1e-10
 
 
 def test_rotation_pi_half_spin():
     fam = ss.build_toy_model(0.5, 1.0, 2, seed=6)
-    out = ss.rotation_pi_relation(fam, P[None], fam.omega_target)
+    out = _half_turn(fam, P[None], fam.omega_target)
     assert np.max([*out.values()]) < 1e-8
 
 
@@ -278,7 +289,7 @@ def test_a_family_with_a_spin_and_a_b_per_row_is_the_per_spin_families(family_th
 def test_transformation_law_sees_b2_in_the_left_exponential_factor(family_third, monkeypatch):
     g = cg.compose(cg.lift_rotation(0.1), cg.lift_boost(0.3, 0.2))
     ps = GRID[:3]
-    assert max(np.max(v) for v in ss.verify_transformation_law(g, ps, family_third).values()) < 1e-8
+    assert max(np.max(v) for v in _law(g, ps, family_third).values()) < 1e-8
     real = holo.exp_mink_dot
 
     def swapped(b, pre, anchor):
@@ -287,7 +298,7 @@ def test_transformation_law_sees_b2_in_the_left_exponential_factor(family_third,
                     pre, anchor)
 
     monkeypatch.setattr(holo, "exp_mink_dot", swapped)
-    out = ss.verify_transformation_law(g, ps, family_third)
+    out = _law(g, ps, family_third)
     assert np.max(out["sides"]) > 1e-2
 
 
@@ -360,14 +371,69 @@ def test_build_rejects_bad_mass():
         ss.build_toy_model(0.5, 0.0)
 
 
+# --- the setup that run_pipeline shares across spins --------------------------
+
+def _reports(spins, cold: bool) -> dict:
+    out = {}
+    for s in spins:
+        if cold:
+            ss._setup.cache_clear()
+        out[s] = ss.run_pipeline(s, seed=7)
+    return out
+
+
+def test_a_shared_setup_cannot_change_a_pipeline_report():
+    spins = suites.SuiteConfig().spins
+    cold = _reports(spins, cold=True)
+    assert _reports(spins, cold=False) == cold
+    assert _reports(spins[::-1], cold=False) == cold
+    assert ss._setup.cache_info().currsize == 1
+
+
+def _arrays(obj) -> list:
+    # every array that obj holds, itself or in its tuple items or dataclass
+    # fields at any depth
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, tuple):
+        return [a for item in obj for a in _arrays(item)]
+    if dataclasses.is_dataclass(obj):
+        return [a for f in dataclasses.fields(obj) for a in _arrays(getattr(obj, f.name))]
+    return []
+
+
+def test_a_cached_setup_is_read_only():
+    setup = ss._setup(1.0, 2, 7, 5)
+    arrays = _arrays(setup)
+    # the draws, grid, subgrid, fill momenta, anchors and both checks' inputs
+    assert len(arrays) > 25
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0.0
+    assert ss._setup(1.0, 2, 7, 5) is setup
+
+
+def test_a_setup_that_raises_fails_each_spin_and_is_not_kept(monkeypatch):
+    config = suites.SuiteConfig(seed=7)
+    with monkeypatch.context() as mp:
+        mp.setattr(cgm, "exchange_hypothesis", lambda *args: False)
+        records = suites.run_suite("spinstat", config).records
+    assert [(r.inputs["spin"], r.passed) for r in records] == [(s, False) for s in config.spins]
+    for r in records:
+        assert r.inputs["error"] == ("HypothesisViolation: cone pair violates the "
+                                     "exchange condition")
+    assert all(r.passed for r in suites.run_suite("spinstat", config).records)
+
+
 # --- batched families: offsets and momenta as rows ---------------------------
 
 def _singular_once(ode, scans):
-    # the family with its first log-derivative read, the first scan, singular
+    # the family with its first log-derivative read, the first scan, NaN
     def log_derivative(zs, delta, _orig=ode.log_derivative):
         scans.append(zs)
-        A = _orig(zs, delta)
-        return np.full_like(A, np.nan) if len(scans) == 1 else A
+        a = _orig(zs, delta)
+        assert a.shape == (len(zs),)
+        return np.full_like(a, np.nan) if len(scans) == 1 else a
 
     return dataclasses.replace(ode, log_derivative=log_derivative)
 
@@ -400,12 +466,10 @@ def test_ode_log_derivative_is_h_batch_differenced(s, m):
 
     h1, h_1, h2, h_2, h0 = h_batch(delta * np.array([1.0, -1.0, 0.5, -0.5, 0.0]))
     want = np.linalg.solve(h0, (4.0 * (h2 - h_2) / delta - (h1 - h_1) / (2.0 * delta)) / 3.0)
-    got = ss._ode_family(fam, p).log_derivative(zs, delta)
-    assert got.shape == (len(zs), 2, 2)
-    # a scalar times the identity, since h is a scalar times a2^H a1
-    assert np.all(got[:, 0, 1] == 0.0) and np.all(got[:, 1, 0] == 0.0)
-    assert np.array_equal(got[:, 0, 0], got[:, 1, 1])
-    assert np.all(np.linalg.norm(got - want, axis=(1, 2))
+    a = ss._ode_family(fam, p).log_derivative(zs, delta)
+    # the scalar a of A = a I, since h is a scalar times a2^H a1
+    assert a.shape == (len(zs),)
+    assert np.all(np.linalg.norm(a[:, None, None] * np.eye(2) - want, axis=(1, 2))
                   < 1e-6 * np.linalg.norm(want, axis=(1, 2)))
 
 
@@ -484,18 +548,18 @@ def test_pipeline_checks_on_a_stack_match_each_momentum(family_third):
     _assert_rows_match(ss.two_point_boundary_check(family_third, ps),
                        [ss.two_point_boundary_check(family_third, p[None]) for p in ps])
     omega = family_third.omega_target
-    _assert_rows_match(ss.rotation_pi_relation(family_third, ps, omega),
-                       [ss.rotation_pi_relation(family_third, p[None], omega) for p in ps])
+    _assert_rows_match(_half_turn(family_third, ps, omega),
+                       [_half_turn(family_third, p[None], omega) for p in ps])
     gs = [cg.compose(cg.lift_rotation(w), cg.lift_boost(d, r))
           for w, d, r in ((0.1, 0.3, 0.2), (-0.15, 2.0, 0.1), (0.0, 4.0, 0.25), (0.05, 5.5, 0.0))]
     stack = cg.CoverElement(np.array([g.gamma for g in gs], dtype=complex),
                             np.array([g.omega for g in gs]))
-    _assert_rows_match(ss.verify_transformation_law(stack, ps, family_third),
-                       [ss.verify_transformation_law(g, p[None], family_third)
+    _assert_rows_match(_law(stack, ps, family_third),
+                       [_law(g, p[None], family_third)
                         for g, p in zip(gs, ps)])
     # one element serves every momentum of the stack
-    _assert_rows_match(ss.verify_transformation_law(gs[1], ps, family_third),
-                       [ss.verify_transformation_law(gs[1], p[None], family_third) for p in ps])
+    _assert_rows_match(_law(gs[1], ps, family_third),
+                       [_law(gs[1], p[None], family_third) for p in ps])
 
 
 _CLOSED_FORMS = ("psi1", "psi2", "two_point", "hat_closed", "check_closed",
@@ -532,7 +596,7 @@ def test_rel_on_stacks_is_rel_pair_by_pair():
 def test_transformation_law_gate_checks_every_row(family_third):
     stack = cg.CoverElement(np.zeros(3, dtype=complex), np.array([0.1, 2.5, -0.1]))
     with pytest.raises(ss.HypothesisViolation, match="element 1 "):
-        ss.verify_transformation_law(stack, P[None][[0, 0, 0]], family_third)
+        ss.law_inputs(stack, P[None][[0, 0, 0]], family_third)
 
 
 def _count_walks(run) -> dict:
@@ -570,8 +634,8 @@ def test_work_counts_do_not_grow_with_momenta():
     # on a new family each check also fills the boundary pairs it reads, with
     # one family for both prefactors; the covariance check walks one family
     for check, walks in ((ss.two_point_boundary_check, (3, 5)),
-                         (lambda f, ps: ss.rotation_pi_relation(f, ps, 1.0), (2, 4)),
-                         (lambda f, ps: ss.verify_transformation_law(cg.identity(), ps, f),
+                         (lambda f, ps: _half_turn(f, ps, 1.0), (2, 4)),
+                         (lambda f, ps: _law(cg.identity(), ps, f),
                           (1, 2))):
         for ps in (GRID[:1], GRID[:3], GRID):
             fam = ss.build_toy_model(0.25, 1.0, 2, seed=7)
